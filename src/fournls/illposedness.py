@@ -174,7 +174,7 @@ class ResidualFields:
     e1: Field              # (1/36) N^-4 carrier * d_y^4 v
     e2: Field              # (4i/6^{3/2}) N^-2 carrier * d_y^3 v
     direct: Field          # (i d_t + d_x^4) U + kappa |U|^2 U by FD + spectral
-    relative_defect: float  # ||direct - (e1 + e2)||_2 / ||e1 + e2||_2
+    relative_defect: float  # ||direct - (e1 + e2)||_2 / ||e1 + e2||_2, unscaled if e1 + e2 = 0
 
 
 def residual_fields(
@@ -217,7 +217,9 @@ def residual_fields(
 
     target = e1.values + e2.values
     scale = np.sqrt(grid4.dx * np.sum(np.abs(target) ** 2))
-    defect = np.sqrt(grid4.dx * np.sum(np.abs(direct.values - target) ** 2)) / scale
+    defect = np.sqrt(grid4.dx * np.sum(np.abs(direct.values - target) ** 2))
+    if scale > 0:
+        defect /= scale  # a zero target (zero profile) leaves the absolute norm
     return ResidualFields(e1=e1, e2=e2, direct=direct, relative_defect=float(defect))
 
 

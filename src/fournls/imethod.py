@@ -22,25 +22,55 @@ with M4 = (m^2(xi1) - m^2(xi2) + m^2(xi3) - m^2(xi4)) / 2,
 sigma4 = M4 / (xi1^4 - xi2^4 + xi3^4 - xi4^4)  (real-valued), and
 M6 = i sigma4(xi1, xi2, xi3, xi4+xi5+xi6).  The correction term cancels the
 quadrilinear increment exactly for g = +1, the normalization adopted here.
+
+Evaluation.  Neither form is summed symbol by symbol:
+
+* Lambda4(sigma4).  With W = u(xi1) conj(u(-xi2)) u(xi3) conj(u(-xi4)) and
+  the N-free weight alpha4 = (xi1+xi2)(xi1+xi4) Q of the factorized
+  resonance phase, the relabellings xi1 <-> xi3 and xi2 <-> xi4 fix W and
+  alpha4, so
+
+      Lambda4(sigma4) = L sum_k (m^2(xi_k) - 1) (R1(k) - R2(k)),
+
+  where R1(k), R2(k) sum W / alpha4 over the hyperplane points with k1 = k,
+  resp. k2 = k (terms with alpha4 = 0 dropped, as sigma4 := 0 drops them).
+  The marginals R1 - R2 are computed once per snapshot, and each threshold
+  N then costs one dot product with the tabulated m^2 - 1.
+* Lambda6(M6).  M6 sees xi4, xi5, xi6 only through their sum, so with the
+  exact lattice convolution V = conj(u(-.)) * u * conj(u(-.)) (|k'| <= 3K),
+
+      Lambda6(M6) = L sum_{k1,k2,k3} M6 u(xi1) conj(u(-xi2)) u(xi3) V(-(k1+k2+k3)),
+
+  a sum of (2K+1)^3 terms in place of (2K+1)^5 (:class:`SumLastThree`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, InconclusiveFitError, NumericDomainError, TermBudgetError
 from .evolution import EvolutionConfig, evolve, galerkin_evolve
 from .fitting import FitResult, fit_loglog
-from .spectral import Field, Grid, Spectrum, SymbolFn, to_physical, to_spectrum
+from .spectral import (
+    Field,
+    Grid,
+    Spectrum,
+    SymbolFn,
+    cubic_convolution,
+    to_physical,
+    to_spectrum,
+)
 from .symmetries import mass
 
 __all__ = [
     "IMethodParams",
     "ModeSet",
     "MultilinearResult",
+    "SumLastThree",
     "i_multiplier",
     "multiplier_m2_derivatives",
     "apply_I",
@@ -61,6 +91,8 @@ __all__ = [
 ]
 
 TERM_BUDGET = int(1e8)
+# largest (snapshots, 2K+1, 2K+1) temporary of the Lambda4(sigma4) pass, in bytes
+CHUNK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -214,10 +246,11 @@ def symbol_sigma4(xi1, xi2, xi3, xi4, p: IMethodParams):
 def symbol_m6(xi1, xi2, xi3, xi4, xi5, xi6, p: IMethodParams):
     """Six-frequency symbol i sigma4(xi1, xi2, xi3, xi4 + xi5 + xi6)."""
     _check_hyperplane(xi1, xi2, xi3, xi4, xi5, xi6)
-    x4 = np.asarray(xi4, dtype=np.float64)
-    x5 = np.asarray(xi5, dtype=np.float64)
-    x6 = np.asarray(xi6, dtype=np.float64)
-    return 1j * _sigma4_on_hyperplane(xi1, xi2, xi3, x4 + x5 + x6, p)
+    return _m6(p)(xi1, xi2, xi3, xi4, xi5, xi6)
+
+
+def _m6(p: IMethodParams) -> SumLastThree:
+    return SumLastThree(lambda a, b, c, d: 1j * _sigma4_on_hyperplane(a, b, c, d, p))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +282,22 @@ class ModeSet:
 @dataclass
 class MultilinearResult:
     value: complex
-    terms: int
+    terms: int  # lattice points summed over: (2K+1)^(n-1), or (2K+1)^3 when collapsed
+
+
+@dataclass(frozen=True)
+class SumLastThree:
+    """Six-slot symbol ``core(xi1, xi2, xi3, xi4 + xi5 + xi6)``.
+
+    Evaluates like any six-slot symbol; :func:`lambda_n` recognises it and
+    folds the last three slots into one lattice convolution, summing
+    (2K+1)^3 terms instead of (2K+1)^5.
+    """
+
+    core: Callable
+
+    def __call__(self, xi1, xi2, xi3, xi4, xi5, xi6):
+        return self.core(xi1, xi2, xi3, np.asarray(xi4, dtype=np.float64) + xi5 + xi6)
 
 
 def _coef_by_index(spec: Spectrum, K: int) -> np.ndarray:
@@ -258,62 +306,76 @@ def _coef_by_index(spec: Spectrum, K: int) -> np.ndarray:
     return spec.coef[ks % spec.grid.M]
 
 
+def _slot_coefs(fields, K: int) -> list:
+    """Per-slot coefficients on k = -K..K: hat u_j(xi_k) in odd slots (1-based)
+    and conj(hat u_j(-xi_k)) in even slots."""
+    coefs = [_coef_by_index(to_spectrum(f), K) for f in fields]
+    return [c if j % 2 == 0 else np.conj(c[::-1]) for j, c in enumerate(coefs)]
+
+
+def _sum_three_slots(symbol, slots, last, K: int, scale: float) -> complex:
+    """Sum of symbol(xi1..xi4) s1[k1] s2[k2] s3[k3] last[k4] over k1+k2+k3+k4 = 0.
+
+    k1, k2, k3 run over -K..K and k4 over the index range of ``last``
+    (centred, length 2R+1), one k1-slice at a time.
+    """
+    s1, s2, s3 = slots
+    R = len(last) // 2
+    ks = np.arange(-K, K + 1)
+    k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
+    total = 0.0 + 0.0j
+    for k1 in ks:  # chunked first index, deterministic order
+        k4 = -(k1 + k2g + k3g)
+        valid = np.abs(k4) <= R
+        if not np.any(valid):
+            continue
+        v2, v3, v4 = k2g[valid], k3g[valid], k4[valid]
+        v1 = np.full(v2.shape, k1)
+        val = symbol(scale * v1, scale * v2, scale * v3, scale * v4)
+        total += np.sum(
+            np.asarray(val) * s1[v1 + K] * s2[v2 + K] * s3[v3 + K] * last[v4 + R]
+        )
+    return total
+
+
 def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
     """Direct sum of a multilinear form over the truncated hyperplane.
 
     ``symbol`` receives n frequency arrays; slots alternate u, conj pattern:
     odd slots contribute hat(u_j)(xi), even slots conj(hat(u_j)(-xi)).  The
     hyperplane measure is calibrated so Lambda4(1; u) = int |u|^4 dx for
-    band-limited u (one overall factor L).
+    band-limited u (one overall factor L).  A six-slot :class:`SumLastThree`
+    symbol is summed as sum_{k1,k2,k3} core * u1 u2 u3 V(-(k1+k2+k3)) with
+    V the exact lattice convolution of the last three slots (|k'| <= 3K).
     """
     n = len(fields)
     if n not in (2, 4, 6):
         raise ConfigError(f"multilinear order must be 2, 4 or 6, got {n}")
     K = modes.K
-    terms = (2 * K + 1) ** (n - 1)
+    collapsed = n == 6 and isinstance(symbol, SumLastThree)
+    terms = (2 * K + 1) ** (3 if collapsed else n - 1)
     if terms > TERM_BUDGET:
         raise TermBudgetError(
-            f"(2K+1)^(n-1) = {terms:.3g} exceeds the {TERM_BUDGET:.0g} term budget"
+            f"{terms:.3g} lattice terms exceed the {TERM_BUDGET:.0g} term budget"
         )
     grid = fields[0].grid
     for f in fields:
         if f.grid != grid:
             raise ConfigError("all fields must share one grid")
-    coefs = [_coef_by_index(to_spectrum(f), K) for f in fields]
+    slots = _slot_coefs(fields, K)
     ks = np.arange(-K, K + 1)
     two_pi_over_L = 2 * np.pi / grid.L
 
-    def slot(j, idx):
-        # odd (0-based even j) slots: hat u(xi_k); even slots: conj(hat u(-xi_k))
-        if j % 2 == 0:
-            return coefs[j][idx + K]
-        return np.conj(coefs[j][-idx + K])
-
-    total = 0.0 + 0.0j
     if n == 2:
-        k1 = ks
-        k2 = -k1
-        val = symbol(two_pi_over_L * k1, two_pi_over_L * k2)
-        total = np.sum(np.asarray(val) * slot(0, k1) * slot(1, k2))
+        val = symbol(two_pi_over_L * ks, two_pi_over_L * -ks)
+        total = np.sum(np.asarray(val) * slots[0] * slots[1][::-1])
     elif n == 4:
-        k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
-        for k1 in ks:  # chunked first index, deterministic order
-            k4 = -(k1 + k2g + k3g)
-            valid = np.abs(k4) <= K
-            if not np.any(valid):
-                continue
-            v2, v3, v4 = k2g[valid], k3g[valid], k4[valid]
-            v1 = np.full(v2.shape, k1)
-            val = symbol(
-                two_pi_over_L * v1,
-                two_pi_over_L * v2,
-                two_pi_over_L * v3,
-                two_pi_over_L * v4,
-            )
-            total += np.sum(
-                np.asarray(val) * slot(0, v1) * slot(1, v2) * slot(2, v3) * slot(3, v4)
-            )
+        total = _sum_three_slots(symbol, slots[:3], slots[3], K, two_pi_over_L)
+    elif collapsed:
+        tail = cubic_convolution(*slots[3:])
+        total = _sum_three_slots(symbol.core, slots[:3], tail, K, two_pi_over_L)
     else:
+        total = 0.0 + 0.0j
         k2g, k3g, k4g, k5g = np.meshgrid(ks, ks, ks, ks, indexing="ij")
         for k1 in ks:
             k6 = -(k1 + k2g + k3g + k4g + k5g)
@@ -323,12 +385,91 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
             v2, v3, v4, v5, v6 = (a[valid] for a in (k2g, k3g, k4g, k5g, k6))
             v1 = np.full(v2.shape, k1)
             val = symbol(*(two_pi_over_L * v for v in (v1, v2, v3, v4, v5, v6)))
-            total += np.sum(
-                np.asarray(val)
-                * slot(0, v1) * slot(1, v2) * slot(2, v3)
-                * slot(3, v4) * slot(4, v5) * slot(5, v6)
-            )
+            prod = np.asarray(val)
+            for slot, v in zip(slots, (v1, v2, v3, v4, v5, v6)):
+                prod = prod * slot[v + K]
+            total += np.sum(prod)
     return MultilinearResult(value=complex(grid.L * total), terms=terms)
+
+
+def _sigma4_marginals(fields, modes: ModeSet) -> np.ndarray:
+    """R1 - R2 of each field, shape (len(fields), 2K+1), for Lambda4(sigma4).
+
+    R1(k) and R2(k) sum W / alpha4 over the hyperplane points with k1 = k
+    and k2 = k, where W = c[k1] conj(c[-k2]) c[k3] conj(c[-k4]) and alpha4 =
+    (xi1+xi2)(xi1+xi4) Q is the factorized resonance denominator of
+    ``_sigma4_on_hyperplane``; its zeros (k2 = -k1 or k4 = -k1) are dropped.
+    alpha4 is formed in lattice units, where every factor is an integer below
+    2^53 within the term budget, and scaled by (2 pi / L)^4 at the end.
+    Each k1-slice is a 2-D (k2, k3) array: the last slot is read from a
+    zero-padded copy (|k4| <= 3K), so the points with |k4| > K add zero.
+    Snapshots go in batches whose (batch, 2K+1, 2K+1) temporaries stay
+    below CHUNK_BYTES.
+    """
+    K = modes.K
+    n = 2 * K + 1
+    if n**3 > TERM_BUDGET:
+        raise TermBudgetError(
+            f"{n**3:.3g} lattice terms exceed the {TERM_BUDGET:.0g} term budget"
+        )
+    ks = np.arange(-K, K + 1, dtype=np.float64)
+    k23 = ks[:, None] + ks[None, :]  # k2 + k3 = -(k1 + k4)
+    sq23 = ks[:, None] ** 2 + ks[None, :] ** 2
+    batch = max(1, CHUNK_BYTES // (16 * n * n))
+    out = []
+    for start in range(0, len(fields), batch):
+        a = np.array([_coef_by_index(to_spectrum(f), K) for f in fields[start:start + batch]])
+        b = np.conj(a[:, ::-1])
+        # padded[j] = conj(c[j - 3K]) = b[3K - j], zero for |3K - j| > K,
+        # so window t holds b[3K - t - i3]
+        padded = np.zeros((len(a), 6 * K + 1), dtype=np.complex128)
+        padded[:, 2 * K:4 * K + 1] = np.conj(a)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
+        r1 = np.empty(a.shape, dtype=np.complex128)
+        r2 = np.zeros(a.shape, dtype=np.complex128)
+        inv = np.zeros((n, n))
+        for i1, k1 in enumerate(ks):
+            k4 = -(k1 + k23)
+            alpha = k4 * k4 + sq23 + (k1 * k1 + 2 * (k1 + ks) ** 2)  # Q
+            alpha *= -(k1 + ks)[:, None] * k23  # (k1 + k2)(k1 + k4) Q
+            inv[:] = 0.0
+            np.divide(1.0, alpha, out=inv, where=alpha != 0)
+            # b[k4] at (k2, k3), then the k3 sum of b[k4] c[k3] / alpha
+            b4 = windows[:, i1:i1 + n, :]
+            g = np.einsum("sij,sj->si", b4 * inv, a) * b
+            r1[:, i1] = a[:, i1] * g.sum(axis=1)
+            r2 += a[:, i1:i1 + 1] * g
+        out.append(r1 - r2)
+    return np.concatenate(out) / (2 * np.pi / modes.grid.L) ** 4
+
+
+def _lambda4_sigma4(marginals: np.ndarray, p: IMethodParams, modes: ModeSet) -> np.ndarray:
+    """Lambda4(sigma4) for each row of ``_sigma4_marginals``, with its checks.
+
+    sigma4's numerator pairs m^2(xi1) with m^2(xi3) and m^2(xi2) with
+    m^2(xi4) under relabellings that leave W and alpha4 unchanged, so
+    Lambda4(sigma4) = L sum_k (m^2(xi_k) - 1) (R1(k) - R2(k)); the -1 adds
+    sum R1 - sum R2 = 0 and makes the value exactly 0 inside |xi| <= N.
+    """
+    m2 = _m_values(p, modes.xi_values) ** 2
+    # alpha4 = 0 on k2 = -k1 and on k4 = -k1; M4 must vanish there as well
+    m2_1, m2_3 = m2[:, None], m2[None, :]  # m^2(xi1), m^2(xi3) on the (k1, k3) grid
+    neg_1, neg_3 = m2[::-1][:, None], m2[::-1][None, :]  # m^2(-xi1), m^2(-xi3)
+    for m2_2, m2_4 in ((neg_1, neg_3), (neg_3, neg_1)):
+        bad = np.abs(0.5 * (m2_1 - m2_2 + m2_3 - m2_4))
+        if np.any(bad > 1e-12):
+            raise NumericDomainError(
+                "non-removable resonant singularity: alpha4 = 0 with M4 != 0 "
+                f"(|M4| up to {np.max(bad):.3e})"
+            )
+    # a row sum, not a matrix product, so a row's value does not depend on the batch
+    corr = modes.grid.L * (marginals * (m2 - 1.0)).sum(axis=1)
+    for value in corr:
+        if abs(value.imag) > 1e-10 * max(abs(value), 1e-30):
+            raise NumericDomainError(
+                f"Lambda4(sigma4) imaginary residual {value.imag:.3e} out of tolerance"
+            )
+    return corr
 
 
 def energy4(f: Field, p: IMethodParams, modes: ModeSet) -> float:
@@ -338,14 +479,7 @@ def energy4(f: Field, p: IMethodParams, modes: ModeSet) -> float:
     relative; sigma4 is real and pair-swap symmetric, so a violation means
     the state leaked outside the mode set.
     """
-    corr = lambda_n(
-        lambda a, b, c, d: _sigma4_on_hyperplane(a, b, c, d, p), [f, f, f, f], modes
-    ).value
-    scale = max(abs(corr), 1e-30)
-    if abs(corr.imag) > 1e-10 * scale:
-        raise NumericDomainError(
-            f"Lambda4(sigma4) imaginary residual {corr.imag:.3e} out of tolerance"
-        )
+    corr = _lambda4_sigma4(_sigma4_marginals([f], modes), p, modes)[0]
     return energy2(f, p) + corr.real
 
 
@@ -446,16 +580,16 @@ def derivative_identity_check(
         lambda a, b, c, d: _m4_on_hyperplane(a, b, c, d, p) + 0j, [f] * 4, modes
     ).value
     pred2 = (1j * g * lam4).real
-    defect2 = abs(fd2 - pred2) / max(abs(pred2), abs(fd2), 1e-300)
+    if 2 * np.pi / f.grid.L * support <= p.N:
+        # m = 1 on every occupied mode: M4 vanishes term by term, pred2 is 0
+        # and fd2 is stencil error, so measure both against E2 itself
+        defect2 = abs(fd2 - pred2) / energy2(f, p)
+    else:
+        defect2 = abs(fd2 - pred2) / max(abs(pred2), abs(fd2), 1e-300)
 
     fd4 = d_dt(lambda u: energy4(u, p, modes))
-    lam6 = lambda_n(
-        lambda a, b, c, d, e, f6: 1j * _sigma4_on_hyperplane(a, b, c, d + e + f6, p),
-        [f] * 6,
-        modes,
-    ).value
-    re_l6 = lam6.real
-    # sigma4 is normalized to cancel the quadrilinear増 increment of the
+    re_l6 = lambda_n(_m6(p), [f] * 6, modes).value.real
+    # sigma4 is normalized to cancel the quadrilinear increment of the
     # g = +1 equation; for other g the uncancelled remainder appears here
     mismatch = (1j * (g - 1.0) * lam4).real
     pred4 = mismatch + 4.0 * g * re_l6
@@ -539,7 +673,8 @@ def almost_conservation_experiment(
     """Sweep the threshold N and fit the modified-mass increment decay.
 
     ``data`` is one field or a family of fields sharing a grid; each member
-    is evolved once and the sweep reuses its snapshots, with increments
+    is evolved once and the sweep reuses its snapshots and their
+    Lambda4(sigma4) marginals (one pass per member for every N), with increments
     sup_t |E(t) - E(0)| averaged over the family (single random-phase
     realizations carry an O(0.5) slope scatter).  The corrected slope is
     predicted near -3; the uncorrected E2 series is fitted for comparison.
@@ -558,10 +693,11 @@ def almost_conservation_experiment(
         if modes is None:
             K = support_K or _support_radius(to_spectrum(u0))
             modes = ModeSet(u0.grid, K)
+        marginals = _sigma4_marginals(snapshots, modes)
         for N in N_values:
             p = IMethodParams(N=float(N), s=s)
-            e4 = np.array([energy4(f, p, modes) for f in snapshots])
             e2 = np.array([energy2(f, p) for f in snapshots])
+            e4 = e2 + _lambda4_sigma4(marginals, p, modes).real
             inc4[N].append(float(np.max(np.abs(e4 - e4[0]))))
             inc2[N].append(float(np.max(np.abs(e2 - e2[0]))))
     mean4 = {N: float(np.mean(v)) for N, v in inc4.items()}

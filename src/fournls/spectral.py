@@ -32,6 +32,7 @@ __all__ = [
     "to_spectrum",
     "to_physical",
     "apply_symbol",
+    "cubic_convolution",
     "fractional_derivative",
     "sobolev_norm",
     "lebesgue_norm",
@@ -166,6 +167,17 @@ def apply_symbol(s: Spectrum, sigma: SymbolFn) -> Spectrum:
     if not np.all(np.isfinite(vals.view(np.float64))):
         raise NumericDomainError(f"symbol '{sigma.tag}' is non-finite on the grid")
     return Spectrum(s.grid, s.coef * vals)
+
+
+def cubic_convolution(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Exact lattice convolution ``x * y * z`` of centred coefficient arrays.
+
+    Each input of length 2K+1 holds indices k = -K..K; the output, of length
+    6K+1, holds n = -3K..3K with entry ``sum_{k+l+m=n} x_k y_l z_m``.  The
+    sums are direct (``np.convolve``), so there is no aliasing and no
+    (2K+1)^3 temporary.
+    """
+    return np.convolve(np.convolve(x, y), z)
 
 
 def fractional_derivative(f: Field, alpha: float) -> Field:

@@ -24,7 +24,7 @@ from fournls import (
     to_spectrum,
 )
 from fournls.evolution import MCLACHLAN_A
-from fournls.spectral import Spectrum
+from fournls.spectral import Spectrum, cubic_convolution
 
 
 def smooth_datum(L=60.0, M=512, width=1.5, amplitude=1.0):
@@ -271,6 +271,28 @@ class TestGalerkin:
         assert np.max(np.abs((1j * rhs).imag)) < 1e-14
         for k in range(1, 8):
             assert abs(rhs[k] - rhs[-k % 64]) < 1e-14
+
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_convolution_matches_triple_index_sum(self, K):
+        # reference: the (2K+1)^3 triple-index sum over k - l + m = n
+        rng = np.random.default_rng(K)
+        ks = np.arange(-K, K + 1)
+        c = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
+        prod = c[:, None, None] * np.conj(c)[None, :, None] * c[None, None, :]
+        n = ks[:, None, None] - ks[None, :, None] + ks[None, None, :]
+        full = np.zeros(6 * K + 1, dtype=np.complex128)
+        np.add.at(full, n.ravel() + 3 * K, prod.ravel())
+        conv = cubic_convolution(c, np.conj(c[::-1]), c)
+        assert np.max(np.abs(conv - full)) < 1e-13 * np.max(np.abs(full))
+
+        g = self.grid()
+        coef = np.zeros(64, complex)
+        coef[ks % 64] = c
+        cfg = EvolutionConfig(kappa=1)
+        rhs = galerkin_rhs(Spectrum(g, coef), cfg, K).coef[ks % 64]
+        lin = 1j * cfg.linear_phase_rate(2 * np.pi / g.L * ks) * c
+        expect = -1j * full[2 * K:4 * K + 1]
+        assert np.max(np.abs(rhs - lin - expect)) < 1e-13 * np.max(np.abs(expect))
 
     def test_cutoff_above_resolution_rejected(self):
         g = self.grid()

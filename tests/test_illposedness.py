@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,10 +130,15 @@ class TestResiduals:
             def value(self, t):
                 return Field(setup.grid_v, np.zeros(setup.grid_v.M, complex))
 
-        res = residual_fields(ZeroProfile(), setup, t=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = residual_fields(ZeroProfile(), setup, t=0.2)
         assert np.max(np.abs(res.e1.values)) == 0
         assert np.max(np.abs(res.e2.values)) == 0
         assert np.max(np.abs(res.direct.values)) < 1e-12
+        # the target e1 + e2 is zero, so the defect is the unscaled norm
+        assert np.isfinite(res.relative_defect)
+        assert res.relative_defect < 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ from fournls import (
     symbol_sigma4,
     to_physical,
 )
-from fournls.imethod import fit_m6_constant, multiplier_m2_derivatives
+from fournls.imethod import SumLastThree, fit_m6_constant, multiplier_m2_derivatives
 from fournls.spectral import Spectrum
 
 
@@ -310,6 +310,18 @@ class TestLambdaN:
         with pytest.raises(TermBudgetError):
             lambda_n(lambda *a: np.ones_like(a[0]), [u] * 6, ModeSet(g, 100))
 
+    def test_budget_guard_counts_collapsed_terms(self):
+        # the collapsed Lambda6 sums (2K+1)^3 terms: 465^3 > 1e8 is refused
+        # before any work; 25^3 is reported as the count summed
+        g = make_grid(2 * np.pi, 512)
+        u = Field(g, np.ones(512, complex))
+        m6 = SumLastThree(lambda a, b, c, d: np.ones_like(a))
+        with pytest.raises(TermBudgetError):
+            lambda_n(m6, [u] * 6, ModeSet(g, 232))
+        assert lambda_n(m6, [u] * 6, ModeSet(g, 12)).terms == 25**3
+        with pytest.raises(TermBudgetError):
+            energy4(u, params(), ModeSet(g, 232))
+
     def test_odd_order_rejected(self):
         g = self.grid()
         u = Field(g, np.ones(64, complex))
@@ -324,6 +336,17 @@ class TestEnergy4:
         u = narrow_state(g, rng, support=3, n_modes=4)
         p = params(N=20.0)
         assert energy4(u, p, ModeSet(g, 9)) == energy2(u, p)
+
+    def test_resonant_check_rejects_uneven_multiplier(self, monkeypatch):
+        # alpha4 = 0 on k2 = -k1; an even m makes M4 vanish there, an uneven
+        # one must be refused as a non-removable singularity
+        from fournls import NumericDomainError, imethod
+
+        g = make_grid(2 * np.pi, 64)
+        u = narrow_state(g, np.random.default_rng(11), support=3, n_modes=4)
+        monkeypatch.setattr(imethod, "_m_values", lambda p, xi: 1.0 + 0.01 * np.asarray(xi))
+        with pytest.raises(NumericDomainError):
+            energy4(u, params(N=2.0), ModeSet(g, 9))
 
     def test_closeness_to_energy2(self):
         # |E4 - E2| <= C ||Iu||^4 with a stable constant across states
@@ -365,6 +388,15 @@ class TestDerivativeIdentities:
         chk = derivative_identity_check(u, self.p, self.cfg(kappa=-1), self.modes)
         assert chk.defect4 < 1e-6
         assert abs(chk.c_estimate + 4.0) < 1e-3
+
+    def test_defect2_inside_threshold(self):
+        # every mode in |xi| <= N: m = 1, Lambda4(M4) = 0 term by term and fd2
+        # is stencil error, which is measured against E2 rather than itself
+        coef = np.zeros(self.grid.M, dtype=np.complex128)
+        coef[[1, 2, -2]] = [0.3, 0.2 - 0.1j, 0.25j]
+        u = to_physical(Spectrum(self.grid, coef))
+        chk = derivative_identity_check(u, self.p, self.cfg(), self.modes)
+        assert chk.defect2 < 1e-6
 
     def test_defect2_small(self):
         rng = np.random.default_rng(14)

@@ -1,0 +1,101 @@
+"""Property tests: the marginal Lambda4(sigma4) pass and the collapsed Lambda6
+sum against the direct hyperplane sums of ``lambda_n``."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fournls import IMethodParams, ModeSet, lambda_n, make_grid, to_physical
+from fournls import imethod
+from fournls.imethod import SumLastThree, _sigma4_on_hyperplane
+from fournls.spectral import Spectrum
+
+PROPS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def narrow_states(draw, max_K=8, count=1):
+    """``count`` random states supported in |k| <= support <= K on one grid."""
+    L = draw(st.sampled_from([2 * np.pi, 5.0, 9.7]))
+    K = draw(st.integers(2, max_K))
+    support = draw(st.integers(1, K))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = make_grid(L, 32)
+    ks = np.arange(-support, support + 1)
+    states = []
+    for _ in range(count):
+        coef = np.zeros(grid.M, dtype=np.complex128)
+        coef[ks % grid.M] = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
+        states.append(to_physical(Spectrum(grid, 0.3 * coef)))
+    return states, ModeSet(grid, K)
+
+
+# thresholds that put the lattice below N, inside the junction [N, 2N] and above 2N
+thresholds = st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 6.0])
+
+
+@PROPS
+@given(narrow_states(), thresholds)
+def test_marginal_lambda4_matches_direct_sum(case, N):
+    (f,), modes = case
+    p = IMethodParams(N=N)
+    direct = lambda_n(
+        lambda a, b, c, d: _sigma4_on_hyperplane(a, b, c, d, p), [f] * 4, modes
+    ).value
+    marginal = imethod._lambda4_sigma4(imethod._sigma4_marginals([f], modes), p, modes)[0]
+    assert abs(marginal - direct) <= 1e-12 * abs(direct)
+
+
+@PROPS
+@given(narrow_states(count=3), thresholds)
+def test_snapshot_batch_matches_one_at_a_time(case, N):
+    fields, modes = case
+    p = IMethodParams(N=N)
+    batch = imethod._lambda4_sigma4(imethod._sigma4_marginals(fields, modes), p, modes)
+    single = [imethod._lambda4_sigma4(imethod._sigma4_marginals([f], modes), p, modes)[0]
+              for f in fields]
+    assert np.allclose(batch, single, rtol=1e-13, atol=0)
+
+
+def test_batches_split_at_the_chunk_limit(monkeypatch):
+    grid = make_grid(2 * np.pi, 32)
+    rng = np.random.default_rng(0)
+    ks = np.arange(-5, 6)
+    fields = []
+    for _ in range(5):
+        coef = np.zeros(32, dtype=np.complex128)
+        coef[ks % 32] = rng.normal(size=11) + 1j * rng.normal(size=11)
+        fields.append(to_physical(Spectrum(grid, 0.3 * coef)))
+    modes = ModeSet(grid, 8)
+    whole = imethod._sigma4_marginals(fields, modes)
+    # room for two (17, 17) complex slices per batch: batches of 2, 2 and 1
+    monkeypatch.setattr(imethod, "CHUNK_BYTES", 2 * 16 * 17 * 17)
+    split = imethod._sigma4_marginals(fields, modes)
+    assert np.allclose(split, whole, rtol=1e-13, atol=0)
+
+
+@PROPS
+@given(narrow_states(max_K=6), thresholds)
+def test_collapsed_lambda6_matches_six_fold_sum(case, N):
+    (f,), modes = case
+    p = IMethodParams(N=N)
+    scale = 2 * np.pi / f.grid.L
+
+    def m6(a, b, c, d, e, f6):
+        # the six-fold sum adds scale*k4 + scale*k5 + scale*k6 in floating point,
+        # which can miss the resonant zero x1 + x4 = 0 when scale != 1; put the
+        # sum back on the lattice point scale*(k4 + k5 + k6) the collapsed sum uses
+        return 1j * _sigma4_on_hyperplane(a, b, c, scale * np.round((d + e + f6) / scale), p)
+
+    generic = lambda_n(m6, [f] * 6, modes)
+    collapsed = lambda_n(imethod._m6(p), [f] * 6, modes)
+    assert generic.terms == (2 * modes.K + 1) ** 5
+    assert collapsed.terms == (2 * modes.K + 1) ** 3
+    assert abs(collapsed.value - generic.value) <= 1e-12 * abs(generic.value)
+
+
+def test_sum_last_three_evaluates_on_six_arrays():
+    sym = SumLastThree(lambda a, b, c, d: a - 2 * b + 3 * c - 5 * d)
+    x = np.arange(6.0)[:, None] * np.array([1.0, -2.0])
+    assert np.array_equal(sym(*x), x[0] - 2 * x[1] + 3 * x[2] - 5 * (x[3] + x[4] + x[5]))
