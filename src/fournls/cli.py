@@ -22,7 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True, help="path to the JSON spec file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     parser.add_argument(
         "--strict", action="store_true", help="reject unknown keys in the spec"
     )
@@ -47,7 +46,7 @@ def main(argv=None) -> int:
         )
         return 2
     try:
-        report = run(spec, out_dir=args.out, seed=args.seed, threads=args.threads)
+        report = run(spec, out_dir=args.out, seed=args.seed)
     except (ConfigError, RuntimeError, ArithmeticError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 2

@@ -18,13 +18,23 @@ composition ``L(a dt) N(dt/2) L((1 - 2a) dt) N(dt/2) L(a dt)`` with
 of such two-stage methods (R. I. McLachlan, SIAM J. Sci. Comput. 16 (1995)
 151-168).  ``"strang"`` is ``L(dt/2) N(dt) L(dt/2)`` and ``"ifrk4"`` is
 classical RK4 in the integrating-factor frame.
+
+Every scheme advances plain arrays through one core, ``_stepper``, which
+tabulates its multipliers and the ``project_K`` mask once per run.  The
+spectral states are raw FFT coefficients ``np.fft.fft(u)``, not the
+coefficients ``c_k`` of :mod:`fournls.spectral`: the two differ by the
+centering phase ``(-1)^k`` and the factor ``1/M``, which are diagonal and
+constant, so they commute with every linear substep, with the mode
+projection and with the RK4 combination, and cancel between ``fft`` and
+``ifft``.  A step therefore costs only the transforms its nonlinearity
+needs: 4 for ``"mclachlan2"`` and ``"strang"``, 8 for ``"ifrk4"``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -35,6 +45,7 @@ from .spectral import (
     Spectrum,
     check_resolved,
     cubic_convolution,
+    sobolev_norm,
     spectral_tail_fraction,
     to_physical,
     to_spectrum,
@@ -130,75 +141,111 @@ class TrajectoryRecord:
         return self.fields[-1]
 
 
-def linear_propagate_4nls(f: Field, t: float, orientation: int = 1) -> Field:
-    """Multiply mode xi by exp(i * orientation * t * xi^4)."""
+def _linear_propagate(f: Field, t: float, orientation: int, power: int) -> Field:
     if t == 0:
         return f.copy()
     spec = to_spectrum(f)
-    spec.coef *= np.exp(1j * orientation * t * f.grid.xi**4)
+    spec.coef *= np.exp(1j * orientation * t * f.grid.xi**power)
     return to_physical(spec)
+
+
+def linear_propagate_4nls(f: Field, t: float, orientation: int = 1) -> Field:
+    """Multiply mode xi by exp(i * orientation * t * xi^4)."""
+    return _linear_propagate(f, t, orientation, 4)
 
 
 def linear_propagate_nls(f: Field, t: float, orientation: int = 1) -> Field:
     """Multiply mode xi by exp(i * orientation * t * xi^2)."""
-    if t == 0:
-        return f.copy()
-    spec = to_spectrum(f)
-    spec.coef *= np.exp(1j * orientation * t * f.grid.xi**2)
-    return to_physical(spec)
+    return _linear_propagate(f, t, orientation, 2)
+
+
+def _rotate(u: np.ndarray, rotation: complex) -> np.ndarray:
+    # u * exp(rotation |u|^2): the exact nonlinear flow for rotation = -i kappa t
+    return u * np.exp(rotation * (u.real**2 + u.imag**2))
 
 
 def nonlinear_substep(f: Field, dt: float, kappa: int) -> Field:
     """Exact flow of i u_t = kappa |u|^2 u: a pointwise phase rotation."""
-    return Field(f.grid, f.values * np.exp(-1j * kappa * np.abs(f.values) ** 2 * dt))
+    return Field(f.grid, _rotate(f.values, -1j * kappa * dt))
 
 
-def _half_multiplier(cfg: EvolutionConfig, grid, dt: float) -> np.ndarray:
-    return np.exp(1j * cfg.linear_phase_rate(grid.xi) * dt / 2)
-
-
-def strang_step(f: Field, cfg: EvolutionConfig) -> Field:
-    """One half-linear / full-nonlinear / half-linear composition."""
-    half = _half_multiplier(cfg, f.grid, cfg.dt)
-    u = to_physical(Spectrum(f.grid, to_spectrum(f).coef * half))
-    u = nonlinear_substep(u, cfg.dt, cfg.kappa)
-    coef = to_spectrum(u).coef * half
-    if cfg.project_K is not None:
-        coef[np.abs(f.grid.k) > cfg.project_K] = 0.0
-    return to_physical(Spectrum(f.grid, coef))
-
-
-def _nonlinear_rhs_coef(cfg: EvolutionConfig, u_phys: np.ndarray, grid) -> np.ndarray:
-    # coefficient-space RHS of the nonlinearity: -i kappa * hat(|u|^2 u)
-    if cfg.kappa == 0:
-        return np.zeros(grid.M, dtype=np.complex128)
-    cubic = np.abs(u_phys) ** 2 * u_phys
-    out = -1j * cfg.kappa * np.fft.fft(cubic) * grid._centering_phase() / grid.M
-    if cfg.project_K is not None:
-        out[np.abs(grid.k) > cfg.project_K] = 0.0
-    return out
-
-
-def ifrk4_step(f: Field, cfg: EvolutionConfig) -> Field:
-    """Classical RK4 in the rotating Fourier frame (integrating factor)."""
-    grid = f.grid
-    dt = cfg.dt
-    lam = 1j * cfg.linear_phase_rate(grid.xi)
-    e_half = np.exp(lam * dt / 2)
-    e_full = e_half * e_half
-    phase = grid._centering_phase()
-
-    def nl(coef):
-        u = np.fft.ifft(coef * phase) * grid.M
-        return _nonlinear_rhs_coef(cfg, u, grid)
-
-    c = to_spectrum(f).coef
+def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of c' = nl(c) in the integrating-factor frame."""
     k1 = nl(c)
     k2 = nl(e_half * (c + dt / 2 * k1))
     k3 = nl(e_half * c + dt / 2 * k2)
     k4 = nl(e_full * c + dt * e_half * k3)
-    c_new = e_full * c + dt / 6 * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
-    return to_physical(Spectrum(grid, c_new))
+    return e_full * c + dt / 6 * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+
+
+def _stepper(grid, cfg: EvolutionConfig):
+    """``(start, step, values)`` of ``cfg.scheme`` on ``grid``, on plain arrays.
+
+    ``start`` maps samples to the scheme's state, ``step`` advances a state
+    by ``cfg.dt`` and ``values`` returns the samples of a state that has
+    taken at least one step.  Spectral states hold raw FFT coefficients
+    (module docstring); every multiplier is tabulated here, once.
+    """
+    lam = 1j * cfg.linear_phase_rate(grid.xi)
+    dt = cfg.dt
+    outside = None if cfg.project_K is None else np.abs(grid.k) > cfg.project_K
+
+    def project(w):
+        if outside is not None:
+            w[outside] = 0.0
+        return w
+
+    if cfg.scheme == "mclachlan2":
+        # the state (w, lead) is taken just after a nonlinear substep and
+        # still owes the trailing L(a dt); that is merged with the next
+        # step's leading L(a dt) into one L(2a dt), and applied on its own
+        # only when samples are read
+        edge, merged, middle = (
+            np.exp(lam * frac * dt)
+            for frac in (MCLACHLAN_A, 2 * MCLACHLAN_A, 1 - 2 * MCLACHLAN_A)
+        )
+        rotation = -1j * cfg.kappa * dt / 2
+
+        def nonlinear_half(w):
+            return project(np.fft.fft(_rotate(np.fft.ifft(w), rotation)))
+
+        def step(state):
+            w, lead = state
+            return nonlinear_half(nonlinear_half(w * lead) * middle), merged
+
+        return (lambda u: (np.fft.fft(u), edge)), step, (lambda s: np.fft.ifft(s[0] * edge))
+
+    half = np.exp(lam * dt / 2)
+    if cfg.scheme == "strang":
+        # the state is the samples themselves
+        def step(u):
+            u = _rotate(np.fft.ifft(np.fft.fft(u) * half), -1j * cfg.kappa * dt)
+            return np.fft.ifft(project(np.fft.fft(u) * half))
+
+        return (lambda u: u), step, (lambda u: u)
+
+    full = half * half
+
+    def nl(w):
+        u = np.fft.ifft(w)
+        return project(-1j * cfg.kappa * np.fft.fft((u.real**2 + u.imag**2) * u))
+
+    return np.fft.fft, (lambda w: _ifrk4(w, nl, half, full, dt)), np.fft.ifft
+
+
+def _one_step(f: Field, cfg: EvolutionConfig, scheme: str) -> Field:
+    start, step, values = _stepper(f.grid, replace(cfg, scheme=scheme))
+    return Field(f.grid, values(step(start(f.values))))
+
+
+def strang_step(f: Field, cfg: EvolutionConfig) -> Field:
+    """One half-linear / full-nonlinear / half-linear composition."""
+    return _one_step(f, cfg, "strang")
+
+
+def ifrk4_step(f: Field, cfg: EvolutionConfig) -> Field:
+    """Classical RK4 in the rotating Fourier frame (integrating factor)."""
+    return _one_step(f, cfg, "ifrk4")
 
 
 def conserved_energy(f: Field, cfg: EvolutionConfig) -> float:
@@ -233,25 +280,16 @@ def evolve(f0: Field, cfg: EvolutionConfig) -> TrajectoryRecord:
     sob = {s: [] for s in cfg.sobolev_orders}
     fields = [] if cfg.record_fields else None
 
-    lam = 1j * cfg.linear_phase_rate(grid.xi)
-    half = np.exp(lam * cfg.dt / 2)
-    phase = grid._centering_phase()
-
     def record(t, u_phys):
         f = Field(grid, u_phys)
         times.append(t)
         masses.append(grid.dx * float(np.sum(np.abs(u_phys) ** 2)))
         energies.append(conserved_energy(f, cfg))
-        from .spectral import sobolev_norm
-
         for s in cfg.sobolev_orders:
             sob[s].append(sobolev_norm(f, s))
         if fields is not None:
             fields.append(f.copy())
         return f
-
-    u = f0.values.copy()
-    record(0.0, u)
 
     def make_record(aborted=False):
         return TrajectoryRecord(
@@ -264,52 +302,17 @@ def evolve(f0: Field, cfg: EvolutionConfig) -> TrajectoryRecord:
             aborted=aborted,
         )
 
-    proj = None if cfg.project_K is None else (np.abs(grid.k) <= cfg.project_K)
-    if cfg.scheme == "mclachlan2":
-        # w holds raw FFT coefficients (the centering phase squares to one),
-        # taken just after a nonlinear substep and still owing the trailing
-        # L(a dt); that is merged with the next step's leading L(a dt) into
-        # one L(2a dt), and applied on its own only at record points
-        edge, merged, middle = (
-            np.exp(lam * frac * cfg.dt)
-            for frac in (MCLACHLAN_A, 2 * MCLACHLAN_A, 1 - 2 * MCLACHLAN_A)
-        )
-        rotation = -1j * cfg.kappa * cfg.dt / 2
-        outside = None if proj is None else ~proj
-
-        def nonlinear_half(u):
-            w = np.fft.fft(u * np.exp(rotation * (u.real**2 + u.imag**2)))
-            if outside is not None:
-                w[outside] = 0.0
-            return w
-
-        w = np.fft.fft(u)
-        lead = edge
-    step = 0
-    while step < n_steps:
-        if cfg.scheme == "mclachlan2":
-            w = nonlinear_half(np.fft.ifft(w * lead))
-            w = nonlinear_half(np.fft.ifft(w * middle))
-            lead = merged
-        elif cfg.scheme == "strang":
-            c = np.fft.fft(u) * phase / grid.M
-            u = np.fft.ifft(c * half * phase) * grid.M
-            u = u * np.exp(-1j * cfg.kappa * np.abs(u) ** 2 * cfg.dt)
-            c = np.fft.fft(u) * phase / grid.M
-            if proj is not None:
-                c = np.where(proj, c, 0.0)
-            u = np.fft.ifft(c * half * phase) * grid.M
-        else:
-            u = ifrk4_step(Field(grid, u), cfg).values
-        step += 1
-        if step % cfg.record_stride == 0 or step == n_steps:
-            if cfg.scheme == "mclachlan2":
-                u = np.fft.ifft(w * edge)
-            f = record(step * cfg.dt, u)
+    start, step, values = _stepper(grid, cfg)
+    record(0.0, f0.values)
+    state = start(f0.values)
+    for n in range(1, n_steps + 1):
+        state = step(state)
+        if n % cfg.record_stride == 0 or n == n_steps:
+            f = record(n * cfg.dt, values(state))
             tail = spectral_tail_fraction(f)
             if tail > cfg.run_tail_tol:
                 raise AbortedRunError(
-                    f"spectral tail blow-up at t={step * cfg.dt:g}: "
+                    f"spectral tail blow-up at t={n * cfg.dt:g}: "
                     f"{tail:.3e} > {cfg.run_tail_tol:.1e}",
                     record=make_record(aborted=True),
                 )
@@ -320,6 +323,25 @@ def evolve(f0: Field, cfg: EvolutionConfig) -> TrajectoryRecord:
 # brute-force Galerkin oracle
 
 
+def _galerkin_band(s: Spectrum, K: int):
+    """The modes k = -K..K of ``s`` and their coefficients, after checking
+    that K fits the grid and that ``s`` has no support above it."""
+    grid = s.grid
+    if K < 1 or K > grid.M // 2 - 1:
+        raise ConfigError(f"mode cutoff K={K} outside grid resolution")
+    peak = np.max(np.abs(s.coef))
+    if peak > 0 and np.any(np.abs(s.coef[np.abs(grid.k) > K]) > 1e-12 * peak):
+        raise ConfigError("spectrum has support above the Galerkin cutoff")
+    ks = np.arange(-K, K + 1)
+    return ks, s.coef[ks % grid.M]
+
+
+def _galerkin_spectrum(grid, ks: np.ndarray, c: np.ndarray) -> Spectrum:
+    full = np.zeros(grid.M, dtype=np.complex128)
+    full[ks % grid.M] = c
+    return Spectrum(grid, full)
+
+
 def galerkin_rhs(s: Spectrum, cfg: EvolutionConfig, K: int) -> Spectrum:
     """Exact RHS of the Fourier-truncated equation on modes |k| <= K.
 
@@ -327,23 +349,10 @@ def galerkin_rhs(s: Spectrum, cfg: EvolutionConfig, K: int) -> Spectrum:
     ``sum_{k-l+m=n} c_k conj(c_l) c_m`` restricted to |k|,|l|,|m|,|n| <= K,
     summed as two exact 1-D convolutions in O(K^2) time and O(K) memory.
     """
-    grid = s.grid
-    if K < 1 or K > grid.M // 2 - 1:
-        raise ConfigError(f"mode cutoff K={K} outside grid resolution")
-    kfull = grid.k
-    keep = np.abs(kfull) <= K
-    peak = np.max(np.abs(s.coef))
-    if peak > 0 and np.any(np.abs(s.coef[~keep]) > 1e-12 * peak):
-        raise ConfigError("spectrum has support above the Galerkin cutoff")
-
-    ks = np.arange(-K, K + 1)
-    c = s.coef[(ks % grid.M)]
-    xi = 2 * np.pi / grid.L * ks
+    ks, c = _galerkin_band(s, K)
+    xi = 2 * np.pi / s.grid.L * ks
     out = _galerkin_cubic(c, K, cfg.kappa) + 1j * cfg.linear_phase_rate(xi) * c
-
-    full = np.zeros(grid.M, dtype=np.complex128)
-    full[(ks % grid.M)] = out
-    return Spectrum(grid, full)
+    return _galerkin_spectrum(s.grid, ks, out)
 
 
 def _galerkin_cubic(coef: np.ndarray, K: int, kappa: int) -> np.ndarray:
@@ -368,16 +377,8 @@ def galerkin_evolve(s0: Spectrum, cfg: EvolutionConfig, K: int, t: float,
     limit), so the only error is the RK4 error of the slow nonlinear part;
     ground truth for the derivative identities and increment experiments.
     """
-    grid = s0.grid
-    if K < 1 or K > grid.M // 2 - 1:
-        raise ConfigError(f"mode cutoff K={K} outside grid resolution")
-    peak = np.max(np.abs(s0.coef))
-    if peak > 0 and np.any(np.abs(s0.coef[np.abs(grid.k) > K]) > 1e-12 * peak):
-        raise ConfigError("spectrum has support above the Galerkin cutoff")
-    ks = np.arange(-K, K + 1)
-    c = s0.coef[(ks % grid.M)].copy()
-    xi = 2 * np.pi / grid.L * ks
-    lam = 1j * cfg.linear_phase_rate(xi)
+    ks, c = _galerkin_band(s0, K)
+    lam = 1j * cfg.linear_phase_rate(2 * np.pi / s0.grid.L * ks)
     dt = t / n_steps
     e_half = np.exp(lam * dt / 2)
     e_full = e_half * e_half
@@ -386,15 +387,8 @@ def galerkin_evolve(s0: Spectrum, cfg: EvolutionConfig, K: int, t: float,
         return _galerkin_cubic(coef, K, cfg.kappa)
 
     for _ in range(n_steps):
-        k1 = nl(c)
-        k2 = nl(e_half * (c + dt / 2 * k1))
-        k3 = nl(e_half * c + dt / 2 * k2)
-        k4 = nl(e_full * c + dt * e_half * k3)
-        c = e_full * c + dt / 6 * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
-
-    full = np.zeros(grid.M, dtype=np.complex128)
-    full[(ks % grid.M)] = c
-    return Spectrum(grid, full)
+        c = _ifrk4(c, nl, e_half, e_full, dt)
+    return _galerkin_spectrum(s0.grid, ks, c)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 A spec is a JSON document with a ``kind`` plus kind-specific parameters;
 ``run`` validates it, executes the owning module, writes CSV/JSON artifacts
 under the output directory and returns a report whose ``passed`` flag feeds
-the CLI exit code.  Identical spec + seed + thread count reproduces
-byte-identical CSV payloads: all randomness flows from one seeded
-generator, sweep results are assembled in input order and floats are
-serialized with ``repr``.
+the CLI exit code.  Identical spec + seed reproduces byte-identical CSV
+payloads: all randomness flows from one seeded generator, sweep results are
+assembled in input order and floats are serialized with ``repr``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +22,7 @@ from . import dispersive, illposedness, imethod, resonance
 from .errors import ConfigError
 from .evolution import EvolutionConfig, evolve, run_manifest, trajectory_to_csv
 from .fitting import FitResult, fit_loglog
-from .spectral import Field, make_gaussian, make_grid, to_physical, Spectrum
+from .spectral import make_gaussian, make_grid, to_physical, Spectrum
 
 __all__ = [
     "ExperimentSpec",
@@ -100,7 +98,7 @@ def _fit_payload(fit: FitResult) -> dict:
 # experiment runners: params -> (results payload, csv rows to persist, passed)
 
 
-def _run_evolve(p, tol, rng, out, threads):
+def _run_evolve(p, tol, rng, out):
     grid = make_grid(p.get("L", 200.0), p.get("M", 4096))
     f0 = make_gaussian(
         grid,
@@ -135,7 +133,7 @@ def _run_evolve(p, tol, rng, out, threads):
     return payload, ["trajectory.csv"], ok
 
 
-def _run_imethod_almost(p, tol, rng, out, threads):
+def _run_imethod_almost(p, tol, rng, out):
     grid = make_grid(p.get("L", 2 * np.pi), p.get("M", 512))
     support = p.get("support", 120)
     family = [
@@ -186,7 +184,7 @@ def _random_narrow_state(grid, rng, support, n_modes=5, scale=0.3):
     return to_physical(Spectrum(grid, coef))
 
 
-def _run_derivative_identity(p, tol, rng, out, threads):
+def _run_derivative_identity(p, tol, rng, out):
     grid = make_grid(2 * np.pi, p.get("M", 64))
     K = p.get("K", 12)
     modes = imethod.ModeSet(grid, K)
@@ -213,7 +211,7 @@ def _run_derivative_identity(p, tol, rng, out, threads):
     return payload, ["identity.csv"], ok
 
 
-def _run_resonance_check(p, tol, rng, out, threads):
+def _run_resonance_check(p, tol, rng, out):
     n = int(p.get("samples", 1_000_000))
     x1, x2, x3, x4 = resonance.sample_hyperplane(rng, n)
     lhs = resonance.resonance_lhs(x1, x2, x3, x4)
@@ -228,7 +226,7 @@ def _run_resonance_check(p, tol, rng, out, threads):
     return payload, ["worst_tuples.csv"], worst < tol.get("residual", 1e-6)
 
 
-def _run_trilinear(p, tol, rng, out, threads):
+def _run_trilinear(p, tol, rng, out):
     s = p.get("s", -1.0)
     n_values = _float_list(p.get("n_values", [16, 32, 64, 128, 256, 512]))
     res = resonance.trilinear_counterexample(n_values, s)
@@ -241,7 +239,7 @@ def _run_trilinear(p, tol, rng, out, threads):
     return payload, ["ratio.csv"], ok
 
 
-def _run_dispersive_decay(p, tol, rng, out, threads):
+def _run_dispersive_decay(p, tol, rng, out):
     alpha = p.get("alpha", 0.0)
     grid = make_grid(p.get("L", 2400.0), p.get("M", 4096))
     datum = make_gaussian(grid, width=p.get("width", 3.0))
@@ -254,7 +252,7 @@ def _run_dispersive_decay(p, tol, rng, out, threads):
     return payload, ["decay.csv"], ok
 
 
-def _run_bilinear(p, tol, rng, out, threads):
+def _run_bilinear(p, tol, rng, out):
     fit = dispersive.bilinear_fit(
         p.get("n1", 2.0), _float_list(p.get("n2_values", [32, 64, 128, 256, 512]))
     )
@@ -263,7 +261,7 @@ def _run_bilinear(p, tol, rng, out, threads):
     return payload, ["bilinear.csv"], abs(fit.slope + 1.5) < tol.get("slope", 0.15)
 
 
-def _run_local_smoothing(p, tol, rng, out, threads):
+def _run_local_smoothing(p, tol, rng, out):
     scales = _float_list(p.get("scales", [1, 2, 4, 8, 16, 32]))
     ratios = dispersive.local_smoothing_family(scales, order=p.get("order", 1.5))
     control = dispersive.local_smoothing_family(scales, order=p.get("control_order", 2.0))
@@ -278,7 +276,7 @@ def _run_local_smoothing(p, tol, rng, out, threads):
     return payload, ["smoothing.csv"], ok
 
 
-def _run_modulation(p, tol, rng, out, threads):
+def _run_modulation(p, tol, rng, out):
     grid = make_grid(p.get("L", 200.0), p.get("M", 16384))
     u = lambda y: np.exp(-(y**2))
     s = p.get("s", -0.5)
@@ -307,7 +305,7 @@ def _run_modulation(p, tol, rng, out, threads):
     return payload, ["modulation.csv"], ok
 
 
-def _run_illposed_error(p, tol, rng, out, threads):
+def _run_illposed_error(p, tol, rng, out):
     res = illposedness.error_decay_experiment(
         _float_list(p.get("n_values", [8, 16, 32])),
         window=p.get("window", 0.5),
@@ -322,7 +320,7 @@ def _run_illposed_error(p, tol, rng, out, threads):
     return payload, ["error_decay.csv"], abs(res.fit.slope + 2.0) < tol.get("slope", 0.4)
 
 
-def _run_illposed_separation(p, tol, rng, out, threads):
+def _run_illposed_separation(p, tol, rng, out):
     rep = illposedness.separation_experiment(
         p.get("a", 1.0),
         p.get("a2", 1.05),
@@ -353,7 +351,7 @@ def _run_illposed_separation(p, tol, rng, out, threads):
     return payload, ["separation.csv"], ok
 
 
-def _run_gwp(p, tol, rng, out, threads):
+def _run_gwp(p, tol, rng, out):
     res = imethod.gwp_parameters(
         p.get("s", -0.5), p.get("T", 100.0), p.get("u0_norm", 1.0), p.get("eps0", 0.1)
     )
@@ -444,7 +442,6 @@ def run(
     spec: ExperimentSpec,
     out_dir=None,
     seed: int | None = None,
-    threads: int = 1,
 ) -> ReportDocument:
     """Dispatch a validated spec, persist artifacts and report pass/fail."""
     root = Path(out_dir or spec.out or os.environ.get(OUTPUT_ROOT_ENV, "runs"))
@@ -453,18 +450,12 @@ def run(
     use_seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(use_seed)
     runner = EXPERIMENT_KINDS[spec.kind]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        payload, files, passed = runner(spec.params, spec.tolerances, rng, out, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    payload, files, passed = runner(spec.params, spec.tolerances, rng, out)
     spec_echo = spec.echo()
     spec_echo["seed"] = use_seed
     manifest = {
         "tool": TOOL_VERSION,
         "spec": spec_echo,
-        "threads": threads,
         "spec_sha256": hashlib.sha256(
             json.dumps(spec_echo, sort_keys=True).encode()
         ).hexdigest(),

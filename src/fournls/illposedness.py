@@ -21,7 +21,7 @@ two nearby amplitudes decohere at s ~ pi / |a^2 - a'^2|.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

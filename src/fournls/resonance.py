@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .fitting import FitResult, fit_loglog
 from .imethod import IMethodParams, multiplier_m2_derivatives, _m_values
-from .spectral import Field, Spectrum, make_grid, sobolev_norm, to_physical, to_spectrum
+from .spectral import Field, Spectrum, cubic_convolution, make_grid, to_physical
 
 __all__ = [
     "HyperplaneSample",
@@ -203,9 +203,11 @@ def _band_field(N: float) -> Field:
 def _band_ratio(N: float, s: float, times: np.ndarray) -> tuple:
     """(lhs, rhs) norms for one band datum, by direct band convolution.
 
-    The cubic product of a 4-mode band function is an exact sum over the
-    4^3 frequency triples; pointwise grid multiplication gives identical
-    coefficients (cross-checked in the tests) at far higher cost.
+    The cubic product of a 4-mode band function is the exact lattice
+    convolution ``ct * conj(ct)[::-1] * ct`` over the 4^3 frequency triples
+    (output entry n sits at mode k0 - 3 + n); pointwise grid multiplication
+    gives identical coefficients (cross-checked in the tests) at far higher
+    cost.
     """
     dxi = 1.0 / (MODES_PER_BAND * N)
     L = 2 * np.pi / dxi
@@ -217,29 +219,19 @@ def _band_ratio(N: float, s: float, times: np.ndarray) -> tuple:
     weight_in = (1.0 + xi**2) ** s
     rhs_single = np.sqrt(L * np.sum(weight_in * np.abs(c) ** 2))
 
-    k1 = ks[:, None, None]
-    k2 = ks[None, :, None]
-    k3 = ks[None, None, :]
-    out = (k1 - k2 + k3) - (k0 - MODES_PER_BAND + 1)
-    n_out = 3 * MODES_PER_BAND - 2
-    out_k = k0 - MODES_PER_BAND + 1 + np.arange(n_out)
-    out_xi = dxi * out_k
-    weight_out = (1.0 + out_xi**2) ** s
+    out_k = k0 - MODES_PER_BAND + 1 + np.arange(3 * MODES_PER_BAND - 2)
+    weight_out = (1.0 + (dxi * out_k) ** 2) ** s
 
     vals = []
     for t in times:
         ct = c * np.exp(-1j * t * xi**4)  # free flow of i u_t = u_xxxx
-        prod = ct[:, None, None] * np.conj(ct)[None, :, None] * ct[None, None, :]
-        conv = np.zeros(n_out, dtype=np.complex128)
-        np.add.at(conv, out.ravel(), prod.ravel())
+        conv = cubic_convolution(ct, np.conj(ct[::-1]), ct)
         vals.append(L * np.sum(weight_out * np.abs(conv) ** 2))
     lhs = float(np.sqrt(np.trapezoid(np.array(vals), times)))
     return lhs, float(rhs_single**3)
 
 
-def trilinear_counterexample(
-    N_values, s: float, b: float | None = None, n_times: int = 9
-) -> TrilinearResult:
+def trilinear_counterexample(N_values, s: float, n_times: int = 9) -> TrilinearResult:
     """Scaling check of the cubic interaction of width-1/N band data.
 
     For each N the datum has unit spectrum on [N, N + 1/N]; its free quartic
@@ -251,8 +243,7 @@ def trilinear_counterexample(
         rhs(N) = (||<xi>^s hat u||_{L^2})^3 ~ N^(3s - 3/2),
 
     so the ratio scales like N^(-2s-1): bounded for s >= -1/2, divergent
-    below.  ``b`` is accepted for interface compatibility; the modulation
-    weights equal 1 on the construction set and do not enter.
+    below.
     """
     if s >= 0.5:
         raise ConfigError("counterexample targets s <= 0 (rough data)")

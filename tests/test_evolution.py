@@ -6,6 +6,7 @@ from fournls import (
     ConfigError,
     EvolutionConfig,
     Field,
+    NumericDomainError,
     )
 from fournls import (
     evolve,
@@ -217,6 +218,35 @@ class TestEvolve:
         rec = exc.value.record
         assert rec.aborted
         assert len(rec.times) > 1
+
+    def test_ifrk4_spends_eight_transforms_per_step(self, monkeypatch):
+        # runs of n and 2n steps with record_stride = n_steps share their two
+        # record points, so the difference counts the transforms of n steps
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        u, n, counts = smooth_datum(M=128, L=30.0), 10, []
+        for steps in (n, 2 * n):
+            calls.clear()
+            evolve(u, EvolutionConfig(dt=1e-3, t_end=steps * 1e-3, scheme="ifrk4",
+                                      record_stride=steps, record_fields=False))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 8 * n
+
+    def test_ifrk4_overflow_raises(self):
+        # |u|^2 u overflows on the first step; the run must stop with the
+        # package's error, not hand back non-finite fields
+        u = smooth_datum(amplitude=1e120)
+        cfg = EvolutionConfig(dt=1e-3, t_end=1e-2, scheme="ifrk4", record_stride=5)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericDomainError):
+            evolve(u, cfg)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):

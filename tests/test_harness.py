@@ -128,15 +128,6 @@ class TestRun:
         assert report.passed
         assert report.results["lambda_exponent"] == "1/2"
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        spec = ExperimentSpec(kind="resonance-check", params={"samples": 20000}, seed=3)
-        r1 = run(spec, out_dir=tmp_path / "t1", threads=1)
-        r2 = run(spec, out_dir=tmp_path / "t2", threads=4)
-        a = (tmp_path / "t1" / "resonance-check" / "worst_tuples.csv").read_bytes()
-        b = (tmp_path / "t2" / "resonance-check" / "worst_tuples.csv").read_bytes()
-        assert a == b
-        assert r1.results == r2.results
-
 
 class TestCli:
     def test_pass_exit_code(self, tmp_path, capsys):
