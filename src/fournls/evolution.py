@@ -27,7 +27,10 @@ centering phase ``(-1)^k`` and the factor ``1/M``, which are diagonal and
 constant, so they commute with every linear substep, with the mode
 projection and with the RK4 combination, and cancel between ``fft`` and
 ``ifft``.  A step therefore costs only the transforms its nonlinearity
-needs: 4 for ``"mclachlan2"`` and ``"strang"``, 8 for ``"ifrk4"``.
+needs: 2 for ``"strang"``, 4 for ``"mclachlan2"`` and 8 for ``"ifrk4"``.
+The split schemes merge the trailing linear substep of one step with the
+leading one of the next, so a step is one ``ifft``/``fft`` pair per
+nonlinear substep.
 """
 
 from __future__ import annotations
@@ -195,42 +198,37 @@ def _stepper(grid, cfg: EvolutionConfig):
             w[outside] = 0.0
         return w
 
-    if cfg.scheme == "mclachlan2":
-        # the state (w, lead) is taken just after a nonlinear substep and
-        # still owes the trailing L(a dt); that is merged with the next
-        # step's leading L(a dt) into one L(2a dt), and applied on its own
-        # only when samples are read
-        edge, merged, middle = (
-            np.exp(lam * frac * dt)
-            for frac in (MCLACHLAN_A, 2 * MCLACHLAN_A, 1 - 2 * MCLACHLAN_A)
-        )
-        rotation = -1j * cfg.kappa * dt / 2
+    if cfg.scheme == "ifrk4":
+        half = np.exp(lam * dt / 2)
+        full = half * half
 
-        def nonlinear_half(w):
-            return project(np.fft.fft(_rotate(np.fft.ifft(w), rotation)))
+        def nl(w):
+            u = np.fft.ifft(w)
+            return project(-1j * cfg.kappa * np.fft.fft((u.real**2 + u.imag**2) * u))
 
-        def step(state):
-            w, lead = state
-            return nonlinear_half(nonlinear_half(w * lead) * middle), merged
+        return np.fft.fft, (lambda w: _ifrk4(w, nl, half, full, dt)), np.fft.ifft
 
-        return (lambda u: (np.fft.fft(u), edge)), step, (lambda s: np.fft.ifft(s[0] * edge))
+    # split steps L(a) N(1/stages) [L(1-2a) N(1/stages)] L(a): Strang is
+    # the one-stage case a = 1/2, McLachlan the two-stage one.  The state
+    # (w, lead) is taken just after a nonlinear substep and still owes
+    # the trailing L(a dt); that is merged with the next step's leading
+    # L(a dt) into one L(2a dt), and applied on its own only when samples
+    # are read, so a step costs one transform pair per stage
+    a, stages = (0.5, 1) if cfg.scheme == "strang" else (MCLACHLAN_A, 2)
+    edge, merged, middle = (np.exp(lam * frac * dt) for frac in (a, 2 * a, 1 - 2 * a))
+    rotation = -1j * cfg.kappa * dt / stages
 
-    half = np.exp(lam * dt / 2)
-    if cfg.scheme == "strang":
-        # the state is the samples themselves
-        def step(u):
-            u = _rotate(np.fft.ifft(np.fft.fft(u) * half), -1j * cfg.kappa * dt)
-            return np.fft.ifft(project(np.fft.fft(u) * half))
+    def nonlinear(w):
+        return project(np.fft.fft(_rotate(np.fft.ifft(w), rotation)))
 
-        return (lambda u: u), step, (lambda u: u)
+    def step(state):
+        w, lead = state
+        w = nonlinear(w * lead)
+        for _ in range(stages - 1):
+            w = nonlinear(w * middle)
+        return w, merged
 
-    full = half * half
-
-    def nl(w):
-        u = np.fft.ifft(w)
-        return project(-1j * cfg.kappa * np.fft.fft((u.real**2 + u.imag**2) * u))
-
-    return np.fft.fft, (lambda w: _ifrk4(w, nl, half, full, dt)), np.fft.ifft
+    return (lambda u: (np.fft.fft(u), edge)), step, (lambda s: np.fft.ifft(s[0] * edge))
 
 
 def _one_step(f: Field, cfg: EvolutionConfig, scheme: str) -> Field:

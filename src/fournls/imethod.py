@@ -215,11 +215,17 @@ def _sigma4_on_hyperplane(x1, x2, x3, x4, p):
     x1, x2, x3, x4 = (np.asarray(x, dtype=np.float64) for x in (x1, x2, x3, x4))
     # factorized resonance denominator; exact on the zero-sum lattice and
     # free of the catastrophic cancellation of the raw fourth-power form
+    s12, s14 = x1 + x2, x1 + x4
     quad = x1**2 + x2**2 + x3**2 + x4**2 + 2 * (x1 + x3) ** 2
-    denom = (x1 + x2) * (x1 + x4) * quad
+    denom = s12 * s14 * quad
     num = _m4_on_hyperplane(x1, x2, x3, x4, p)
     out = np.zeros(np.broadcast(x1, x2, x3, x4).shape, dtype=np.float64)
-    nz = denom != 0
+    # a frequency summed in floating point (xi4 + xi5 + xi6 off the 2 pi
+    # lattice) leaves a factor of order 1e-16 where it should be 0; read
+    # factors at round-off level as the resonant zeros they stand for.
+    # max|xi_j| <= sqrt(quad) <= sqrt(12) max|xi_j|
+    tol = 1e-12 * np.sqrt(quad)
+    nz = (np.abs(s12) > tol) & (np.abs(s14) > tol)
     np.divide(np.broadcast_to(num, out.shape), denom, out=out, where=nz)
     resonant = ~nz
     if np.any(resonant):

@@ -32,6 +32,39 @@ def smooth_datum(L=60.0, M=512, width=1.5, amplitude=1.0):
     return make_gaussian(make_grid(L, M), amplitude=amplitude, width=width)
 
 
+def assert_loop_matches_composition(scheme, one_step):
+    """``evolve`` merges adjacent linear substeps; the plain composition
+    ``one_step(u, dt, P)``, which projects with P after every nonlinear
+    substep, must give the same record fields, with and without
+    ``project_K`` and at a record stride that does not divide the step
+    count."""
+    g = make_grid(2 * np.pi, 64)
+    c = np.zeros(64, complex)
+    c[1], c[-2 % 64], c[3] = 0.6, 0.4j, 0.2
+    u0 = to_physical(Spectrum(g, c))
+    dt = 1e-3
+    for K in (None, 4):
+        cfg = EvolutionConfig(kappa=1, dt=dt, t_end=7 * dt, scheme=scheme, record_stride=3,
+                              require_localized=False, project_K=K)
+
+        def project(f):
+            if K is None:
+                return f
+            spec = to_spectrum(f)
+            spec.coef[np.abs(g.k) > K] = 0.0
+            return to_physical(spec)
+
+        u, expect = u0, [u0.values]
+        for n in range(1, 8):
+            u = one_step(u, dt, project)
+            if n % 3 == 0 or n == 7:
+                expect.append(u.values)
+        got = [f.values for f in evolve(u0, cfg).fields]
+        assert len(got) == len(expect) == 4
+        for x, y in zip(got, expect):
+            assert np.max(np.abs(x - y)) < 1e-13, K
+
+
 class TestLinearPropagators:
     def test_zero_time_identity(self):
         u = smooth_datum()
@@ -127,38 +160,23 @@ class TestSteppers:
             assert abs(slope - 2.0) <= 0.2, (scheme, slope)
 
     def test_mclachlan_loop_matches_unmerged_composition(self):
-        # evolve merges adjacent linear substeps; the plain composition
-        # L(a) P N(1/2) L(1-2a) P N(1/2) L(a), projecting P after every
-        # nonlinear substep, must give the same record fields
-        g = make_grid(2 * np.pi, 64)
-        c = np.zeros(64, complex)
-        c[1], c[-2 % 64], c[3] = 0.6, 0.4j, 0.2
-        u0 = to_physical(Spectrum(g, c))
-        a, dt = MCLACHLAN_A, 1e-3
-        for K in (None, 4):
-            cfg = EvolutionConfig(kappa=1, dt=dt, t_end=7 * dt, record_stride=3,
-                                  require_localized=False, project_K=K)
+        def one_step(u, dt, project):  # L(a) P N(1/2) L(1-2a) P N(1/2) L(a)
+            a = MCLACHLAN_A
+            u = linear_propagate_4nls(u, a * dt, orientation=-1)
+            u = project(nonlinear_substep(u, dt / 2, 1))
+            u = linear_propagate_4nls(u, (1 - 2 * a) * dt, orientation=-1)
+            u = project(nonlinear_substep(u, dt / 2, 1))
+            return linear_propagate_4nls(u, a * dt, orientation=-1)
 
-            def project(f):
-                if K is None:
-                    return f
-                spec = to_spectrum(f)
-                spec.coef[np.abs(g.k) > K] = 0.0
-                return to_physical(spec)
+        assert_loop_matches_composition("mclachlan2", one_step)
 
-            u, expect = u0, [u0.values]
-            for n in range(1, 8):
-                u = linear_propagate_4nls(u, a * dt, orientation=-1)
-                u = project(nonlinear_substep(u, dt / 2, 1))
-                u = linear_propagate_4nls(u, (1 - 2 * a) * dt, orientation=-1)
-                u = project(nonlinear_substep(u, dt / 2, 1))
-                u = linear_propagate_4nls(u, a * dt, orientation=-1)
-                if n % 3 == 0 or n == 7:
-                    expect.append(u.values)
-            got = [f.values for f in evolve(u0, cfg).fields]
-            assert len(got) == len(expect) == 4
-            for x, y in zip(got, expect):
-                assert np.max(np.abs(x - y)) < 1e-13, K
+    def test_strang_loop_matches_unmerged_composition(self):
+        def one_step(u, dt, project):  # L(1/2) P N(1) L(1/2)
+            u = linear_propagate_4nls(u, dt / 2, orientation=-1)
+            u = project(nonlinear_substep(u, dt, 1))
+            return linear_propagate_4nls(u, dt / 2, orientation=-1)
+
+        assert_loop_matches_composition("strang", one_step)
 
     def test_ifrk4_fourth_order_self_refinement(self):
         # measured on the cubic equation, whose xi^2 stiffness leaves a wide
@@ -219,7 +237,9 @@ class TestEvolve:
         assert rec.aborted
         assert len(rec.times) > 1
 
-    def test_ifrk4_spends_eight_transforms_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("scheme, per_step", [("strang", 2), ("mclachlan2", 4), ("ifrk4", 8)],
+                             ids=["strang", "mclachlan2", "ifrk4"])
+    def test_scheme_spends_its_transforms_per_step(self, monkeypatch, scheme, per_step):
         # runs of n and 2n steps with record_stride = n_steps share their two
         # record points, so the difference counts the transforms of n steps
         calls = []
@@ -235,10 +255,10 @@ class TestEvolve:
         u, n, counts = smooth_datum(M=128, L=30.0), 10, []
         for steps in (n, 2 * n):
             calls.clear()
-            evolve(u, EvolutionConfig(dt=1e-3, t_end=steps * 1e-3, scheme="ifrk4",
+            evolve(u, EvolutionConfig(dt=1e-3, t_end=steps * 1e-3, scheme=scheme,
                                       record_stride=steps, record_fields=False))
             counts.append(len(calls))
-        assert counts[1] - counts[0] == 8 * n
+        assert counts[1] - counts[0] == per_step * n
 
     def test_ifrk4_overflow_raises(self):
         # |u|^2 u overflows on the first step; the run must stop with the

@@ -24,6 +24,25 @@ def small_setup(N=8.0):
     return plan_uap_discretization(N, profile_length=40.0, profile_modes=256)
 
 
+class TestPlanUapDiscretization:
+    def test_grid_multiplier_is_the_next_5_smooth_integer(self):
+        smooth = sorted(2**a * 3**b * 5**c for a in range(12) for b in range(8) for c in range(6))
+        sizes = {}
+        for N in (8, 12, 16, 32, 64):
+            setup = small_setup(float(N))
+            M4 = setup.grid4.M
+            assert M4 % 256 == 0
+            # the required multiplier: Nyquist at 4 N with 2 % to spare, in
+            # units of the profile grid
+            m4_needed = setup.grid4.L * (4.0 * setup.params.N) / np.pi
+            required = int(np.ceil(m4_needed * 1.02 / 256))
+            assert M4 // 256 == next(m for m in smooth if m >= required)
+            sizes[N] = M4
+        # at N = 8, 12 and 16 the required multiplier is 5-smooth already; at
+        # 32 and 64 it is 509 and 4 * 509, rounded up to 512 and 2048
+        assert sizes == {8: 8192, 12: 18432, 16: 32768, 32: 131072, 64: 524288}
+
+
 class TestChangeCoords:
     def test_zero_time(self):
         N = 8.0

@@ -80,19 +80,33 @@ def test_batches_split_at_the_chunk_limit(monkeypatch):
 def test_collapsed_lambda6_matches_six_fold_sum(case, N):
     (f,), modes = case
     p = IMethodParams(N=N)
-    scale = 2 * np.pi / f.grid.L
 
     def m6(a, b, c, d, e, f6):
-        # the six-fold sum adds scale*k4 + scale*k5 + scale*k6 in floating point,
-        # which can miss the resonant zero x1 + x4 = 0 when scale != 1; put the
-        # sum back on the lattice point scale*(k4 + k5 + k6) the collapsed sum uses
-        return 1j * _sigma4_on_hyperplane(a, b, c, scale * np.round((d + e + f6) / scale), p)
+        # xi4 + xi5 + xi6 is added in floating point, off the lattice when L != 2 pi
+        return 1j * _sigma4_on_hyperplane(a, b, c, d + e + f6, p)
 
     generic = lambda_n(m6, [f] * 6, modes)
     collapsed = lambda_n(imethod._m6(p), [f] * 6, modes)
     assert generic.terms == (2 * modes.K + 1) ** 5
     assert collapsed.terms == (2 * modes.K + 1) ** 3
     assert abs(collapsed.value - generic.value) <= 1e-12 * abs(generic.value)
+
+
+def test_plain_m6_keeps_the_resonant_zero_off_the_2pi_lattice():
+    # at L = 7.3 the float sum xi4 + xi5 + xi6 misses -xi1 by round-off on
+    # the resonant points; sigma4 must still read 0 there, as on the lattice
+    grid = make_grid(7.3, 64)
+    rng = np.random.default_rng(5)
+    ks = np.arange(-12, 13)
+    coef = np.zeros(grid.M, dtype=np.complex128)
+    coef[ks % grid.M] = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
+    f = to_physical(Spectrum(grid, 0.3 * coef))
+    p = IMethodParams(N=2.0)
+    modes = ModeSet(grid, 12)
+    plain = lambda_n(lambda a, b, c, d, e, f6: 1j * _sigma4_on_hyperplane(a, b, c, d + e + f6, p),
+                     [f] * 6, modes)
+    collapsed = lambda_n(imethod._m6(p), [f] * 6, modes)
+    assert abs(collapsed.value - plain.value) <= 1e-12 * abs(collapsed.value)
 
 
 def test_sum_last_three_evaluates_on_six_arrays():
