@@ -32,6 +32,7 @@ __all__ = [
     "run",
     "fit_loglog",
     "EXPERIMENT_KINDS",
+    "PARAM_KEYS",
     "OUTPUT_ROOT_ENV",
 ]
 
@@ -381,6 +382,29 @@ EXPERIMENT_KINDS = {
     "gwp-parameters": _run_gwp,
 }
 
+# the params keys each runner reads; any other key is a spec error, so a
+# misspelled key cannot fall back to its default unnoticed
+PARAM_KEYS = {
+    "evolve": {"L", "M", "amplitude", "width", "carrier", "center", "equation",
+               "orientation", "kappa", "dt", "t_end", "scheme", "record_stride",
+               "sobolev_orders"},
+    "imethod-almost": {"L", "M", "support", "amplitude", "decay", "family", "dt",
+                       "window", "record_stride", "n_values", "s"},
+    "derivative-identity": {"M", "K", "kappa", "N", "s", "n_states"},
+    "resonance-check": {"samples"},
+    "trilinear-counterexample": {"s", "n_values"},
+    "dispersive-decay": {"alpha", "L", "M", "width", "t_min", "t_max", "n_times"},
+    "bilinear-fit": {"n1", "n2_values"},
+    "local-smoothing": {"scales", "order", "control_order"},
+    "modulation-check": {"L", "M", "s", "carriers", "widths", "amplitudes",
+                         "base_carrier"},
+    "illposed-error": {"n_values", "window", "amplitude", "dt", "profile_modes",
+                       "profile_length"},
+    "illposed-separation": {"a", "a2", "s", "N", "T", "dt", "profile_modes",
+                            "profile_length"},
+    "gwp-parameters": {"s", "T", "u0_norm", "eps0"},
+}
+
 _TOP_LEVEL_KEYS = {"kind", "params", "tolerances", "seed", "out"}
 
 
@@ -404,6 +428,10 @@ def validate_spec(doc: dict, strict: bool = False) -> ExperimentSpec:
     if not isinstance(params, dict):
         errors.append("'params' must be an object")
         params = {}
+    if kind in PARAM_KEYS:
+        for key in sorted(set(params) - PARAM_KEYS[kind]):
+            errors.append(f"unknown params key '{key}' for kind '{kind}'; accepted: "
+                          + ", ".join(sorted(PARAM_KEYS[kind])))
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         errors.append(f"'seed' must be a non-negative integer, got {seed!r}")

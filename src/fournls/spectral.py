@@ -3,10 +3,16 @@
 Conventions, fixed once and inherited by every other module:
 
 * sample points ``x_j = -L/2 + j*dx`` with ``dx = L/M``,
-* frequencies ``xi_k = 2*pi*k/L`` for integer ``k in [-M/2, M/2)``,
-  stored in FFT order,
+* frequencies ``xi_k = 2*pi*(k + k0)/L`` for integer ``k in [-M/2, M/2)``,
+  stored in FFT order, with an integer carrier index ``k0`` (default 0),
 * coefficients ``c_k = (1/M) sum_j u(x_j) exp(-i xi_k x_j)`` so that
   ``u(x_j) = sum_k c_k exp(i xi_k x_j)``,
+* a field on a grid with ``k0 != 0`` holds the samples of
+  ``exp(-i xi_{k0} x) u``, where ``xi_{k0} = 2*pi*k0/L``: a band of M modes
+  around mode k0 of the period-L lattice, shifted to the local indices k.
+  Transforms act on the local indices, so only the frequencies move;
+  norms, multipliers and ``evolve`` read the true frequencies ``xi_k``,
+  bitwise equal to those of a grid with ``k0 = 0`` at mode ``k + k0``,
 * Parseval: ``sum_j |u(x_j)|^2 dx = L sum_k |c_k|^2``.
 
 All physical-space integrals are the rectangle rule ``dx * sum``, which is
@@ -54,11 +60,13 @@ __all__ = [
 class Grid:
     """Periodic spatial grid on ``[-L/2, L/2)`` with ``M`` points.
 
+    ``k0`` is the carrier index of a band grid (module docstring).
     Immutable; safe to share between threads and reuse across fields.
     """
 
     L: float
     M: int
+    k0: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.L) or self.L <= 0:
@@ -81,12 +89,12 @@ class Grid:
 
     @property
     def xi(self) -> np.ndarray:
-        """Angular frequencies 2*pi*k/L in FFT order."""
-        return 2.0 * np.pi / self.L * self.k
+        """Angular frequencies 2*pi*(k + k0)/L in FFT order."""
+        return 2.0 * np.pi / self.L * (self.k + self.k0)
 
     @property
     def xi_max(self) -> float:
-        """Largest represented |xi| (the Nyquist frequency pi*M/L)."""
+        """Largest represented |xi - xi_{k0}| (the Nyquist frequency pi*M/L)."""
         return np.pi * self.M / self.L
 
     def _centering_phase(self) -> np.ndarray:
@@ -146,9 +154,10 @@ class SymbolFn:
         return np.asarray(self.fn(np.asarray(xi, dtype=np.float64)))
 
 
-def make_grid(L: float, M: int) -> Grid:
-    """Build a periodic grid of length ``L`` with ``M`` (even, >= 8) modes."""
-    return Grid(float(L), int(M))
+def make_grid(L: float, M: int, k0: int = 0) -> Grid:
+    """Build a periodic grid of length ``L`` with ``M`` (even, >= 8) modes,
+    centred on the carrier index ``k0``."""
+    return Grid(float(L), int(M), int(k0))
 
 
 def to_spectrum(f: Field) -> Spectrum:
@@ -295,13 +304,18 @@ def make_gaussian(
 
 
 def spectral_tail_fraction(f: Field) -> float:
-    """Fraction of spectral mass in the top octave |xi| >= xi_max/2."""
+    """Fraction of spectral mass in the top octave |k| >= M/4 of the local index.
+
+    The octave is |xi - xi_{k0}| >= xi_max/2, evaluated with the operations
+    of ``Grid.xi`` at k0 = 0: rounding decides the boundary mode k = M/4
+    (on about 4 % of random (L, M)), so a k0 = 0 grid keeps its old mask.
+    """
     spec = to_spectrum(f)
     power = np.abs(spec.coef) ** 2
     total = np.sum(power)
     if total == 0:
         return 0.0
-    hi = np.abs(f.grid.xi) >= f.grid.xi_max / 2
+    hi = np.abs(2.0 * np.pi / f.grid.L * f.grid.k) >= f.grid.xi_max / 2
     return float(np.sum(power[hi]) / total)
 
 
@@ -336,9 +350,20 @@ def check_resolved(f: Field, tol: float = 1e-8, localized: bool = True) -> dict:
 # serialization
 
 
+def _csv_header(grid: Grid) -> str:
+    # k0 is written only for band grids, so k0 = 0 files keep their old header
+    band = f" k0={grid.k0}" if grid.k0 else ""
+    return f"# L={grid.L!r} M={grid.M}{band}\n"
+
+
+def _grid_from_header(header: str) -> Grid:
+    parts = dict(tok.split("=") for tok in header.strip().lstrip("# ").split())
+    return make_grid(float(parts["L"]), int(parts["M"]), int(parts.get("k0", 0)))
+
+
 def field_to_csv(f: Field, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# L={f.grid.L!r} M={f.grid.M}\n")
+        fh.write(_csv_header(f.grid))
         fh.write("x,re_u,im_u\n")
         for xj, uj in zip(f.grid.x, f.values):
             fh.write(f"{float(xj)!r},{float(uj.real)!r},{float(uj.imag)!r}\n")
@@ -346,9 +371,7 @@ def field_to_csv(f: Field, path) -> None:
 
 def field_from_csv(path) -> Field:
     with open(path) as fh:
-        header = fh.readline().strip()
-        parts = dict(tok.split("=") for tok in header.lstrip("# ").split())
-        grid = make_grid(float(parts["L"]), int(parts["M"]))
+        grid = _grid_from_header(fh.readline())
         fh.readline()  # column names
         rows = [line.strip().split(",") for line in fh if line.strip()]
     vals = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
@@ -358,7 +381,7 @@ def field_from_csv(path) -> Field:
 def spectrum_to_csv(s: Spectrum, path) -> None:
     order = np.argsort(s.grid.k)
     with open(path, "w") as fh:
-        fh.write(f"# L={s.grid.L!r} M={s.grid.M}\n")
+        fh.write(_csv_header(s.grid))
         fh.write("k,xi,re_c,im_c\n")
         for i in order:
             fh.write(
@@ -369,9 +392,7 @@ def spectrum_to_csv(s: Spectrum, path) -> None:
 
 def spectrum_from_csv(path) -> Spectrum:
     with open(path) as fh:
-        header = fh.readline().strip()
-        parts = dict(tok.split("=") for tok in header.lstrip("# ").split())
-        grid = make_grid(float(parts["L"]), int(parts["M"]))
+        grid = _grid_from_header(fh.readline())
         fh.readline()
         coef = np.zeros(grid.M, dtype=np.complex128)
         for line in fh:
@@ -387,7 +408,13 @@ _BIN_MAGIC = b"FNLS"
 
 def field_to_binary(f: Field, path) -> None:
     """Binary container: magic, L and M as little-endian doubles, then
-    interleaved (re, im) little-endian doubles."""
+    interleaved (re, im) little-endian doubles.
+
+    The header has no slot for a carrier index, so band grids (k0 != 0)
+    are refused rather than read back at k0 = 0; CSV keeps k0.
+    """
+    if f.grid.k0:
+        raise ConfigError(f"binary fields hold k0 = 0 grids only, got k0={f.grid.k0}")
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC)
         fh.write(struct.pack("<dd", f.grid.L, float(f.grid.M)))

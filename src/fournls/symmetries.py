@@ -62,13 +62,13 @@ def scale_transform(f: Field, lam: float) -> ScaledField:
     """The map u -> lam^2 u(lam x) realized exactly on the frequency lattice.
 
     The returned field lives on a grid of length L/lam with the same mode
-    count; samples are lam^2 times the original samples and frequencies
-    stretch to lam*xi_k, so homogeneous Sobolev norms scale exactly by
-    lam^(s + 3/2).  Time rescales by the returned factor lam^4.
+    count and carrier index; samples are lam^2 times the original samples
+    and frequencies stretch to lam*xi_k, so homogeneous Sobolev norms scale
+    exactly by lam^(s + 3/2).  Time rescales by the returned factor lam^4.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ConfigError("scaling factor must be positive")
-    new_grid = make_grid(f.grid.L / lam, f.grid.M)
+    new_grid = make_grid(f.grid.L / lam, f.grid.M, f.grid.k0)
     return ScaledField(Field(new_grid, lam**2 * f.values), lam**4)
 
 

@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from fournls.errors import ConfigError
 from fournls.fitting import fit_loglog
 from fournls.harness import (
     EXPERIMENT_KINDS,
+    PARAM_KEYS,
     ExperimentSpec,
     SpecValidationError,
     parse_spec,
@@ -74,6 +77,22 @@ class TestSpecValidation:
         validate_spec(doc)  # lenient by default
         with pytest.raises(SpecValidationError):
             validate_spec(doc, strict=True)
+
+    def test_misspelled_param_key_rejected(self):
+        doc = {"kind": "evolve", "params": {"dT": 1e-3, "M": 256}}
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec(doc)
+        assert len(exc.value.errors) == 1
+        assert "'dT'" in exc.value.errors[0]
+        assert "dt" in exc.value.errors[0]  # the accepted keys are listed
+        validate_spec({"kind": "evolve", "params": {"dt": 1e-3, "M": 256}})
+
+    def test_key_tables_match_the_runners(self):
+        # every key a runner reads is accepted, and nothing else
+        assert set(PARAM_KEYS) == set(EXPERIMENT_KINDS)
+        for kind, runner in EXPERIMENT_KINDS.items():
+            read = set(re.findall(r'p\.get\("(\w+)"', inspect.getsource(runner)))
+            assert read == PARAM_KEYS[kind], kind
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from fournls import ConfigError, make_grid, mass, sobolev_norm
+from fournls import ConfigError, evolve, make_grid, mass, sobolev_norm
 from fournls.illposedness import (
     ApproxParams,
     SolitonProfile,
+    _solver_config,
+    _uap_on,
     build_uap,
     change_coords,
+    error_decay_experiment,
     modulated_profile,
     modulation_norm_check,
     plan_uap_discretization,
@@ -207,6 +210,32 @@ class TestExperiments:
         assert errs[32.0] < errs[16.0] < errs[8.0]
         rate = np.log(errs[8.0] / errs[32.0]) / np.log(4.0)
         assert abs(rate - 2.0) < 0.4
+
+    def test_tracking_error_decay_beyond_the_full_grid(self):
+        # the band grid keeps 512 points at every N; the 4NLS grid would need
+        # 2,097,152 at N = 128.  Beyond, at N = 256, the error sits 8 % above
+        # the N^-2 line (Strang error and round-off in xi^4 t, see CHANGES.md)
+        res = error_decay_experiment([16, 32, 64, 128], window=0.5, dt=2e-3,
+                                     profile_modes=256, profile_length=40.0,
+                                     n_records=10)
+        assert plan_uap_discretization(128.0, profile_length=40.0,
+                                       profile_modes=256).grid4.M == 2097152
+        assert abs(res.fit.slope + 2.0) < 0.05
+
+    def test_band_run_matches_full_grid_run(self):
+        # the band evolution is the full-grid evolution with the modes
+        # outside the band dropped: fields agree to round-off
+        setup = small_setup(16.0)
+        prof = SolitonProfile(1.0, setup.grid_v)
+        cfg = _solver_config(setup.params.kappa, 2e-3, 0.1, 50)
+        full = evolve(build_uap(prof, setup, 0.0), cfg).final_field()
+        band = evolve(_uap_on(prof, setup, 0.0, setup.band), cfg).final_field()
+        k = (setup.band.k + setup.band.k0) % setup.grid4.M
+        c_full, c_band = to_spectrum(full).coef, to_spectrum(band).coef
+        assert np.linalg.norm(c_band - c_full[k]) < 1e-12 * np.linalg.norm(c_full)
+        # and the band holds all but round-off of the full grid's mass
+        off_band = np.delete(np.abs(c_full) ** 2, k)
+        assert np.sum(off_band) < 1e-24 * np.sum(np.abs(c_full) ** 2)
 
     def test_equal_amplitudes_rejected(self):
         with pytest.raises(ConfigError):

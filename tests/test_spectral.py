@@ -296,3 +296,26 @@ class TestSerialization:
         back = field_from_binary(path)
         assert back.grid == g
         assert np.array_equal(back.values, u.values)
+
+    def test_band_grid_csv_roundtrip_keeps_carrier_index(self, tmp_path):
+        rng = np.random.default_rng(11)
+        g = make_grid(12.0, 64, k0=-37)
+        u = Field(g, rng.normal(size=64) + 1j * rng.normal(size=64))
+        field_to_csv(u, tmp_path / "field.csv")
+        back = field_from_csv(tmp_path / "field.csv")
+        assert back.grid == g
+        assert np.array_equal(back.values, u.values)
+        s = to_spectrum(u)
+        spectrum_to_csv(s, tmp_path / "spec.csv")
+        back_s = spectrum_from_csv(tmp_path / "spec.csv")
+        assert back_s.grid == g
+        assert np.array_equal(back_s.coef, s.coef)
+        # a k0 = 0 file keeps the header it had before band grids existed
+        field_to_csv(Field(make_grid(12.0, 64), u.values), tmp_path / "plain.csv")
+        assert (tmp_path / "plain.csv").read_text().splitlines()[0] == "# L=12.0 M=64"
+
+    def test_band_grid_binary_refused(self, tmp_path):
+        u = Field(make_grid(7.5, 32, k0=5), np.ones(32, complex))
+        with pytest.raises(ConfigError):
+            field_to_binary(u, tmp_path / "field.bin")
+        assert not (tmp_path / "field.bin").exists()
