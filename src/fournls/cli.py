@@ -14,7 +14,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="4nls-lab",
         description="Numerical experiments for the fourth-order cubic NLS.",
-        epilog=f"Default output root comes from ${OUTPUT_ROOT_ENV} (fallback ./runs).",
+        epilog="A spec holds kind, params, tolerances, seed and out. Each kind accepts "
+        "only the params and tolerances keys of its defaults table "
+        "(fournls.harness.EXPERIMENT_KINDS) and fills in the ones left out; any other "
+        f"key is a spec error (exit 2). Default output root comes from ${OUTPUT_ROOT_ENV} "
+        "(fallback ./runs).",
     )
     parser.add_argument(
         "kind", choices=sorted(EXPERIMENT_KINDS), help="experiment kind to run"
@@ -22,16 +26,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True, help="path to the JSON spec file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    parser.add_argument(
-        "--strict", action="store_true", help="reject unknown keys in the spec"
-    )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = parse_spec(args.spec, strict=args.strict)
+        spec = parse_spec(args.spec)
     except SpecValidationError as e:
         for msg in e.errors:
             print(f"spec error: {msg}", file=sys.stderr)

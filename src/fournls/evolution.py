@@ -346,9 +346,11 @@ def galerkin_rhs(s: Spectrum, cfg: EvolutionConfig, K: int) -> Spectrum:
     The cubic term is the direct convolution
     ``sum_{k-l+m=n} c_k conj(c_l) c_m`` restricted to |k|,|l|,|m|,|n| <= K,
     summed as two exact 1-D convolutions in O(K^2) time and O(K) memory.
+    On a band grid the modes are k0 + k: only the linear symbol reads k0,
+    since the cubic sum is invariant under a common index shift.
     """
     ks, c = _galerkin_band(s, K)
-    xi = 2 * np.pi / s.grid.L * ks
+    xi = 2 * np.pi / s.grid.L * (ks + s.grid.k0)
     out = _galerkin_cubic(c, K, cfg.kappa) + 1j * cfg.linear_phase_rate(xi) * c
     return _galerkin_spectrum(s.grid, ks, out)
 
@@ -376,7 +378,7 @@ def galerkin_evolve(s0: Spectrum, cfg: EvolutionConfig, K: int, t: float,
     ground truth for the derivative identities and increment experiments.
     """
     ks, c = _galerkin_band(s0, K)
-    lam = 1j * cfg.linear_phase_rate(2 * np.pi / s0.grid.L * ks)
+    lam = 1j * cfg.linear_phase_rate(2 * np.pi / s0.grid.L * (ks + s0.grid.k0))
     dt = t / n_steps
     e_half = np.exp(lam * dt / 2)
     e_full = e_half * e_half
@@ -407,8 +409,11 @@ def trajectory_to_csv(rec: TrajectoryRecord, path) -> None:
 def run_manifest(f0: Field, cfg: EvolutionConfig) -> dict:
     """Self-contained description of a run: config, grid, data hash."""
     h = hashlib.sha256(f0.values.tobytes()).hexdigest()
+    grid = {"L": f0.grid.L, "M": f0.grid.M}
+    if f0.grid.k0:  # a band grid; k0 = 0 manifests keep their old form
+        grid["k0"] = f0.grid.k0
     d = {
-        "grid": {"L": f0.grid.L, "M": f0.grid.M},
+        "grid": grid,
         "config": {
             "equation": cfg.equation,
             "orientation": cfg.orientation,

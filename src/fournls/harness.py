@@ -6,6 +6,13 @@ under the output directory and returns a report whose ``passed`` flag feeds
 the CLI exit code.  Identical spec + seed reproduces byte-identical CSV
 payloads: all randomness flows from one seeded generator, sweep results are
 assembled in input order and floats are serialized with ``repr``.
+
+``EXPERIMENT_KINDS`` is the one source of defaults.  Each kind's entry holds
+its runner and the default of every ``params`` and ``tolerances`` key the
+runner reads.  Validation accepts exactly those keys and rejects any other
+by name; ``run`` merges the defaults under the spec's values, and the
+runners index the merged dicts, so a key missing from a table fails at once
+with ``KeyError``.  The report echoes only the keys the spec gave.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,15 +33,8 @@ from .fitting import FitResult, fit_loglog
 from .spectral import make_gaussian, make_grid, to_physical, Spectrum
 
 __all__ = [
-    "ExperimentSpec",
-    "ReportDocument",
-    "SpecValidationError",
-    "parse_spec",
-    "run",
-    "fit_loglog",
-    "EXPERIMENT_KINDS",
-    "PARAM_KEYS",
-    "OUTPUT_ROOT_ENV",
+    "ExperimentKind", "ExperimentSpec", "ReportDocument", "SpecValidationError",
+    "parse_spec", "run", "fit_loglog", "EXPERIMENT_KINDS", "OUTPUT_ROOT_ENV",
 ]
 
 OUTPUT_ROOT_ENV = "FOURNLS_OUT"
@@ -57,12 +58,8 @@ class ExperimentSpec:
     out: str | None = None
 
     def echo(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-        }
+        return {"kind": self.kind, "params": self.params, "tolerances": self.tolerances,
+                "seed": self.seed}
 
 
 @dataclass
@@ -71,6 +68,27 @@ class ReportDocument:
     results: dict
     files: list
     passed: bool
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """A runner, ``(params, tolerances, rng, out) -> (payload, files, passed)``,
+    and the default of every params and tolerances key it reads."""
+
+    runner: Callable
+    params: dict
+    tolerances: dict
+
+
+EXPERIMENT_KINDS: dict[str, ExperimentKind] = {}
+
+
+def _kind(name: str, params: dict, tolerances: dict):
+    """Register the decorated runner under ``name`` with its defaults tables."""
+    def register(runner):
+        EXPERIMENT_KINDS[name] = ExperimentKind(runner, params, tolerances)
+        return runner
+    return register
 
 
 def _float_list(v):
@@ -96,28 +114,27 @@ def _fit_payload(fit: FitResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: params -> (results payload, csv rows to persist, passed)
+# experiment runners, each registered with its defaults tables
 
 
+# the evolve keys whose defaults are EvolutionConfig's own
+_CONFIG_KEYS = ("equation", "orientation", "kappa", "dt", "t_end", "scheme")
+
+
+@_kind("evolve",
+       params=dict(L=200.0, M=4096, amplitude=1.0, width=2.0, carrier=0.0, center=0.0,
+                   record_stride=100, sobolev_orders=(-0.5,),
+                   **{k: getattr(EvolutionConfig, k) for k in _CONFIG_KEYS}),
+       tolerances=dict(mass_drift=1e-8, hamiltonian_drift=1e-6))
 def _run_evolve(p, tol, rng, out):
-    grid = make_grid(p.get("L", 200.0), p.get("M", 4096))
-    f0 = make_gaussian(
-        grid,
-        amplitude=p.get("amplitude", 1.0),
-        width=p.get("width", 2.0),
-        carrier=p.get("carrier", 0.0),
-        center=p.get("center", 0.0),
-    )
+    grid = make_grid(p["L"], p["M"])
+    f0 = make_gaussian(grid, amplitude=p["amplitude"], width=p["width"],
+                       carrier=p["carrier"], center=p["center"])
     cfg = EvolutionConfig(
-        equation=p.get("equation", "quartic"),
-        orientation=p.get("orientation", 1),
-        kappa=p.get("kappa", 1),
-        dt=p.get("dt", 1e-3),
-        t_end=p.get("t_end", 1.0),
-        scheme=p.get("scheme", EvolutionConfig.scheme),
-        record_stride=p.get("record_stride", 100),
+        **{k: p[k] for k in _CONFIG_KEYS},
+        record_stride=p["record_stride"],
         record_fields=False,
-        sobolev_orders=tuple(p.get("sobolev_orders", (-0.5,))),
+        sobolev_orders=tuple(p["sobolev_orders"]),
     )
     rec = evolve(f0, cfg)
     trajectory_to_csv(rec, out / "trajectory.csv")
@@ -128,38 +145,32 @@ def _run_evolve(p, tol, rng, out):
         "hamiltonian_drift": ham_drift,
         "manifest": run_manifest(f0, cfg),
     }
-    ok = mass_drift < tol.get("mass_drift", 1e-8) and ham_drift < tol.get(
-        "hamiltonian_drift", 1e-6
-    )
+    ok = mass_drift < tol["mass_drift"] and ham_drift < tol["hamiltonian_drift"]
     return payload, ["trajectory.csv"], ok
 
 
+@_kind("imethod-almost",
+       params=dict(L=2 * np.pi, M=512, support=120, amplitude=0.4, decay=1.2, family=4,
+                   dt=5e-4, window=0.5, record_stride=100, n_values=(8, 16, 32, 64),
+                   s=-0.5),
+       tolerances=dict(corrected_slope_range=(-4.0, -2.0), separation=1.5))
 def _run_imethod_almost(p, tol, rng, out):
-    grid = make_grid(p.get("L", 2 * np.pi), p.get("M", 512))
-    support = p.get("support", 120)
+    grid = make_grid(p["L"], p["M"])
+    support = p["support"]
     family = [
-        imethod.rough_localized_datum(
-            grid, rng, p.get("amplitude", 0.4), support, p.get("decay", 1.2)
-        )
-        for _ in range(p.get("family", 4))
+        imethod.rough_localized_datum(grid, rng, p["amplitude"], support, p["decay"])
+        for _ in range(p["family"])
     ]
     cfg = EvolutionConfig(
-        equation="quartic",
-        orientation=1,
-        kappa=1,
-        dt=p.get("dt", 5e-4),
-        t_end=p.get("window", 0.5),
-        scheme="ifrk4",
-        record_stride=p.get("record_stride", 100),
-        record_fields=True,
+        equation="quartic", orientation=1, kappa=1, dt=p["dt"], t_end=p["window"],
+        scheme="ifrk4", record_stride=p["record_stride"], record_fields=True,
         require_localized=False,
         run_tail_tol=1.0,  # datum is intentionally rough; guard disabled
         start_tail_tol=1.0,
         project_K=support,  # exact dealiased truncated dynamics
     )
     res = imethod.almost_conservation_experiment(
-        family, _float_list(p.get("n_values", [8, 16, 32, 64])), cfg,
-        s=p.get("s", -0.5), support_K=support,
+        family, _float_list(p["n_values"]), cfg, s=p["s"], support_K=support,
     )
     rows = [
         (N, res.increments_corrected[N], res.increments_uncorrected[N])
@@ -170,9 +181,9 @@ def _run_imethod_almost(p, tol, rng, out):
         "fit_corrected": _fit_payload(res.fit_corrected),
         "fit_uncorrected": _fit_payload(res.fit_uncorrected),
     }
-    lo, hi = tol.get("corrected_slope_range", (-4.0, -2.0))
+    lo, hi = tol["corrected_slope_range"]
     ok = lo <= res.fit_corrected.slope <= hi and (
-        res.fit_corrected.slope <= res.fit_uncorrected.slope - tol.get("separation", 1.5)
+        res.fit_corrected.slope <= res.fit_uncorrected.slope - tol["separation"]
     )
     return payload, ["increments.csv"], ok
 
@@ -185,16 +196,17 @@ def _random_narrow_state(grid, rng, support, n_modes=5, scale=0.3):
     return to_physical(Spectrum(grid, coef))
 
 
+@_kind("derivative-identity",
+       params=dict(M=64, K=12, kappa=1, N=2.0, s=-0.5, n_states=10),
+       tolerances=dict(defect2=1e-6, c_spread=1e-3))
 def _run_derivative_identity(p, tol, rng, out):
-    grid = make_grid(2 * np.pi, p.get("M", 64))
-    K = p.get("K", 12)
+    grid = make_grid(2 * np.pi, p["M"])
+    K = p["K"]
     modes = imethod.ModeSet(grid, K)
-    cfg = EvolutionConfig(equation="quartic", orientation=1, kappa=p.get("kappa", 1),
+    cfg = EvolutionConfig(equation="quartic", orientation=1, kappa=p["kappa"],
                           dt=1e-5, t_end=1e-4)
-    params = imethod.IMethodParams(N=p.get("N", 2.0), s=p.get("s", -0.5))
-    states = [
-        _random_narrow_state(grid, rng, K // 3) for _ in range(p.get("n_states", 10))
-    ]
+    params = imethod.IMethodParams(N=p["N"], s=p["s"])
+    states = [_random_narrow_state(grid, rng, K // 3) for _ in range(p["n_states"])]
     checks = [imethod.derivative_identity_check(f, params, cfg, modes) for f in states]
     c_fit, ratios = imethod.fit_m6_constant(states, params, cfg, modes)
     rows = [(i, c.defect2, c.defect4, c.c_estimate) for i, c in enumerate(checks)]
@@ -205,15 +217,13 @@ def _run_derivative_identity(p, tol, rng, out):
         "max_defect2": float(max(c.defect2 for c in checks)),
         "max_defect4": float(max(c.defect4 for c in checks)),
     }
-    ok = (
-        payload["max_defect2"] < tol.get("defect2", 1e-6)
-        and payload["c_spread"] < tol.get("c_spread", 1e-3)
-    )
+    ok = payload["max_defect2"] < tol["defect2"] and payload["c_spread"] < tol["c_spread"]
     return payload, ["identity.csv"], ok
 
 
+@_kind("resonance-check", params=dict(samples=1_000_000), tolerances=dict(residual=1e-6))
 def _run_resonance_check(p, tol, rng, out):
-    n = int(p.get("samples", 1_000_000))
+    n = int(p["samples"])
     x1, x2, x3, x4 = resonance.sample_hyperplane(rng, n)
     lhs = resonance.resonance_lhs(x1, x2, x3, x4)
     rhs = resonance.resonance_product_signed(x1, x2, x3, x4)
@@ -224,48 +234,61 @@ def _run_resonance_check(p, tol, rng, out):
     rows = [(x1[i], x2[i], x3[i], x4[i], rel[i]) for i in idx]
     _write_csv(out / "worst_tuples.csv", ["xi1", "xi2", "xi3", "xi4", "rel"], rows)
     payload = {"samples": n, "max_relative_residual": worst}
-    return payload, ["worst_tuples.csv"], worst < tol.get("residual", 1e-6)
+    return payload, ["worst_tuples.csv"], worst < tol["residual"]
 
 
+@_kind("trilinear-counterexample",
+       params=dict(s=-1.0, n_values=(16, 32, 64, 128, 256, 512)),
+       tolerances=dict(exponent=0.15))
 def _run_trilinear(p, tol, rng, out):
-    s = p.get("s", -1.0)
-    n_values = _float_list(p.get("n_values", [16, 32, 64, 128, 256, 512]))
+    s = p["s"]
+    n_values = _float_list(p["n_values"])
     res = resonance.trilinear_counterexample(n_values, s)
     rows = [(N, res.lhs[N], res.rhs[N], res.lhs[N] / res.rhs[N]) for N in n_values]
     _write_csv(out / "ratio.csv", ["N", "lhs", "rhs", "ratio"], rows)
     predicted = -2 * s - 1
     payload = {"fit": _fit_payload(res.fit), "predicted": predicted,
                "diverges": res.diverges}
-    ok = abs(res.fit.slope - predicted) < tol.get("exponent", 0.15)
+    ok = abs(res.fit.slope - predicted) < tol["exponent"]
     return payload, ["ratio.csv"], ok
 
 
+@_kind("dispersive-decay",
+       params=dict(alpha=0.0, L=2400.0, M=4096, width=3.0, t_min=6.0, t_max=60.0,
+                   n_times=12),
+       tolerances=dict(slope=None))
 def _run_dispersive_decay(p, tol, rng, out):
-    alpha = p.get("alpha", 0.0)
-    grid = make_grid(p.get("L", 2400.0), p.get("M", 4096))
-    datum = make_gaussian(grid, width=p.get("width", 3.0))
-    times = np.geomspace(p.get("t_min", 6.0), p.get("t_max", 60.0), p.get("n_times", 12))
+    alpha = p["alpha"]
+    grid = make_grid(p["L"], p["M"])
+    datum = make_gaussian(grid, width=p["width"])
+    times = np.geomspace(p["t_min"], p["t_max"], p["n_times"])
     fit = dispersive.decay_fit(alpha, datum, times)
     _write_csv(out / "decay.csv", ["log_t", "log_norm"], fit.points)
     predicted = -(1 + alpha) / 4
     payload = {"fit": _fit_payload(fit), "predicted": predicted}
-    ok = abs(fit.slope - predicted) < tol.get("slope", 0.03 if alpha == 0 else 0.05)
-    return payload, ["decay.csv"], ok
+    bound = tol["slope"]
+    if bound is None:  # the default slope bound depends on alpha
+        bound = 0.03 if alpha == 0 else 0.05
+    return payload, ["decay.csv"], abs(fit.slope - predicted) < bound
 
 
+@_kind("bilinear-fit",
+       params=dict(n1=2.0, n2_values=(32, 64, 128, 256, 512)),
+       tolerances=dict(slope=0.15))
 def _run_bilinear(p, tol, rng, out):
-    fit = dispersive.bilinear_fit(
-        p.get("n1", 2.0), _float_list(p.get("n2_values", [32, 64, 128, 256, 512]))
-    )
+    fit = dispersive.bilinear_fit(p["n1"], _float_list(p["n2_values"]))
     _write_csv(out / "bilinear.csv", ["log_n2", "log_norm"], fit.points)
     payload = {"fit": _fit_payload(fit), "predicted": -1.5}
-    return payload, ["bilinear.csv"], abs(fit.slope + 1.5) < tol.get("slope", 0.15)
+    return payload, ["bilinear.csv"], abs(fit.slope + 1.5) < tol["slope"]
 
 
+@_kind("local-smoothing",
+       params=dict(scales=(1, 2, 4, 8, 16, 32), order=1.5, control_order=2.0),
+       tolerances=dict(spread=2.0, control_growth=2.0))
 def _run_local_smoothing(p, tol, rng, out):
-    scales = _float_list(p.get("scales", [1, 2, 4, 8, 16, 32]))
-    ratios = dispersive.local_smoothing_family(scales, order=p.get("order", 1.5))
-    control = dispersive.local_smoothing_family(scales, order=p.get("control_order", 2.0))
+    scales = _float_list(p["scales"])
+    ratios = dispersive.local_smoothing_family(scales, order=p["order"])
+    control = dispersive.local_smoothing_family(scales, order=p["control_order"])
     rows = [(lam, ratios[lam], control[lam]) for lam in scales]
     _write_csv(out / "smoothing.csv", ["scale", "ratio", "control_ratio"], rows)
     vals = np.array([ratios[lam] for lam in scales])
@@ -273,31 +296,33 @@ def _run_local_smoothing(p, tol, rng, out):
     spread = float(np.max(vals) / np.min(vals))
     growth = float(ctrl[-1] / ctrl[0])
     payload = {"ratio_spread": spread, "control_growth": growth}
-    ok = spread < tol.get("spread", 2.0) and growth > tol.get("control_growth", 2.0)
+    ok = spread < tol["spread"] and growth > tol["control_growth"]
     return payload, ["smoothing.csv"], ok
 
 
+@_kind("modulation-check",
+       params=dict(L=200.0, M=16384, s=-0.5, carriers=(16, 32, 64, 128),
+                   widths=(0.5, 1, 2, 4), amplitudes=(0.5, 1, 2, 4), base_carrier=96.0),
+       tolerances=dict(slope=0.05))
 def _run_modulation(p, tol, rng, out):
-    grid = make_grid(p.get("L", 200.0), p.get("M", 16384))
+    grid = make_grid(p["L"], p["M"])
     u = lambda y: np.exp(-(y**2))
-    s = p.get("s", -0.5)
+    s = p["s"]
     fits = {
         "carrier": illposedness.modulation_norm_check(
-            u, s, grid, "carrier", _float_list(p.get("carriers", [16, 32, 64, 128]))
+            u, s, grid, "carrier", _float_list(p["carriers"])
         ),
         "width": illposedness.modulation_norm_check(
-            u, s, grid, "width", _float_list(p.get("widths", [0.5, 1, 2, 4])),
-            M=p.get("base_carrier", 96.0),
+            u, s, grid, "width", _float_list(p["widths"]), M=p["base_carrier"],
         ),
         "amplitude": illposedness.modulation_norm_check(
-            u, s, grid, "amplitude", _float_list(p.get("amplitudes", [0.5, 1, 2, 4])),
-            M=p.get("base_carrier", 96.0),
+            u, s, grid, "amplitude", _float_list(p["amplitudes"]), M=p["base_carrier"],
         ),
     }
     payload = {k: _fit_payload(v) for k, v in fits.items()}
     rows = [(k, v.slope) for k, v in fits.items()]
     _write_csv(out / "modulation.csv", ["sweep", "slope"], rows)
-    t = tol.get("slope", 0.05)
+    t = tol["slope"]
     ok = (
         abs(fits["carrier"].slope - s) < t
         and abs(fits["width"].slope - 0.5) < t
@@ -306,56 +331,54 @@ def _run_modulation(p, tol, rng, out):
     return payload, ["modulation.csv"], ok
 
 
+@_kind("illposed-error",
+       params=dict(n_values=(8, 16, 32), window=0.5, amplitude=1.0, dt=1e-3,
+                   profile_modes=256, profile_length=40.0),
+       tolerances=dict(slope=0.4))
 def _run_illposed_error(p, tol, rng, out):
     res = illposedness.error_decay_experiment(
-        _float_list(p.get("n_values", [8, 16, 32])),
-        window=p.get("window", 0.5),
-        amplitude=p.get("amplitude", 1.0),
-        dt=p.get("dt", 1e-3),
-        profile_modes=p.get("profile_modes", 256),
-        profile_length=p.get("profile_length", 40.0),
+        _float_list(p["n_values"]),
+        window=p["window"],
+        amplitude=p["amplitude"],
+        dt=p["dt"],
+        profile_modes=p["profile_modes"],
+        profile_length=p["profile_length"],
     )
     rows = sorted(res.sup_errors.items())
     _write_csv(out / "error_decay.csv", ["N", "sup_error"], rows)
     payload = {"fit": _fit_payload(res.fit)}
-    return payload, ["error_decay.csv"], abs(res.fit.slope + 2.0) < tol.get("slope", 0.4)
+    return payload, ["error_decay.csv"], abs(res.fit.slope + 2.0) < tol["slope"]
 
 
+@_kind("illposed-separation",
+       params=dict(a=1.0, a2=1.05, s=-0.75, N=16.0, T=10.0, dt=2e-3, profile_modes=256,
+                   profile_length=40.0),
+       tolerances=dict(initial=0.1, sup=0.5))
 def _run_illposed_separation(p, tol, rng, out):
     rep = illposedness.separation_experiment(
-        p.get("a", 1.0),
-        p.get("a2", 1.05),
-        p.get("s", -0.75),
-        p.get("N", 16.0),
-        p.get("T", 10.0),
-        dt=p.get("dt", 2e-3),
-        profile_modes=p.get("profile_modes", 256),
-        profile_length=p.get("profile_length", 40.0),
+        p["a"], p["a2"], p["s"], p["N"], p["T"], dt=p["dt"],
+        profile_modes=p["profile_modes"], profile_length=p["profile_length"],
     )
     payload = {
-        "eps": rep.eps,
-        "delta": rep.delta,
-        "initial_distance": rep.initial_distance,
-        "sup_distance": rep.sup_distance,
-        "time_of_max": rep.time_of_max,
-        "lambda": rep.lam,
-        "triangle_lower_bound": rep.triangle_lower_bound,
+        "eps": rep.eps, "delta": rep.delta, "initial_distance": rep.initial_distance,
+        "sup_distance": rep.sup_distance, "time_of_max": rep.time_of_max,
+        "lambda": rep.lam, "triangle_lower_bound": rep.triangle_lower_bound,
     }
     _write_csv(
         out / "separation.csv",
         ["eps", "delta", "sup_distance", "time_of_max"],
         [(rep.eps, rep.delta, rep.sup_distance, rep.time_of_max)],
     )
-    ok = rep.initial_distance <= tol.get("initial", 0.1) * rep.eps and (
-        rep.sup_distance >= tol.get("sup", 0.5) * rep.eps
+    ok = rep.initial_distance <= tol["initial"] * rep.eps and (
+        rep.sup_distance >= tol["sup"] * rep.eps
     )
     return payload, ["separation.csv"], ok
 
 
+@_kind("gwp-parameters", params=dict(s=-0.5, T=100.0, u0_norm=1.0, eps0=0.1),
+       tolerances={})
 def _run_gwp(p, tol, rng, out):
-    res = imethod.gwp_parameters(
-        p.get("s", -0.5), p.get("T", 100.0), p.get("u0_norm", 1.0), p.get("eps0", 0.1)
-    )
+    res = imethod.gwp_parameters(p["s"], p["T"], p["u0_norm"], p["eps0"])
     payload = {
         "lambda": res.lam,
         "N": res.N,
@@ -367,48 +390,25 @@ def _run_gwp(p, tol, rng, out):
     return payload, ["gwp.csv"], True
 
 
-EXPERIMENT_KINDS = {
-    "evolve": _run_evolve,
-    "imethod-almost": _run_imethod_almost,
-    "derivative-identity": _run_derivative_identity,
-    "resonance-check": _run_resonance_check,
-    "trilinear-counterexample": _run_trilinear,
-    "dispersive-decay": _run_dispersive_decay,
-    "bilinear-fit": _run_bilinear,
-    "local-smoothing": _run_local_smoothing,
-    "modulation-check": _run_modulation,
-    "illposed-error": _run_illposed_error,
-    "illposed-separation": _run_illposed_separation,
-    "gwp-parameters": _run_gwp,
-}
+# ---------------------------------------------------------------------------
+# validation and dispatch
 
-# the params keys each runner reads; any other key is a spec error, so a
-# misspelled key cannot fall back to its default unnoticed
-PARAM_KEYS = {
-    "evolve": {"L", "M", "amplitude", "width", "carrier", "center", "equation",
-               "orientation", "kappa", "dt", "t_end", "scheme", "record_stride",
-               "sobolev_orders"},
-    "imethod-almost": {"L", "M", "support", "amplitude", "decay", "family", "dt",
-                       "window", "record_stride", "n_values", "s"},
-    "derivative-identity": {"M", "K", "kappa", "N", "s", "n_states"},
-    "resonance-check": {"samples"},
-    "trilinear-counterexample": {"s", "n_values"},
-    "dispersive-decay": {"alpha", "L", "M", "width", "t_min", "t_max", "n_times"},
-    "bilinear-fit": {"n1", "n2_values"},
-    "local-smoothing": {"scales", "order", "control_order"},
-    "modulation-check": {"L", "M", "s", "carriers", "widths", "amplitudes",
-                         "base_carrier"},
-    "illposed-error": {"n_values", "window", "amplitude", "dt", "profile_modes",
-                       "profile_length"},
-    "illposed-separation": {"a", "a2", "s", "N", "T", "dt", "profile_modes",
-                            "profile_length"},
-    "gwp-parameters": {"s", "T", "u0_norm", "eps0"},
-}
-
-_TOP_LEVEL_KEYS = {"kind", "params", "tolerances", "seed", "out"}
+_TOP_LEVEL_KEYS = ("kind", "params", "tolerances", "seed", "out")
 
 
-def validate_spec(doc: dict, strict: bool = False) -> ExperimentSpec:
+def _key_errors(kind: str, params: dict, tolerances: dict) -> list:
+    """One error per params or tolerances key that ``kind``'s tables lack."""
+    entry = EXPERIMENT_KINDS[kind]
+    errors = []
+    for section, given, accepted in (("params", params, entry.params),
+                                     ("tolerances", tolerances, entry.tolerances)):
+        for key in sorted(set(given) - set(accepted)):
+            errors.append(f"unknown {section} key '{key}' for kind '{kind}'; accepted: "
+                          + (", ".join(sorted(accepted)) or "none"))
+    return errors
+
+
+def validate_spec(doc: dict) -> ExperimentSpec:
     """Validate a raw spec document, collecting every error before raising."""
     errors = []
     if not isinstance(doc, dict):
@@ -421,17 +421,19 @@ def validate_spec(doc: dict, strict: bool = False) -> ExperimentSpec:
             f"unknown experiment kind '{kind}'; valid kinds: "
             + ", ".join(sorted(EXPERIMENT_KINDS))
         )
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown and strict:
-        errors.append(f"unknown keys in strict mode: {', '.join(sorted(unknown))}")
+    for key in sorted(set(doc) - set(_TOP_LEVEL_KEYS)):
+        errors.append(f"unknown top-level key '{key}'; accepted: "
+                      + ", ".join(_TOP_LEVEL_KEYS))
     params = doc.get("params", {})
     if not isinstance(params, dict):
         errors.append("'params' must be an object")
         params = {}
-    if kind in PARAM_KEYS:
-        for key in sorted(set(params) - PARAM_KEYS[kind]):
-            errors.append(f"unknown params key '{key}' for kind '{kind}'; accepted: "
-                          + ", ".join(sorted(PARAM_KEYS[kind])))
+    tolerances = doc.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        errors.append("'tolerances' must be an object")
+        tolerances = {}
+    if kind in EXPERIMENT_KINDS:
+        errors += _key_errors(kind, params, tolerances)
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         errors.append(f"'seed' must be a non-negative integer, got {seed!r}")
@@ -447,38 +449,39 @@ def validate_spec(doc: dict, strict: bool = False) -> ExperimentSpec:
         errors.append(f"params.dt must be positive, got {dt!r}")
     if errors:
         raise SpecValidationError(errors)
-    return ExperimentSpec(
-        kind=kind,
-        params=params,
-        tolerances=doc.get("tolerances", {}),
-        seed=seed,
-        out=doc.get("out"),
-    )
+    return ExperimentSpec(kind=kind, params=params, tolerances=tolerances, seed=seed,
+                          out=doc.get("out"))
 
 
-def parse_spec(path, strict: bool = False) -> ExperimentSpec:
+def parse_spec(path) -> ExperimentSpec:
     """Read and validate a JSON experiment spec."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise SpecValidationError([f"invalid JSON: {e}"]) from e
-    return validate_spec(doc, strict=strict)
+    return validate_spec(doc)
 
 
-def run(
-    spec: ExperimentSpec,
-    out_dir=None,
-    seed: int | None = None,
-) -> ReportDocument:
-    """Dispatch a validated spec, persist artifacts and report pass/fail."""
+def run(spec: ExperimentSpec, out_dir=None, seed: int | None = None) -> ReportDocument:
+    """Dispatch a spec, persist artifacts and report pass/fail.
+
+    The kind's defaults fill every key the spec leaves out; a key outside
+    the kind's tables raises ``SpecValidationError``, also for a spec built
+    without ``validate_spec``.
+    """
+    entry = EXPERIMENT_KINDS[spec.kind]
+    errors = _key_errors(spec.kind, spec.params, spec.tolerances)
+    if errors:
+        raise SpecValidationError(errors)
     root = Path(out_dir or spec.out or os.environ.get(OUTPUT_ROOT_ENV, "runs"))
     out = root / spec.kind
     out.mkdir(parents=True, exist_ok=True)
     use_seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(use_seed)
-    runner = EXPERIMENT_KINDS[spec.kind]
-    payload, files, passed = runner(spec.params, spec.tolerances, rng, out)
+    payload, files, passed = entry.runner(
+        {**entry.params, **spec.params}, {**entry.tolerances, **spec.tolerances}, rng, out
+    )
     spec_echo = spec.echo()
     spec_echo["seed"] = use_seed
     manifest = {
@@ -488,22 +491,7 @@ def run(
             json.dumps(spec_echo, sort_keys=True).encode()
         ).hexdigest(),
     }
-    report = ReportDocument(
-        manifest=manifest,
-        results=payload,
-        files=sorted(files),
-        passed=bool(passed),
-    )
+    report = ReportDocument(manifest, payload, sorted(files), bool(passed))
     with open(out / "report.json", "w") as fh:
-        json.dump(
-            {
-                "manifest": report.manifest,
-                "results": report.results,
-                "files": report.files,
-                "passed": report.passed,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
     return report

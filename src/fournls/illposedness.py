@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 SQRT6 = np.sqrt(6.0)
+XI_HEADROOM = 4.0  # grid4's Nyquist frequency in units of the carrier N
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,6 @@ def plan_uap_discretization(
     N: float,
     profile_length: float = 50.0,
     profile_modes: int = 512,
-    xi_headroom: float = 4.0,
     kappa: int = -1,
 ) -> UapSetup:
     """Choose the 4NLS grid and the profile grid so they are commensurate.
@@ -114,7 +114,7 @@ def plan_uap_discretization(
     window covers the profile torus exactly once; the carrier is snapped to
     the 4NLS frequency lattice and the profile length re-derived from the
     snapped value, keeping the change of variables exact.  The 4NLS Nyquist
-    frequency is xi_headroom * N to keep the carrier out of the guarded
+    frequency is XI_HEADROOM * N to keep the carrier out of the guarded
     top octave.  The 4NLS grid size is profile_modes times the smallest
     5-smooth integer (no prime factor above 5) that meets that frequency
     with 2 % to spare: an FFT on a size with a large prime factor costs
@@ -133,7 +133,7 @@ def plan_uap_discretization(
         k_star += 1
     N_exact = 2 * np.pi * k_star / L4
     Lv = L4 / (SQRT6 * N_exact)
-    m4_needed = L4 * (xi_headroom * N_exact) / np.pi
+    m4_needed = L4 * (XI_HEADROOM * N_exact) / np.pi
     M4 = profile_modes * _next_5smooth(int(np.ceil(m4_needed * 1.02 / profile_modes)))
     return UapSetup(
         params=ApproxParams(N=N_exact, kappa=kappa),

@@ -97,19 +97,17 @@ CHUNK_BYTES = 32 * 2**20
 
 @dataclass(frozen=True)
 class IMethodParams:
-    """Threshold N, target regularity s <= 0 and the junction interpolation."""
+    """Threshold N and target regularity s <= 0; m is log-cubic (C^1) on the
+    junction N < |xi| < 2N."""
 
     N: float
     s: float = -0.5
-    interp: str = "log_cubic"  # or "log_linear" (C^0 only)
 
     def __post_init__(self):
         if not (np.isfinite(self.N) and self.N >= 1):
             raise ConfigError("threshold N must be >= 1")
         if self.s > 0:
             raise ConfigError("target regularity s must be <= 0")
-        if self.interp not in ("log_cubic", "log_linear"):
-            raise ConfigError(f"unknown interpolation '{self.interp}'")
 
 
 def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
@@ -121,10 +119,7 @@ def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
     mid = (axi > p.N) & (axi < 2 * p.N)
     if np.any(mid):
         t = (np.log(np.where(mid, axi, 1.0)) - np.log(p.N)) / np.log(2.0)
-        if p.interp == "log_cubic":
-            logm = p.s * np.log(2.0) * t * t * (2.0 - t)
-        else:
-            logm = p.s * np.log(2.0) * t
+        logm = p.s * np.log(2.0) * t * t * (2.0 - t)
         out = np.where(mid, np.exp(logm), out)
     return out
 
@@ -135,11 +130,8 @@ def i_multiplier(p: IMethodParams) -> SymbolFn:
 
 
 def multiplier_m2_derivatives(p: IMethodParams, xi: np.ndarray):
-    """(m^2, (m^2)', (m^2)'') evaluated branch-wise in closed form.
-
-    Used by the mean-value bound checks; requires the default C^1
-    interpolation for the junction derivatives to be meaningful.
-    """
+    """(m^2, (m^2)', (m^2)'') evaluated branch-wise in closed form, for the
+    mean-value bound checks."""
     xi = np.asarray(xi, dtype=np.float64)
     axi = np.abs(xi)
     sgn = np.sign(xi)
@@ -155,12 +147,8 @@ def multiplier_m2_derivatives(p: IMethodParams, xi: np.ndarray):
     mid = (axi > p.N) & (axi < 2 * p.N)
     if np.any(mid):
         t = (np.log(np.where(mid, axi, 1.0)) - np.log(p.N)) / np.log(2.0)
-        if p.interp == "log_cubic":
-            hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
-            hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
-        else:
-            hp = np.full_like(t, p.s)
-            hpp = np.zeros_like(t)
+        hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
+        hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
         with np.errstate(invalid="ignore"):
             d1 = np.where(mid, sgn * m2 * 2 * hp / np.maximum(axi, 1e-300), d1)
             d2 = np.where(
@@ -265,12 +253,18 @@ def _m6(p: IMethodParams) -> SumLastThree:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Symmetric truncation {xi_k : |k| <= K} of a grid's frequency lattice."""
+    """Symmetric truncation {xi_k : |k| <= K} of a grid's frequency lattice.
+
+    Only on k0 = 0 grids: the zero-sum hyperplanes of the multilinear forms
+    are sums of the indices k, which a band grid shifts by k0.
+    """
 
     grid: Grid
     K: int
 
     def __post_init__(self):
+        if self.grid.k0:
+            raise ConfigError(f"mode sets need a k0 = 0 grid, got k0={self.grid.k0}")
         if self.K < 1 or self.K > self.grid.M // 2 - 1:
             raise ConfigError(
                 f"cutoff K={self.K} not symmetric-resolvable on M={self.grid.M}"

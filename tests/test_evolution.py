@@ -24,7 +24,7 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
-from fournls.evolution import MCLACHLAN_A
+from fournls.evolution import MCLACHLAN_A, run_manifest
 from fournls.spectral import Spectrum, cubic_convolution
 
 
@@ -201,6 +201,13 @@ class TestSteppers:
 
 
 class TestEvolve:
+    def test_manifest_names_the_carrier_index_of_a_band_grid(self):
+        cfg = EvolutionConfig()
+        band = Field(make_grid(2 * np.pi, 32, k0=10), np.ones(32, complex))
+        assert run_manifest(band, cfg)["grid"] == {"L": 2 * np.pi, "M": 32, "k0": 10}
+        full = Field(make_grid(2 * np.pi, 32), np.ones(32, complex))
+        assert run_manifest(full, cfg)["grid"] == {"L": 2 * np.pi, "M": 32}
+
     def test_mass_conservation(self):
         u = smooth_datum()
         rec = evolve(u, EvolutionConfig(dt=1e-3, t_end=1.0, record_stride=100,
@@ -343,6 +350,37 @@ class TestGalerkin:
         lin = 1j * cfg.linear_phase_rate(2 * np.pi / g.L * ks) * c
         expect = -1j * full[2 * K:4 * K + 1]
         assert np.max(np.abs(rhs - lin - expect)) < 1e-13 * np.max(np.abs(expect))
+
+    def test_band_grid_matches_full_grid_at_shifted_modes(self):
+        # mode k of a band grid is mode k + k0 of the full grid: the same
+        # frequency, and the cubic sum over k - l + m = n is shift-invariant
+        k0, K = 10, 4
+        band, full = make_grid(2 * np.pi, 32, k0=k0), self.grid()
+        one = np.zeros(32, complex)
+        one[1] = 1.0
+        assert galerkin_rhs(Spectrum(band, one), EvolutionConfig(kappa=0), K).coef[1] \
+            == -14641j  # -i xi^4 at xi = k0 + 1 = 11
+        rng = np.random.default_rng(5)
+        ks = np.arange(-K, K + 1)
+        c = 0.3 * (rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size))
+        cb, cf = np.zeros(32, complex), np.zeros(64, complex)
+        cb[ks % 32] = c
+        cf[(ks + k0) % 64] = c
+        on_band = {}
+        for kappa in (0, 1):
+            cfg = EvolutionConfig(kappa=kappa)
+            rb = galerkin_rhs(Spectrum(band, cb), cfg, K).coef[ks % 32]
+            rf = galerkin_rhs(Spectrum(full, cf), cfg, k0 + K).coef[(ks + k0) % 64]
+            on_band[kappa] = rb, rf
+        # the linear part is bitwise the full grid's, the cubic part to round-off
+        assert np.array_equal(*on_band[0])
+        cubic_b, cubic_f = (on_band[1][i] - on_band[0][i] for i in (0, 1))
+        assert np.max(np.abs(cubic_b - cubic_f)) < 1e-13 * np.max(np.abs(cubic_f))
+        # the linear flow rotates each mode at its own frequency
+        cfg = EvolutionConfig(kappa=0)
+        eb = galerkin_evolve(Spectrum(band, cb), cfg, K, t=1e-3, n_steps=20).coef
+        ef = galerkin_evolve(Spectrum(full, cf), cfg, k0 + K, t=1e-3, n_steps=20).coef
+        assert np.array_equal(eb[ks % 32], ef[(ks + k0) % 64])
 
     def test_cutoff_above_resolution_rejected(self):
         g = self.grid()

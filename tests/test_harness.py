@@ -1,7 +1,5 @@
-import inspect
 import json
 import os
-import re
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from fournls.errors import ConfigError
 from fournls.fitting import fit_loglog
 from fournls.harness import (
     EXPERIMENT_KINDS,
-    PARAM_KEYS,
     ExperimentSpec,
     SpecValidationError,
     parse_spec,
@@ -72,11 +69,25 @@ class TestSpecValidation:
             validate_spec({"kind": "bogus"})
         assert "evolve" in str(exc.value)
 
-    def test_strict_mode_rejects_unknown_keys(self):
-        doc = {"kind": "evolve", "extra": 1}
-        validate_spec(doc)  # lenient by default
-        with pytest.raises(SpecValidationError):
-            validate_spec(doc, strict=True)
+    def test_unknown_top_level_key_rejected(self):
+        doc = {"kind": "evolve", "tolerance": {"mass_drift": 1e-30}}
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec(doc)
+        assert len(exc.value.errors) == 1
+        assert "'tolerance'" in exc.value.errors[0]
+
+    def test_misspelled_tolerance_key_rejected(self):
+        doc = {"kind": "evolve", "tolerances": {"mass_drfit": 1e-30}}
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec(doc)
+        assert len(exc.value.errors) == 1
+        assert "'mass_drfit'" in exc.value.errors[0]
+        assert "mass_drift" in exc.value.errors[0]  # the accepted keys are listed
+
+    def test_non_object_tolerances_rejected(self):
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec({"kind": "evolve", "tolerances": [1e-8]})
+        assert "'tolerances' must be an object" in exc.value.errors
 
     def test_misspelled_param_key_rejected(self):
         doc = {"kind": "evolve", "params": {"dT": 1e-3, "M": 256}}
@@ -87,12 +98,19 @@ class TestSpecValidation:
         assert "dt" in exc.value.errors[0]  # the accepted keys are listed
         validate_spec({"kind": "evolve", "params": {"dt": 1e-3, "M": 256}})
 
-    def test_key_tables_match_the_runners(self):
-        # every key a runner reads is accepted, and nothing else
-        assert set(PARAM_KEYS) == set(EXPERIMENT_KINDS)
-        for kind, runner in EXPERIMENT_KINDS.items():
-            read = set(re.findall(r'p\.get\("(\w+)"', inspect.getsource(runner)))
-            assert read == PARAM_KEYS[kind], kind
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    @pytest.mark.parametrize("section", ["params", "tolerances"])
+    def test_misspelled_key_rejected_for_every_kind(self, kind, section, tmp_path):
+        table = getattr(EXPERIMENT_KINDS[kind], section)
+        key = sorted(table)[0] if table else "slope"
+        typo = key + key[-1]  # "dt" -> "dtt"
+        assert typo not in table
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec({"kind": kind, section: {typo: 1.0}})
+        assert len(exc.value.errors) == 1
+        assert f"unknown {section} key '{typo}'" in exc.value.errors[0]
+        with pytest.raises(SpecValidationError):  # also when the spec skips validation
+            run(ExperimentSpec(kind=kind, **{section: {typo: 1.0}}), out_dir=tmp_path)
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -140,6 +158,15 @@ class TestRun:
         spec2 = validate_spec(dict(echo))
         report2 = run(spec2, out_dir=tmp_path / "again")
         assert report2.results["mass_drift"] == report.results["mass_drift"]
+
+    def test_defaults_spelled_out_give_the_same_results(self, tmp_path):
+        entry = EXPERIMENT_KINDS["gwp-parameters"]
+        spelled = ExperimentSpec(kind="gwp-parameters", params=dict(entry.params),
+                                 tolerances=dict(entry.tolerances))
+        implicit = run(ExperimentSpec(kind="gwp-parameters"), out_dir=tmp_path / "a")
+        explicit = run(spelled, out_dir=tmp_path / "b")
+        assert implicit.results == explicit.results
+        assert implicit.manifest["spec"]["params"] == {}  # the echo keeps the spec's keys
 
     def test_gwp_kind(self, tmp_path):
         spec = ExperimentSpec(kind="gwp-parameters", params={"s": -0.5, "T": 100.0})

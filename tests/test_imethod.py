@@ -251,6 +251,12 @@ class TestLambdaN:
     def grid(self):
         return make_grid(2 * np.pi, 64)
 
+    def test_mode_set_rejects_band_grid(self):
+        # the zero-sum hyperplanes are sums of the local indices, which a
+        # band grid shifts by k0
+        with pytest.raises(ConfigError, match="k0"):
+            ModeSet(make_grid(2 * np.pi, 64, k0=10), 8)
+
     def test_quartic_power_plane_wave(self):
         g = self.grid()
         A, k = 1.3, 3
