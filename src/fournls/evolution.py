@@ -252,12 +252,15 @@ def conserved_energy(f: Field, cfg: EvolutionConfig) -> float:
     Quartic: orientation/2 * int |u_xx|^2 + kappa/4 * int |u|^4.
     Cubic:   orientation/2 * int |u_x|^2  + kappa/4 * int |u|^4.
     """
-    spec = to_spectrum(f)
-    xi = f.grid.xi
-    order = 2 if cfg.equation == "quartic" else 1
-    kinetic = 0.5 * f.grid.L * np.sum(np.abs(xi) ** (2 * order) * np.abs(spec.coef) ** 2)
-    quartic = f.grid.dx * np.sum(np.abs(f.values) ** 4)
+    kinetic, quartic = _energy_parts(f, 2 if cfg.equation == "quartic" else 1)
     return float(cfg.orientation * kinetic + cfg.kappa / 4 * quartic)
+
+
+def _energy_parts(f: Field, order: int):
+    """(1/2) int |d_x^order u|^2 by Plancherel and int |u|^4 by grid quadrature."""
+    coef = to_spectrum(f).coef
+    kinetic = 0.5 * f.grid.L * np.sum(np.abs(f.grid.xi) ** (2 * order) * np.abs(coef) ** 2)
+    return kinetic, f.grid.dx * np.sum(np.abs(f.values) ** 4)
 
 
 def evolve(f0: Field, cfg: EvolutionConfig) -> TrajectoryRecord:

@@ -254,13 +254,13 @@ def _run_trilinear(p, tol, rng, out):
 
 
 @_kind("dispersive-decay",
-       params=dict(alpha=0.0, L=2400.0, M=4096, width=3.0, t_min=6.0, t_max=60.0,
+       params=dict(alpha=0.0, L=6000.0, M=16384, sigma=1.2, t_min=4.0, t_max=40.0,
                    n_times=12),
        tolerances=dict(slope=None))
 def _run_dispersive_decay(p, tol, rng, out):
     alpha = p["alpha"]
     grid = make_grid(p["L"], p["M"])
-    datum = make_gaussian(grid, width=p["width"])
+    datum = dispersive.flat_spectrum_datum(grid, sigma=p["sigma"])
     times = np.geomspace(p["t_min"], p["t_max"], p["n_times"])
     fit = dispersive.decay_fit(alpha, datum, times)
     _write_csv(out / "decay.csv", ["log_t", "log_norm"], fit.points)
@@ -332,7 +332,7 @@ def _run_modulation(p, tol, rng, out):
 
 
 @_kind("illposed-error",
-       params=dict(n_values=(8, 16, 32), window=0.5, amplitude=1.0, dt=1e-3,
+       params=dict(n_values=(8, 16, 32, 64), window=0.5, amplitude=1.0, dt=1e-3,
                    profile_modes=256, profile_length=40.0),
        tolerances=dict(slope=0.4))
 def _run_illposed_error(p, tol, rng, out):

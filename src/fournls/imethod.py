@@ -23,7 +23,9 @@ sigma4 = M4 / (xi1^4 - xi2^4 + xi3^4 - xi4^4)  (real-valued), and
 M6 = i sigma4(xi1, xi2, xi3, xi4+xi5+xi6).  The correction term cancels the
 quadrilinear increment exactly for g = +1, the normalization adopted here.
 
-Evaluation.  Neither form is summed symbol by symbol:
+Evaluation.  Neither form is summed symbol by symbol.  One walk of the
+hyperplane, ``_walk_slices`` (k1-slices of (k2, k3) points, the last slot
+read through a zero-padded window), serves both and the generic Lambda4:
 
 * Lambda4(sigma4).  With W = u(xi1) conj(u(-xi2)) u(xi3) conj(u(-xi4)) and
   the N-free weight alpha4 = (xi1+xi2)(xi1+xi4) Q of the factorized
@@ -300,42 +302,47 @@ class SumLastThree:
         return self.core(xi1, xi2, xi3, np.asarray(xi4, dtype=np.float64) + xi5 + xi6)
 
 
-def _coef_by_index(spec: Spectrum, K: int) -> np.ndarray:
-    """Coefficients reindexed to k = -K..K (centered order)."""
-    ks = np.arange(-K, K + 1)
-    return spec.coef[ks % spec.grid.M]
+def _coefs(fields, K: int) -> np.ndarray:
+    """(len(fields), 2K+1) coefficients hat u_j(xi_k), k = -K..K (centred order)."""
+    return np.array([to_spectrum(f).coef[np.arange(-K, K + 1) % f.grid.M] for f in fields])
 
 
 def _slot_coefs(fields, K: int) -> list:
     """Per-slot coefficients on k = -K..K: hat u_j(xi_k) in odd slots (1-based)
     and conj(hat u_j(-xi_k)) in even slots."""
-    coefs = [_coef_by_index(to_spectrum(f), K) for f in fields]
+    coefs = _coefs(fields, K)
     return [c if j % 2 == 0 else np.conj(c[::-1]) for j, c in enumerate(coefs)]
 
 
-def _sum_three_slots(symbol, slots, last, K: int, scale: float) -> complex:
-    """Sum of symbol(xi1..xi4) s1[k1] s2[k2] s3[k3] last[k4] over k1+k2+k3+k4 = 0.
+def _walk_slices(weight, s1, s2, s3, last, K: int):
+    """k1- and k2-marginals of weight * s1[k1] s2[k2] s3[k3] last[k4] on k1+k2+k3+k4 = 0.
 
-    k1, k2, k3 run over -K..K and k4 over the index range of ``last``
-    (centred, length 2R+1), one k1-slice at a time.
+    s1, s2, s3 are (S, 2K+1) on k = -K..K, ``last`` is (S, 2R+1) centred
+    with R <= 3K, and ``weight(i1, k1)`` is the weight on the (k2, k3) slice
+    at k1 = i1 - K.  Each slice reads the last slot through a sliding window
+    over a zero-padded copy (|k4| <= 3K), so points with |k4| > R add zero
+    unmasked.  Returns the (S, 2K+1) sums over k1 = k and over k2 = k; only
+    one slice's (S, 2K+1, 2K+1) temporaries are alive at a time.
     """
-    s1, s2, s3 = slots
-    R = len(last) // 2
-    ks = np.arange(-K, K + 1)
-    k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
-    total = 0.0 + 0.0j
-    for k1 in ks:  # chunked first index, deterministic order
-        k4 = -(k1 + k2g + k3g)
-        valid = np.abs(k4) <= R
-        if not np.any(valid):
-            continue
-        v2, v3, v4 = k2g[valid], k3g[valid], k4[valid]
-        v1 = np.full(v2.shape, k1)
-        val = symbol(scale * v1, scale * v2, scale * v3, scale * v4)
-        total += np.sum(
-            np.asarray(val) * s1[v1 + K] * s2[v2 + K] * s3[v3 + K] * last[v4 + R]
+    n = 2 * K + 1
+    if n**3 > TERM_BUDGET:
+        raise TermBudgetError(
+            f"{n**3:.3g} lattice terms exceed the {TERM_BUDGET:.0g} term budget"
         )
-    return total
+    R = last.shape[1] // 2
+    # padded[j] = last at k4 = 3K - j, so window i1 + i2 holds last at
+    # k4 = -(k1 + k2 + k3) in column i3
+    padded = np.zeros((len(last), 6 * K + 1), dtype=np.complex128)
+    padded[:, 3 * K - R:3 * K + R + 1] = last[:, ::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
+    by_k1 = np.empty(s1.shape, dtype=np.complex128)
+    by_k2 = np.zeros(s1.shape, dtype=np.complex128)
+    for i1 in range(n):
+        # the k3 sum of weight * last * s3, then the s2 factor at each k2
+        g = np.einsum("sij,sj->si", windows[:, i1:i1 + n, :] * weight(i1, i1 - K), s3) * s2
+        by_k1[:, i1] = s1[:, i1] * g.sum(axis=1)
+        by_k2 += s1[:, i1:i1 + 1] * g
+    return by_k1, by_k2
 
 
 def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
@@ -354,7 +361,7 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
     K = modes.K
     collapsed = n == 6 and isinstance(symbol, SumLastThree)
     terms = (2 * K + 1) ** (3 if collapsed else n - 1)
-    if terms > TERM_BUDGET:
+    if n == 6 and not collapsed and terms > TERM_BUDGET:
         raise TermBudgetError(
             f"{terms:.3g} lattice terms exceed the {TERM_BUDGET:.0g} term budget"
         )
@@ -369,11 +376,20 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
     if n == 2:
         val = symbol(two_pi_over_L * ks, two_pi_over_L * -ks)
         total = np.sum(np.asarray(val) * slots[0] * slots[1][::-1])
-    elif n == 4:
-        total = _sum_three_slots(symbol, slots[:3], slots[3], K, two_pi_over_L)
-    elif collapsed:
-        tail = cubic_convolution(*slots[3:])
-        total = _sum_three_slots(symbol.core, slots[:3], tail, K, two_pi_over_L)
+    elif n == 4 or collapsed:
+        core = symbol.core if collapsed else symbol
+        last = cubic_convolution(*slots[3:]) if collapsed else slots[3]
+        k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
+
+        def weight(i1, k1):
+            lattice = (np.full(k2g.shape, k1), k2g, k3g, -(k1 + k2g + k3g))
+            return np.asarray(core(*(two_pi_over_L * k for k in lattice)))
+
+        with np.errstate(all="ignore"):  # a non-finite symbol is refused below
+            by_k1, _ = _walk_slices(weight, *(s[None, :] for s in (*slots[:3], last)), K)
+            total = by_k1.sum()
+        if not np.isfinite(total):
+            raise NumericDomainError(f"the {n}-linear form is not finite: {total}")
     else:
         total = 0.0 + 0.0j
         k2g, k3g, k4g, k5g = np.meshgrid(ks, ks, ks, ks, indexing="ij")
@@ -401,44 +417,26 @@ def _sigma4_marginals(fields, modes: ModeSet) -> np.ndarray:
     ``_sigma4_on_hyperplane``; its zeros (k2 = -k1 or k4 = -k1) are dropped.
     alpha4 is formed in lattice units, where every factor is an integer below
     2^53 within the term budget, and scaled by (2 pi / L)^4 at the end.
-    Each k1-slice is a 2-D (k2, k3) array: the last slot is read from a
-    zero-padded copy (|k4| <= 3K), so the points with |k4| > K add zero.
-    Snapshots go in batches whose (batch, 2K+1, 2K+1) temporaries stay
-    below CHUNK_BYTES.
+    Snapshots go through ``_walk_slices`` in batches whose (batch, 2K+1,
+    2K+1) temporaries stay below CHUNK_BYTES.
     """
     K = modes.K
-    n = 2 * K + 1
-    if n**3 > TERM_BUDGET:
-        raise TermBudgetError(
-            f"{n**3:.3g} lattice terms exceed the {TERM_BUDGET:.0g} term budget"
-        )
     ks = np.arange(-K, K + 1, dtype=np.float64)
     k23 = ks[:, None] + ks[None, :]  # k2 + k3 = -(k1 + k4)
     sq23 = ks[:, None] ** 2 + ks[None, :] ** 2
-    batch = max(1, CHUNK_BYTES // (16 * n * n))
+
+    def inv_alpha4(i1, k1):
+        k4 = -(k1 + k23)
+        alpha = k4 * k4 + sq23 + (k1 * k1 + 2 * (k1 + ks) ** 2)  # Q
+        alpha *= -(k1 + ks)[:, None] * k23  # (k1 + k2)(k1 + k4) Q
+        return np.divide(1.0, alpha, out=np.zeros_like(alpha), where=alpha != 0)
+
+    batch = max(1, CHUNK_BYTES // (16 * len(ks) ** 2))
     out = []
     for start in range(0, len(fields), batch):
-        a = np.array([_coef_by_index(to_spectrum(f), K) for f in fields[start:start + batch]])
+        a = _coefs(fields[start:start + batch], K)
         b = np.conj(a[:, ::-1])
-        # padded[j] = conj(c[j - 3K]) = b[3K - j], zero for |3K - j| > K,
-        # so window t holds b[3K - t - i3]
-        padded = np.zeros((len(a), 6 * K + 1), dtype=np.complex128)
-        padded[:, 2 * K:4 * K + 1] = np.conj(a)
-        windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
-        r1 = np.empty(a.shape, dtype=np.complex128)
-        r2 = np.zeros(a.shape, dtype=np.complex128)
-        inv = np.zeros((n, n))
-        for i1, k1 in enumerate(ks):
-            k4 = -(k1 + k23)
-            alpha = k4 * k4 + sq23 + (k1 * k1 + 2 * (k1 + ks) ** 2)  # Q
-            alpha *= -(k1 + ks)[:, None] * k23  # (k1 + k2)(k1 + k4) Q
-            inv[:] = 0.0
-            np.divide(1.0, alpha, out=inv, where=alpha != 0)
-            # b[k4] at (k2, k3), then the k3 sum of b[k4] c[k3] / alpha
-            b4 = windows[:, i1:i1 + n, :]
-            g = np.einsum("sij,sj->si", b4 * inv, a) * b
-            r1[:, i1] = a[:, i1] * g.sum(axis=1)
-            r2 += a[:, i1:i1 + 1] * g
+        r1, r2 = _walk_slices(inv_alpha4, a, b, a, b, K)
         out.append(r1 - r2)
     return np.concatenate(out) / (2 * np.pi / modes.grid.L) ** 4
 

@@ -8,8 +8,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .evolution import EvolutionConfig, evolve
-from .spectral import Field, make_grid, sobolev_norm, to_spectrum
+from .evolution import EvolutionConfig, _energy_parts, evolve
+from .spectral import Field, make_grid, sobolev_norm
 
 __all__ = [
     "ConservedReport",
@@ -42,9 +42,7 @@ def hamiltonian(f: Field, kappa: int = 1) -> ConservedReport:
     """
     if kappa not in (1, -1):
         raise ConfigError("kappa must be +1 or -1")
-    spec = to_spectrum(f)
-    kinetic = float(0.5 * f.grid.L * np.sum(f.grid.xi**4 * np.abs(spec.coef) ** 2))
-    quartic = float(f.grid.dx * np.sum(np.abs(f.values) ** 4))
+    kinetic, quartic = (float(v) for v in _energy_parts(f, 2))
     return ConservedReport(
         mass=mass(f),
         hamiltonian=kinetic + kappa / 4 * quartic,

@@ -168,6 +168,19 @@ class TestRun:
         assert implicit.results == explicit.results
         assert implicit.manifest["spec"]["params"] == {}  # the echo keeps the spec's keys
 
+    @pytest.mark.parametrize("params", [{}, {"alpha": 1.0}])
+    def test_dispersive_decay_passes_at_its_defaults(self, params, tmp_path):
+        # criterion 07's flat-spectrum datum and window; a plain Gaussian
+        # fitted -0.395 against -0.5 at alpha = 1
+        report = run(ExperimentSpec(kind="dispersive-decay", params=params), out_dir=tmp_path)
+        assert report.passed
+
+    def test_illposed_error_runs_at_its_defaults(self, tmp_path):
+        # the default sweep must give fit_loglog its four points
+        report = run(ExperimentSpec(kind="illposed-error"), out_dir=tmp_path)
+        assert len(report.results["fit"]["points"]) == 4
+        assert report.passed
+
     def test_gwp_kind(self, tmp_path):
         spec = ExperimentSpec(kind="gwp-parameters", params={"s": -0.5, "T": 100.0})
         report = run(spec, out_dir=tmp_path)

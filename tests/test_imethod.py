@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from fournls import (
     Field,
     IMethodParams,
     ModeSet,
+    NumericDomainError,
     TermBudgetError,
     apply_I,
     derivative_identity_check,
@@ -26,6 +28,7 @@ from fournls import (
     symbol_m6,
     symbol_sigma4,
     to_physical,
+    to_spectrum,
 )
 from fournls.imethod import SumLastThree, fit_m6_constant, multiplier_m2_derivatives
 from fournls.spectral import Spectrum
@@ -328,6 +331,52 @@ class TestLambdaN:
         with pytest.raises(TermBudgetError):
             energy4(u, params(), ModeSet(g, 232))
 
+    @staticmethod
+    def brute_force(symbol, fields, K):
+        """L * sum of symbol * slots over k1 + ... + kn = 0, |kj| <= K, one point at a time."""
+        g = fields[0].grid
+        scale = 2 * np.pi / g.L
+        coefs = [to_spectrum(f).coef for f in fields]
+        slot = lambda j, k: coefs[j][k % g.M] if j % 2 == 0 else np.conj(coefs[j][-k % g.M])
+        total = 0j
+        for ks in itertools.product(range(-K, K + 1), repeat=len(fields) - 1):
+            last = -sum(ks)
+            if abs(last) > K:
+                continue
+            ks = (*ks, last)
+            term = complex(symbol(*(scale * k for k in ks)))
+            for j, k in enumerate(ks):
+                term *= slot(j, k)
+            total += term
+        return g.L * total
+
+    def test_matches_brute_force_sum(self):
+        # four different fields and a symbol with no slot symmetry, on a
+        # lattice off 2 pi (L = 5)
+        g = make_grid(5.0, 32)
+        rng = np.random.default_rng(18)
+        fields = [narrow_state(g, rng, support=3, n_modes=4, scale=0.8) for _ in range(6)]
+        sym = lambda a, b, c, d: 1.0 + 0.3j * a - 0.2 * b**2 + 0.1j * c * d + 0.05 * a**3
+        for K in (1, 4):
+            got = lambda_n(sym, fields[:4], ModeSet(g, K)).value
+            ref = self.brute_force(sym, fields[:4], K)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+        # the collapsed six-slot form reads its last slot over |k4| <= 3K
+        m6 = SumLastThree(sym)
+        got = lambda_n(m6, fields, ModeSet(g, 2)).value
+        ref = self.brute_force(m6, fields, 2)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_non_finite_symbol_refused(self):
+        # 1 / (xi1 + xi2) is infinite on k2 = -k1
+        g = self.grid()
+        u = narrow_state(g, np.random.default_rng(19), support=3, n_modes=4)
+        sym = lambda a, b, c, d: 1.0 / (a + b)
+        with pytest.raises(NumericDomainError, match="not finite"):
+            lambda_n(sym, [u] * 4, ModeSet(g, 6))
+        with pytest.raises(NumericDomainError, match="not finite"):
+            lambda_n(SumLastThree(sym), [u] * 6, ModeSet(g, 3))
+
     def test_odd_order_rejected(self):
         g = self.grid()
         u = Field(g, np.ones(64, complex))
@@ -346,7 +395,7 @@ class TestEnergy4:
     def test_resonant_check_rejects_uneven_multiplier(self, monkeypatch):
         # alpha4 = 0 on k2 = -k1; an even m makes M4 vanish there, an uneven
         # one must be refused as a non-removable singularity
-        from fournls import NumericDomainError, imethod
+        from fournls import imethod
 
         g = make_grid(2 * np.pi, 64)
         u = narrow_state(g, np.random.default_rng(11), support=3, n_modes=4)
