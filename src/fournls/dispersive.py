@@ -8,6 +8,7 @@ trivial reasons.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 import numpy as np
@@ -41,23 +42,23 @@ __all__ = [
 # oscillatory kernel
 
 
-def _gauss_panels(a: float, b: float, nodes_per_panel: int, n_panels: int):
-    x0, w0 = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = (edges[1:] + edges[:-1]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    xs = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    ws = (half[:, None] * w0[None, :]).ravel()
-    return xs, ws
+_PANEL_BLOCK = 4096  # panels evaluated at once: a ~2 MB working set at any phase span
+
+
+@cache
+def _gauss_legendre():  # the 10-point rule on [-1, 1]; numpy.polynomial is slow to import
+    return np.polynomial.legendre.leggauss(10)
 
 
 def kernel_K(t: float, x: float, alpha: float) -> complex:
     """Oscillatory integral ``int |xi|^alpha exp(i t xi^4 + i x xi) dxi``.
 
-    Composite Gauss-Legendre with node density tied to the local phase
-    derivative, truncated at a point beyond every stationary point; the two
-    leading integration-by-parts boundary terms of the discarded tails are
-    added back, leaving a truncation error well below 1e-6 for |t| >= 0.05.
+    By evenness it is 2 int_0^xi_cut |xi|^alpha e^{i t xi^4} cos(x xi) dxi,
+    with xi_cut beyond every stationary point and the kink of |xi|^alpha on
+    the end point 0.  Composite 10-point Gauss-Legendre on uniform panels,
+    one per radian of phase span over [-xi_cut, xi_cut] (at least 16); the
+    two leading integration-by-parts boundary terms of the discarded tails
+    are added back, leaving a truncation error well below 1e-6 for |t| >= 0.05.
     Self-similar: K_t(x) = t^{-(alpha+1)/4} K_1(x t^{-1/4}) for t > 0.
     """
     if t == 0:
@@ -71,15 +72,23 @@ def kernel_K(t: float, x: float, alpha: float) -> complex:
     xi_cut = 2.0 * xi_stat + 8.0 / abs(t) ** 0.25 + 4.0
     phase_span = abs(t) * xi_cut**4 + abs(x) * xi_cut
     n_panels = max(16, int(phase_span))
-    n_panels += n_panels % 2  # keep the |xi|^alpha kink on a panel edge
+    n_panels += n_panels % 2  # an even count over [-xi_cut, xi_cut]: half on each side
     if n_panels > 4_000_000:
         raise QuadratureError(
             "phase span too large for direct quadrature",
             {"t": t, "x": x, "panels": n_panels},
         )
-    xs, ws = _gauss_panels(-xi_cut, xi_cut, 10, n_panels)
-    f = np.abs(xs) ** alpha if alpha > 0 else np.ones_like(xs)
-    val = np.sum(ws * f * np.exp(1j * (t * xs**4 + x * xs)))
+    nodes, weights = _gauss_legendre()
+    width = 2 * xi_cut / n_panels
+    val = 0j
+    for j0 in range(0, n_panels // 2, _PANEL_BLOCK):  # the panels of [0, xi_cut], by blocks
+        j = np.arange(j0, min(j0 + _PANEL_BLOCK, n_panels // 2))[:, None]
+        xs = width / 2 * (2 * j + 1 + nodes)
+        g = width * weights * xs**alpha  # 2 (evenness) * width/2 (panel map) * weight
+        if x != 0:
+            g *= np.cos(x * xs)
+        phase = t * (xs * xs) ** 2
+        val += complex(np.vdot(g, np.cos(phase)), np.vdot(g, np.sin(phase)))
 
     # boundary corrections: two integration-by-parts terms at each endpoint
     def tail_correction(xi_e: float, sign: float) -> complex:

@@ -1,8 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 from math import gamma, inf, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fournls import ConfigError, make_grid
 from fournls.dispersive import (
@@ -47,6 +50,65 @@ class TestKernel:
     def test_zero_time_rejected(self):
         with pytest.raises(ConfigError):
             kernel_K(0.0, 1.0, 0.0)
+
+
+def full_range_K(t, x, alpha):
+    """The full-range form of ``kernel_K``: the complex exponential summed on
+    [-xi_cut, xi_cut] with the same panels, rule and tail corrections."""
+    t, x = float(t), float(x)
+    xi_stat = (abs(x) / (4 * abs(t))) ** (1.0 / 3.0)
+    xi_cut = 2.0 * xi_stat + 8.0 / abs(t) ** 0.25 + 4.0
+    n_panels = max(16, int(abs(t) * xi_cut**4 + abs(x) * xi_cut))
+    n_panels += n_panels % 2
+    x0, w0 = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(-xi_cut, xi_cut, n_panels + 1)
+    mid = (edges[1:] + edges[:-1]) / 2
+    half = (edges[1:] - edges[:-1]) / 2
+    xs = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
+    ws = (half[:, None] * w0[None, :]).ravel()
+    f = np.abs(xs) ** alpha if alpha > 0 else np.ones_like(xs)
+    val = np.sum(ws * f * np.exp(1j * (t * xs**4 + x * xs)))
+
+    def tail_correction(xi_e, sign):
+        phi = t * xi_e**4 + x * xi_e
+        dphi = 4 * t * xi_e**3 + x
+        fval = abs(xi_e) ** alpha
+        fprime = alpha * abs(xi_e) ** (alpha - 1) * np.sign(xi_e) if alpha > 0 else 0.0
+        d2phi = 12 * t * xi_e**2
+        term1 = -sign * fval * np.exp(1j * phi) / (1j * dphi)
+        g = (fprime * dphi - fval * d2phi) / dphi**2
+        term2 = sign * g * np.exp(1j * phi) / (1j * dphi) / 1j
+        return term1 + term2
+
+    return complex(val + tail_correction(xi_cut, +1.0) + tail_correction(-xi_cut, -1.0))
+
+
+class TestKernelProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.1, 2.0), st.booleans(), st.floats(-20.0, 20.0), st.floats(0.0, 1.0))
+    def test_even_in_x_and_conjugate_in_t(self, t, negative, x, alpha):
+        t = -t if negative else t
+        k = kernel_K(t, x, alpha)
+        assert abs(kernel_K(t, -x, alpha) - k) < 1e-12
+        assert abs(kernel_K(-t, x, alpha) - np.conj(k)) < 1e-12
+
+    def test_half_range_matches_full_range(self):
+        # criterion 07's evaluation points and the points its scaling maps them to
+        pairs = [(p, y) for t in (0.5, 2.0, 4.0) for x in (-20.0, 0.0, 15.0)
+                 for p, y in ((t, x), (1.0, x * t**-0.25))]
+        for alpha in (0.0, 0.5, 1.0):
+            for t, x in pairs:
+                assert abs(kernel_K(t, x, alpha) - full_range_K(t, x, alpha)) < 1e-11, (t, x)
+
+    def test_memory_does_not_grow_with_phase_span(self):
+        # about 1.1 million panels; the working set is a few fixed-size blocks
+        tracemalloc.start()
+        try:
+            kernel_K(1.0, 3770.0, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fournls import (
     AbortedRunError,
@@ -24,7 +26,7 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
-from fournls.evolution import MCLACHLAN_A, run_manifest
+from fournls.evolution import MCLACHLAN_A, _rotate, run_manifest
 from fournls.spectral import Spectrum, cubic_convolution
 
 
@@ -118,6 +120,25 @@ class TestNonlinearSubstep:
         u = Field(g, np.ones(32, dtype=complex))
         out = nonlinear_substep(u, np.pi, 1)
         assert np.max(np.abs(out.values + 1.0)) < 1e-12
+
+
+class TestRotation:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(0.0, 10.0),
+           st.sampled_from((-1, 0, 1)), st.floats(0.0, 0.1))
+    def test_matches_complex_exponential(self, n, seed, amplitude, kappa, dt):
+        rng = np.random.default_rng(seed)
+        u = amplitude * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2)
+        expected = u * np.exp(-1j * kappa * dt * (u.real**2 + u.imag**2))
+        out = _rotate(u.copy(), -dt * kappa, np.empty_like(u))
+        assert np.all(np.abs(out - expected) <= 1e-15 * np.abs(u))
+
+    def test_substep_leaves_its_input_unchanged(self):
+        u = smooth_datum(amplitude=2.0)
+        before = u.values.copy()
+        out = nonlinear_substep(u, 0.3, 1)
+        assert np.array_equal(u.values.view(np.int64), before.view(np.int64))
+        assert not np.shares_memory(out.values, u.values)
 
 
 class TestSteppers:
