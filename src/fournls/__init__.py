@@ -13,6 +13,7 @@ from .evolution import (
     EvolutionConfig,
     TrajectoryRecord,
     evolve,
+    evolve_many,
     galerkin_evolve,
     galerkin_rhs,
     ifrk4_step,

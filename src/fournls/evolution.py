@@ -31,6 +31,13 @@ needs: 2 for ``"strang"``, 4 for ``"mclachlan2"`` and 8 for ``"ifrk4"``.
 The split schemes merge the trailing linear substep of one step with the
 leading one of the next, so a step is one ``ifft``/``fft`` pair per
 nonlinear substep.
+
+The core runs on the shape its start receives: one field as an (M,) array,
+or a family of B fields on one grid as a (B, M) stack.  Transforms act along
+the last axis and the tabulated multipliers broadcast over the rows, so each
+row of a stack does the arithmetic of a run on that field alone, bitwise
+(``evolve_many``); a stack saves the per-call overhead of the transforms,
+which dominates at the band grids' few hundred points.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ __all__ = [
     "strang_step",
     "ifrk4_step",
     "evolve",
+    "evolve_many",
     "galerkin_rhs",
     "galerkin_evolve",
     "conserved_energy",
@@ -73,6 +81,11 @@ __all__ = [
 
 # linear-substep weight of McLachlan's symmetric two-stage splitting
 MCLACHLAN_A = 0.1931833275037836
+
+
+def _is_integer(v) -> bool:
+    # Python and numpy integers; bool is an int subclass but not a count
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -116,8 +129,11 @@ class EvolutionConfig:
             raise ConfigError("dt must be positive and finite")
         if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
             raise ConfigError("t_end must satisfy dt <= t_end")
-        if self.record_stride < 1:
+        if not (_is_integer(self.record_stride) and self.record_stride >= 1):
             raise ConfigError("record_stride must be a positive integer")
+        if self.project_K is not None and not (_is_integer(self.project_K)
+                                               and self.project_K >= 0):
+            raise ConfigError("project_K must be None or a non-negative integer")
 
     def linear_phase_rate(self, xi: np.ndarray) -> np.ndarray:
         """d(arg c_k)/dt of the linear flow at frequency xi."""
@@ -188,10 +204,11 @@ def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt: float)
 def _stepper(grid, cfg: EvolutionConfig):
     """``(start, step, values)`` of ``cfg.scheme`` on ``grid``, on plain arrays.
 
-    ``start`` maps samples to the scheme's state, ``step`` advances a state
-    by ``cfg.dt`` and ``values`` returns the samples of a state that has
-    taken at least one step.  Spectral states hold raw FFT coefficients
-    (module docstring); every multiplier is tabulated here, once.
+    ``start`` maps samples, an (M,) array or a (B, M) stack, to the scheme's
+    state, ``step`` advances a state by ``cfg.dt`` and ``values`` returns the
+    samples of a state that has taken at least one step, in the shape
+    ``start`` received.  Spectral states hold raw FFT coefficients (module
+    docstring); every multiplier is tabulated here, once.
     """
     lam = 1j * cfg.linear_phase_rate(grid.xi)
     dt = cfg.dt
@@ -199,7 +216,7 @@ def _stepper(grid, cfg: EvolutionConfig):
 
     def project(w):
         if outside is not None:
-            w[outside] = 0.0
+            w[..., outside] = 0.0
         return w
 
     if cfg.scheme == "ifrk4":
@@ -217,12 +234,18 @@ def _stepper(grid, cfg: EvolutionConfig):
     # (w, lead) is taken just after a nonlinear substep and still owes
     # the trailing L(a dt); that is merged with the next step's leading
     # L(a dt) into one L(2a dt), and applied on its own only when samples
-    # are read, so a step costs one transform pair per stage.  The nonlinear substep
-    # rotates the fresh ifft output in place by cos/sin pairs in ``buf``, one per run
+    # are read, so a step costs one transform pair per stage.  The nonlinear
+    # substep rotates the fresh ifft output in place by cos/sin pairs in
+    # ``buf``, allocated by ``start`` with the state's shape, once per run
     a, stages = (0.5, 1) if cfg.scheme == "strang" else (MCLACHLAN_A, 2)
     edge, merged, middle = (np.exp(lam * frac * dt) for frac in (a, 2 * a, 1 - 2 * a))
     theta = -dt * cfg.kappa / stages
-    buf = np.empty(grid.M, dtype=np.complex128)
+    buf = None
+
+    def start(u):
+        nonlocal buf
+        buf = np.empty(u.shape, dtype=np.complex128)
+        return np.fft.fft(u), edge
 
     def nonlinear(w):
         return project(np.fft.fft(_rotate(np.fft.ifft(w), theta, buf)))
@@ -234,7 +257,7 @@ def _stepper(grid, cfg: EvolutionConfig):
             w = nonlinear(w * middle)
         return w, merged
 
-    return (lambda u: (np.fft.fft(u), edge)), step, (lambda s: np.fft.ifft(s[0] * edge))
+    return start, step, (lambda s: np.fft.ifft(s[0] * edge))
 
 
 def _one_step(f: Field, cfg: EvolutionConfig, scheme: str) -> Field:
@@ -269,6 +292,38 @@ def _energy_parts(f: Field, order: int):
     return kinetic, f.grid.dx * np.sum(np.abs(f.values) ** 4)
 
 
+class _Trajectory:
+    """The diagnostics of one run's field, appended at each record point."""
+
+    def __init__(self, grid, cfg: EvolutionConfig):
+        self.grid, self.cfg = grid, cfg
+        self.times, self.masses, self.energies = [], [], []
+        self.sob = {s: [] for s in cfg.sobolev_orders}
+        self.fields = [] if cfg.record_fields else None
+
+    def record(self, t: float, u_phys: np.ndarray) -> Field:
+        f = Field(self.grid, u_phys)
+        self.times.append(t)
+        self.masses.append(self.grid.dx * float(np.sum(np.abs(u_phys) ** 2)))
+        self.energies.append(conserved_energy(f, self.cfg))
+        for s in self.cfg.sobolev_orders:
+            self.sob[s].append(sobolev_norm(f, s))
+        if self.fields is not None:
+            self.fields.append(f.copy())
+        return f
+
+    def result(self, aborted: bool = False) -> TrajectoryRecord:
+        return TrajectoryRecord(
+            times=np.array(self.times),
+            mass=np.array(self.masses),
+            energy=np.array(self.energies),
+            sobolev={s: np.array(v) for s, v in self.sob.items()},
+            fields=self.fields,
+            config=self.cfg,
+            aborted=aborted,
+        )
+
+
 def evolve(f0: Field, cfg: EvolutionConfig) -> TrajectoryRecord:
     """March ``f0`` to ``t_end``, recording diagnostics every record_stride steps.
 
@@ -277,53 +332,50 @@ def evolve(f0: Field, cfg: EvolutionConfig) -> TrajectoryRecord:
     spectral tail is re-checked and a blow-up past ``run_tail_tol`` raises
     :class:`AbortedRunError` carrying the partial record.
     """
-    check_resolved(f0, tol=cfg.start_tail_tol, localized=cfg.require_localized)
-    grid = f0.grid
+    return evolve_many([f0], cfg)[0]
+
+
+def evolve_many(fields, cfg: EvolutionConfig) -> list[TrajectoryRecord]:
+    """``[evolve(f, cfg) for f in fields]``, stepped together as one (B, M) stack.
+
+    Every field must lie on one grid: equal L, M and carrier index k0, or
+    :class:`ConfigError`.  Each member keeps its own start guard, its own
+    record and its own run tail guard; a member that trips the guard raises
+    :class:`AbortedRunError` naming it and carrying its partial record.
+    Each record is bitwise equal to that of ``evolve`` on the member alone;
+    a single field is stepped as an (M,) array, not a stack of one.
+    """
+    fields = list(fields)
+    if not fields:
+        raise ConfigError("evolve_many needs at least one field")
+    grid = fields[0].grid
+    for i, f in enumerate(fields):
+        if f.grid != grid:
+            raise ConfigError(f"field {i} lies on {f.grid}, not on {grid} like field 0")
+        check_resolved(f, tol=cfg.start_tail_tol, localized=cfg.require_localized)
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
         raise ConfigError("t_end must be an integer number of steps")
 
-    times, masses, energies = [], [], []
-    sob = {s: [] for s in cfg.sobolev_orders}
-    fields = [] if cfg.record_fields else None
-
-    def record(t, u_phys):
-        f = Field(grid, u_phys)
-        times.append(t)
-        masses.append(grid.dx * float(np.sum(np.abs(u_phys) ** 2)))
-        energies.append(conserved_energy(f, cfg))
-        for s in cfg.sobolev_orders:
-            sob[s].append(sobolev_norm(f, s))
-        if fields is not None:
-            fields.append(f.copy())
-        return f
-
-    def make_record(aborted=False):
-        return TrajectoryRecord(
-            times=np.array(times),
-            mass=np.array(masses),
-            energy=np.array(energies),
-            sobolev={s: np.array(v) for s, v in sob.items()},
-            fields=fields,
-            config=cfg,
-            aborted=aborted,
-        )
-
+    runs = [_Trajectory(grid, cfg) for _ in fields]
+    for run, f in zip(runs, fields):
+        run.record(0.0, f.values)
     start, step, values = _stepper(grid, cfg)
-    record(0.0, f0.values)
-    state = start(f0.values)
+    state = start(fields[0].values if len(fields) == 1 else np.stack([f.values for f in fields]))
     for n in range(1, n_steps + 1):
         state = step(state)
         if n % cfg.record_stride == 0 or n == n_steps:
-            f = record(n * cfg.dt, values(state))
-            tail = spectral_tail_fraction(f)
-            if tail > cfg.run_tail_tol:
-                raise AbortedRunError(
-                    f"spectral tail blow-up at t={n * cfg.dt:g}: "
-                    f"{tail:.3e} > {cfg.run_tail_tol:.1e}",
-                    record=make_record(aborted=True),
-                )
-    return make_record()
+            rows = values(state).reshape(len(fields), grid.M)
+            for i, (run, u) in enumerate(zip(runs, rows)):
+                tail = spectral_tail_fraction(run.record(n * cfg.dt, u))
+                if tail > cfg.run_tail_tol:
+                    member = f" in field {i} of {len(fields)}" if len(fields) > 1 else ""
+                    raise AbortedRunError(
+                        f"spectral tail blow-up{member} at t={n * cfg.dt:g}: "
+                        f"{tail:.3e} > {cfg.run_tail_tol:.1e}",
+                        record=run.result(aborted=True),
+                    )
+    return [run.result() for run in runs]
 
 
 # ---------------------------------------------------------------------------

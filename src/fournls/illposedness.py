@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolution import EvolutionConfig, evolve
+from .evolution import EvolutionConfig, evolve, evolve_many
 from .fitting import FitResult, fit_loglog
 from .spectral import Field, Grid, Spectrum, make_grid, sobolev_norm, to_physical, to_spectrum
 from .symmetries import scale_transform
@@ -408,7 +408,8 @@ def separation_experiment(
     after applying the exact scaling to the recorded fields.  Phase
     decoherence of the profile clocks peaks near t = pi/|a^2 - a2^2|
     (unscaled), which the run window must contain.  Both runs and every
-    norm live on the band grid of the setup.
+    norm live on the band grid of the setup, where the two runs are stepped
+    together as one stack.
     """
     if not (-15.0 / 14.0 < s < -0.5):
         warnings.warn(
@@ -442,8 +443,7 @@ def separation_experiment(
     steps = int(round(t_run / dt))
     stride = max(1, steps // n_records)
     cfg = _solver_config(setup.params.kappa, dt, steps * dt, stride)
-    rec1 = evolve(u1_0, cfg)
-    rec2 = evolve(u2_0, cfg)
+    rec1, rec2 = evolve_many([u1_0, u2_0], cfg)
 
     def scaled_norm(f: Field) -> float:
         return sobolev_norm(scale_transform(f, lam).field, s)

@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InconclusiveFitError, NumericDomainError, TermBudgetError
-from .evolution import EvolutionConfig, evolve, galerkin_evolve
+from .evolution import EvolutionConfig, evolve_many, galerkin_evolve
 from .fitting import FitResult, fit_loglog
 from .spectral import (
     Field,
@@ -670,27 +670,26 @@ def almost_conservation_experiment(
 ) -> AlmostConservationResult:
     """Sweep the threshold N and fit the modified-mass increment decay.
 
-    ``data`` is one field or a family of fields sharing a grid; each member
-    is evolved once and the sweep reuses its snapshots and their
-    Lambda4(sigma4) marginals (one pass per member for every N), with increments
-    sup_t |E(t) - E(0)| averaged over the family (single random-phase
-    realizations carry an O(0.5) slope scatter).  The corrected slope is
-    predicted near -3; the uncorrected E2 series is fitted for comparison.
+    ``data`` is one field or a family of fields sharing a grid; the family
+    is evolved once, as one stack, and the sweep reuses each member's
+    snapshots and their Lambda4(sigma4) marginals (one pass per member for
+    every N), with increments sup_t |E(t) - E(0)| averaged over the family
+    (single random-phase realizations carry an O(0.5) slope scatter).  The
+    corrected slope is predicted near -3; the uncorrected E2 series is
+    fitted for comparison.
     """
     family = [data] if isinstance(data, Field) else list(data)
     if len(N_values) < 4:
         raise ConfigError("need at least 4 threshold values for the sweep")
+    if not cfg.record_fields:
+        raise ConfigError("sweep requires recorded fields")
     inc4 = {N: [] for N in N_values}
     inc2 = {N: [] for N in N_values}
-    modes = None
-    for u0 in family:
-        rec = evolve(u0, cfg)
+    records = evolve_many(family, cfg)
+    K = support_K or _support_radius(to_spectrum(family[0]))
+    modes = ModeSet(family[0].grid, K)
+    for rec in records:
         snapshots = rec.fields
-        if not snapshots:
-            raise ConfigError("sweep requires recorded fields")
-        if modes is None:
-            K = support_K or _support_radius(to_spectrum(u0))
-            modes = ModeSet(u0.grid, K)
         marginals = _sigma4_marginals(snapshots, modes)
         for N in N_values:
             p = IMethodParams(N=float(N), s=s)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fournls import ConfigError, make_grid
+from fournls import (
+    ConfigError,
+    ResolutionError,
+    make_gaussian,
+    make_grid,
+    to_physical,
+    to_spectrum,
+)
 from fournls.dispersive import (
     bilinear_fit,
     decay_fit,
@@ -18,7 +25,8 @@ from fournls.dispersive import (
     strichartz_admissible,
 )
 from fournls.fitting import fit_loglog
-from fournls.spectral import Field
+from fournls.dispersive import _log_time_grid
+from fournls.spectral import Field, Spectrum, boundary_tail_fraction, lebesgue_norm
 
 
 class TestKernel:
@@ -198,7 +206,39 @@ class TestBilinear:
         assert fit.slope > -1.5 + 0.3
 
 
+def _local_smoothing_one_time_at_a_time(datum, window, order, n_times):
+    # the quotient with one inverse transform and one boundary check per time
+    grid = datum.grid
+    spec0 = to_spectrum(datum).coef
+    weight = np.abs(grid.xi) ** order
+    ts = np.concatenate([[0.0], _log_time_grid(window, n_times - 1)])
+    profiles = np.empty((len(ts), grid.M))
+    for i, t in enumerate(ts):
+        u = to_physical(Spectrum(grid, spec0 * weight * np.exp(-1j * t * grid.xi**4)))
+        if boundary_tail_fraction(u) > 1e-3:
+            raise ResolutionError(f"window too long: wrap-around at t={t:g}")
+        profiles[i] = np.abs(u.values) ** 2
+    integral = np.trapezoid(profiles, ts, axis=0)
+    return float(np.sqrt(np.max(integral)) / lebesgue_norm(datum, 2))
+
+
 class TestLocalSmoothing:
+    # M = 16384 runs the 100 times in chunks of 32, so both the chunk
+    # boundaries and a short last chunk are crossed
+    @pytest.mark.parametrize("order", [1.5, 2.0])
+    def test_chunks_match_one_time_at_a_time_bitwise(self, order):
+        f = make_gaussian(make_grid(80.0, 16384), width=1.0, carrier=4.0)
+        got = local_smoothing_check(f, 0.005, order=order, n_times=100)
+        assert got == _local_smoothing_one_time_at_a_time(f, 0.005, order, 100)
+
+    def test_wrap_around_names_the_first_offending_time(self):
+        f = make_gaussian(make_grid(80.0, 16384), width=1.0, carrier=4.0)
+        with pytest.raises(ResolutionError) as want:
+            _local_smoothing_one_time_at_a_time(f, 0.5, 1.5, 100)
+        with pytest.raises(ResolutionError) as got:
+            local_smoothing_check(f, 0.5, n_times=100)
+        assert str(got.value) == str(want.value)
+
     def test_zero_datum(self):
         g = make_grid(40.0, 512)
         assert local_smoothing_check(Field(g, np.zeros(512, complex)), 1.0) == 0.0

@@ -12,6 +12,7 @@ from fournls import (
     )
 from fournls import (
     evolve,
+    evolve_many,
     galerkin_evolve,
     galerkin_rhs,
     ifrk4_step,
@@ -305,6 +306,91 @@ class TestEvolve:
             EvolutionConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ConfigError):
             EvolutionConfig(kappa=2)
+
+    @pytest.mark.parametrize("bad", [dict(record_stride=1.5), dict(record_stride=True),
+                                     dict(record_stride=0), dict(project_K=-3),
+                                     dict(project_K=2.0), dict(project_K=True)],
+                             ids=["fractional-stride", "bool-stride", "zero-stride",
+                                  "negative-K", "float-K", "bool-K"])
+    def test_non_integer_or_negative_counts_rejected(self, bad):
+        # a fractional stride put records at t = 0.003, 0.006, 0.009, 0.01 and
+        # project_K = -3 zeroed the field; neither may reach the stepper
+        with pytest.raises(ConfigError):
+            EvolutionConfig(dt=1e-3, t_end=0.01, **bad)
+
+    def test_python_and_numpy_integer_counts_accepted(self):
+        for stride, K in ((2, 0), (np.int64(2), np.int32(5)), (np.uint8(3), None)):
+            cfg = EvolutionConfig(record_stride=stride, project_K=K)
+            assert cfg.record_stride == stride and cfg.project_K == K
+
+
+def _family(M, L=40.0, k0=0):
+    # three localized members that differ in amplitude, width and carrier
+    g = make_grid(L, M, k0)
+    return [make_gaussian(g, amplitude=a, width=w, carrier=c, center=x0)
+            for a, w, c, x0 in ((1.0, 1.5, 0.0, 0.0), (0.7, 2.0, 1.5, -2.0),
+                                (1.3, 1.2, -1.0, 3.0))]
+
+
+def _assert_records_equal(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert got.mass.tobytes() == want.mass.tobytes()
+    assert got.energy.tobytes() == want.energy.tobytes()
+    assert sorted(got.sobolev) == sorted(want.sobolev)
+    for s in want.sobolev:
+        assert got.sobolev[s].tobytes() == want.sobolev[s].tobytes()
+    assert (got.fields is None) == (want.fields is None)
+    for f, g in zip(got.fields or (), want.fields or ()):
+        assert f.values.tobytes() == g.values.tobytes()
+    assert got.aborted == want.aborted
+
+
+class TestEvolveMany:
+    @pytest.mark.parametrize("M", [486, 500, 512, 4096])
+    @pytest.mark.parametrize("scheme", ["strang", "mclachlan2", "ifrk4"])
+    def test_members_match_evolve_alone_bitwise(self, scheme, M):
+        fields = _family(M)
+        for K in (None, M // 6):
+            for kappa in (1, -1):
+                cfg = EvolutionConfig(kappa=kappa, dt=1e-3, t_end=7e-3, scheme=scheme,
+                                      record_stride=3, sobolev_orders=(-0.5, 1.0),
+                                      project_K=K)
+                for got, f in zip(evolve_many(fields, cfg), fields, strict=True):
+                    _assert_records_equal(got, evolve(f, cfg))
+
+    def test_storage_lean_members_match(self):
+        fields = _family(256)
+        cfg = EvolutionConfig(dt=1e-3, t_end=5e-3, scheme="strang", record_fields=False)
+        for got, f in zip(evolve_many(fields, cfg), fields, strict=True):
+            _assert_records_equal(got, evolve(f, cfg))
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ConfigError):
+            evolve_many([], EvolutionConfig())
+
+    @pytest.mark.parametrize("other", [dict(L=41.0), dict(M=512), dict(k0=3)],
+                             ids=["L", "M", "k0"])
+    def test_fields_on_different_grids_rejected(self, other):
+        base = dict(M=256, L=40.0, k0=0)
+        fields = [_family(**base)[0], _family(**{**base, **other})[1]]
+        with pytest.raises(ConfigError, match="field 1"):
+            evolve_many(fields, EvolutionConfig(dt=1e-3, t_end=2e-3,
+                                                require_localized=False))
+
+    def test_one_member_tripping_the_tail_guard_aborts_with_its_record(self):
+        # the focusing test datum above blows up; a small one on its grid does not
+        g = make_grid(30.0, 128)
+        calm = make_gaussian(g, amplitude=0.3, width=2.0)
+        wild = make_gaussian(g, amplitude=6.0, width=1.2)
+        cfg = EvolutionConfig(kappa=-1, dt=2e-3, t_end=4.0, record_stride=10,
+                              start_tail_tol=1e-6)
+        with pytest.raises(AbortedRunError, match="field 1 of 2") as exc:
+            evolve_many([calm, wild], cfg)
+        with pytest.raises(AbortedRunError) as alone:
+            evolve(wild, cfg)
+        assert "field" not in str(alone.value)
+        assert exc.value.record.aborted
+        _assert_records_equal(exc.value.record, alone.value.record)
 
 
 class TestGalerkin:
