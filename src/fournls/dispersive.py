@@ -14,7 +14,7 @@ from math import inf
 import numpy as np
 
 from .errors import ConfigError, QuadratureError, ResolutionError
-from .evolution import linear_propagate_4nls
+from .evolution import EvolutionConfig, free_flow, linear_propagate_4nls
 from .fitting import FitResult, fit_loglog
 from .spectral import (
     Field,
@@ -25,7 +25,6 @@ from .spectral import (
     make_gaussian,
     make_grid,
     to_physical,
-    to_spectrum,
 )
 
 __all__ = [
@@ -213,15 +212,9 @@ def bilinear_interaction_norm(
     xi_need = max(n1, n2) + 8.0 / width
     M = int(2 ** np.ceil(np.log2(L * xi_need / np.pi * 1.25)))
     grid = make_grid(L, M)
-    p1 = to_spectrum(_packet(grid, n1, width)).coef
-    p2 = to_spectrum(_packet(grid, n2, width)).coef
     ts = np.linspace(-t_win, t_win, n_times)
-    vals = []
-    for t in ts:
-        rot = np.exp(-1j * t * grid.xi**4)
-        u1 = to_physical(Spectrum(grid, p1 * rot)).values
-        u2 = to_physical(Spectrum(grid, p2 * rot)).values
-        vals.append(grid.dx * np.sum(np.abs(u1 * u2) ** 2))
+    flows = (free_flow(_packet(grid, n, width), ts, EvolutionConfig()) for n in (n1, n2))
+    vals = [grid.dx * np.sum(np.abs(u1.values * u2.values) ** 2) for u1, u2 in zip(*flows)]
     return float(np.sqrt(np.trapezoid(np.array(vals), ts)))
 
 
@@ -247,9 +240,6 @@ def _log_time_grid(t_end: float, n: int, t_floor_ratio: float = 1e-8):
     return np.geomspace(t_end * t_floor_ratio, t_end, n)
 
 
-_SMOOTHING_CHUNK_BYTES = 8 * 2**20  # times evaluated at once: one complex (chunk, M) buffer
-
-
 def local_smoothing_check(
     datum: Field, window: float, order: float = 1.5, n_times: int = 400
 ) -> float:
@@ -258,39 +248,19 @@ def local_smoothing_check(
     The time integral concentrates where the packet crosses each point, so
     it is evaluated on a geometric time grid (trapezoid in t); ``window``
     must stay below the first wrap-around of the fastest resolved content,
-    checked at every time by the boundary tail fraction.  The times run in
-    chunks of one (chunk, M) stack each: cos/sin phases written into a
-    reused buffer and one batched inverse transform per chunk.
+    checked at every time by the boundary tail fraction.
     """
     l2 = lebesgue_norm(datum, 2)
     if l2 == 0:
         return 0.0
     grid = datum.grid
-    weighted = to_spectrum(datum).coef * np.abs(grid.xi) ** order
-    xi4 = grid.xi**4
-    centering = grid._centering_phase()
-    edge = np.abs(grid.x) >= grid.L / 2 - grid.L / 16
     ts = np.concatenate([[0.0], _log_time_grid(window, n_times - 1)])
     profiles = np.empty((len(ts), grid.M))
-    chunk = max(1, _SMOOTHING_CHUNK_BYTES // (16 * grid.M))
-    buf = np.empty((min(chunk, len(ts)), grid.M), dtype=np.complex128)
-    for lo in range(0, len(ts), chunk):
-        t = ts[lo:lo + chunk]
-        rows = buf[:len(t)]
-        theta = np.multiply.outer(-t, xi4)
-        np.cos(theta, out=rows.real)
-        np.sin(theta, out=rows.imag)
-        np.multiply(weighted, rows, out=rows)  # the operand order of weighted * phases
-        rows *= centering
-        power = np.abs(np.fft.ifft(rows) * grid.M) ** 2
-        # boundary_tail_fraction of each time, row by row
-        total = np.sum(power, axis=1)
-        tail = np.divide(np.sum(power[:, edge], axis=1), total,
-                         out=np.zeros_like(total), where=total != 0)
-        bad = np.flatnonzero(tail > 1e-3)
-        if bad.size:
-            raise ResolutionError(f"window too long: wrap-around at t={t[bad[0]]:g}")
-        profiles[lo:lo + len(t)] = power
+    flow = free_flow(datum, ts, EvolutionConfig(), weight=np.abs(grid.xi) ** order)
+    for i, (t, u) in enumerate(zip(ts, flow)):
+        if boundary_tail_fraction(u) > 1e-3:
+            raise ResolutionError(f"window too long: wrap-around at t={t:g}")
+        profiles[i] = np.abs(u.values) ** 2
     integral = np.trapezoid(profiles, ts, axis=0)
     return float(np.sqrt(np.max(integral)) / l2)
 

@@ -21,10 +21,14 @@ classical RK4 in the integrating-factor frame.
 
 Every scheme advances plain arrays through one core, ``_stepper``, which
 tabulates its multipliers and the ``project_K`` mask once per run.  The
-spectral states are raw FFT coefficients ``np.fft.fft(u)``, not the
-coefficients ``c_k`` of :mod:`fournls.spectral`: the two differ by the
-centering phase ``(-1)^k`` and the factor ``1/M``, which are diagonal and
-constant, so they commute with every linear substep, with the mode
+linear flow alone, at any times, has one evaluator of its own, ``free_flow``,
+with the stepper's phase rate; the propagators and the dispersive estimates
+call it.
+
+The stepper's spectral states are raw FFT coefficients ``np.fft.fft(u)``,
+not the coefficients ``c_k`` of :mod:`fournls.spectral`: the two differ by
+the centering phase ``(-1)^k`` and the factor ``1/M``, which are diagonal
+and constant, so they commute with every linear substep, with the mode
 projection and with the RK4 combination, and cancel between ``fft`` and
 ``ifft``.  A step therefore costs only the transforms its nonlinearity
 needs: 2 for ``"strang"``, 4 for ``"mclachlan2"`` and 8 for ``"ifrk4"``.
@@ -57,7 +61,6 @@ from .spectral import (
     cubic_convolution,
     sobolev_norm,
     spectral_tail_fraction,
-    to_physical,
     to_spectrum,
 )
 
@@ -66,6 +69,7 @@ __all__ = [
     "TrajectoryRecord",
     "linear_propagate_4nls",
     "linear_propagate_nls",
+    "free_flow",
     "nonlinear_substep",
     "strang_step",
     "ifrk4_step",
@@ -160,22 +164,56 @@ class TrajectoryRecord:
         return self.fields[-1]
 
 
-def _linear_propagate(f: Field, t: float, orientation: int, power: int) -> Field:
-    if t == 0:
-        return f.copy()
-    spec = to_spectrum(f)
-    spec.coef *= np.exp(1j * orientation * t * f.grid.xi**power)
-    return to_physical(spec)
+_FLOW_CHUNK_BYTES = 8 * 2**20  # times evaluated at once: one complex (chunk, M) array
+
+
+def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
+    """Yield, for each t in ``times``, the field of coefficients
+    ``weight * exp(i * cfg.linear_phase_rate(xi) * t) * c_k``.
+
+    The times run in chunks, each one (chunk, M) array of its own: cos/sin
+    phases, the centering phase and one batched inverse transform in place,
+    whose rows become the fields.
+    """
+    grid = f.grid
+    coef = to_spectrum(f).coef * weight
+    rate = cfg.linear_phase_rate(grid.xi)
+    centering = grid._centering_phase()
+    times = np.asarray(times, dtype=np.float64)
+    chunk = max(1, _FLOW_CHUNK_BYTES // (16 * grid.M))
+    for lo in range(0, len(times), chunk):
+        t = times[lo:lo + chunk]
+        rows = np.empty((len(t), grid.M), dtype=np.complex128)
+        np.multiply.outer(t, rate, out=rows.imag)  # the phases, then cos/sin of them
+        np.cos(rows.imag, out=rows.real)
+        np.sin(rows.imag, out=rows.imag)
+        np.multiply(coef, rows, out=rows)  # the operand order of coef * phases
+        rows *= centering
+        np.fft.ifft(rows, out=rows)
+        rows *= grid.M
+        for u in rows:
+            yield Field(grid, u)
+
+
+def _linear_propagate(f: Field, t: float, cfg: EvolutionConfig) -> Field:
+    return f.copy() if t == 0 else next(free_flow(f, [t], cfg))
 
 
 def linear_propagate_4nls(f: Field, t: float, orientation: int = 1) -> Field:
-    """Multiply mode xi by exp(i * orientation * t * xi^4)."""
-    return _linear_propagate(f, t, orientation, 4)
+    """Multiply mode xi by exp(i * orientation * t * xi^4).
+
+    This is the flow of ``EvolutionConfig(orientation=-orientation)``: the
+    stepper's quartic equation with the opposite sign.
+    """
+    return _linear_propagate(f, t, EvolutionConfig(orientation=-orientation))
 
 
 def linear_propagate_nls(f: Field, t: float, orientation: int = 1) -> Field:
-    """Multiply mode xi by exp(i * orientation * t * xi^2)."""
-    return _linear_propagate(f, t, orientation, 2)
+    """Multiply mode xi by exp(i * orientation * t * xi^2).
+
+    This is the flow of ``EvolutionConfig(equation="cubic", orientation=orientation)``.
+    """
+    return _linear_propagate(f, t, EvolutionConfig(equation="cubic", orientation=orientation))
 
 
 def _rotate(u: np.ndarray, theta: float, buf: np.ndarray) -> np.ndarray:

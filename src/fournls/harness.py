@@ -208,7 +208,7 @@ def _run_derivative_identity(p, tol, rng, out):
     params = imethod.IMethodParams(N=p["N"], s=p["s"])
     states = [_random_narrow_state(grid, rng, K // 3) for _ in range(p["n_states"])]
     checks = [imethod.derivative_identity_check(f, params, cfg, modes) for f in states]
-    c_fit, ratios = imethod.fit_m6_constant(states, params, cfg, modes)
+    c_fit, ratios = imethod.m6_constant_from_checks(checks)
     rows = [(i, c.defect2, c.defect4, c.c_estimate) for i, c in enumerate(checks)]
     _write_csv(out / "identity.csv", ["state", "defect2", "defect4", "c"], rows)
     payload = {

@@ -86,6 +86,7 @@ __all__ = [
     "derivative_identity_check",
     "IdentityCheck",
     "fit_m6_constant",
+    "m6_constant_from_checks",
     "almost_conservation_experiment",
     "AlmostConservationResult",
     "gwp_parameters",
@@ -611,13 +612,13 @@ def fit_m6_constant(states, p: IMethodParams, cfg: EvolutionConfig, modes: ModeS
     and c comes out 4; for other kappa the Lambda4 remainder is subtracted
     first and the expected constant is 4 * kappa.  Returns (c, ratios).
     """
-    nums, res = [], []
-    for f in states:
-        chk = derivative_identity_check(f, p, cfg, modes)
-        nums.append(chk.c_estimate * chk.re_lambda6)
-        res.append(chk.re_lambda6)
-    nums = np.array(nums)
-    res = np.array(res)
+    return m6_constant_from_checks([derivative_identity_check(f, p, cfg, modes) for f in states])
+
+
+def m6_constant_from_checks(checks):
+    """The (c, ratios) of :func:`fit_m6_constant` from identity checks already run."""
+    res = np.array([chk.re_lambda6 for chk in checks])
+    nums = np.array([chk.c_estimate for chk in checks]) * res
     c = float(np.sum(nums * res) / np.sum(res * res))
     return c, (nums / res)
 

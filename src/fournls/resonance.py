@@ -19,11 +19,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .fitting import FitResult, fit_loglog
-from .imethod import IMethodParams, multiplier_m2_derivatives, _m_values
+from .imethod import IMethodParams, _check_hyperplane, _m_values, multiplier_m2_derivatives
 from .spectral import Field, Spectrum, cubic_convolution, make_grid, to_physical
 
 __all__ = [
-    "HyperplaneSample",
     "sample_hyperplane",
     "resonance_lhs",
     "resonance_product_signed",
@@ -34,20 +33,6 @@ __all__ = [
     "trilinear_counterexample",
     "TrilinearResult",
 ]
-
-
-@dataclass
-class HyperplaneSample:
-    """A zero-sum frequency tuple with its dyadic magnitudes."""
-
-    xi: tuple
-    dyadic: tuple
-
-    def __post_init__(self):
-        total = abs(sum(self.xi))
-        scale = max(abs(x) for x in self.xi)
-        if total > 1e-9 * max(scale, 1.0):
-            raise ConfigError(f"tuple {self.xi} is off the hyperplane")
 
 
 def sample_hyperplane(rng: np.random.Generator, n: int, log2_range=(0.0, 10.0)):
@@ -86,12 +71,7 @@ def resonance_product_abs(x1, x2, x3, x4):
 
 def factorization_residual(xi1, xi2, xi3, xi4) -> float:
     """|lhs - signed product| for a zero-sum tuple."""
-    HyperplaneSample(
-        xi=(float(xi1), float(xi2), float(xi3), float(xi4)),
-        dyadic=tuple(
-            2.0 ** np.round(np.log2(max(abs(v), 1e-300))) for v in (xi1, xi2, xi3, xi4)
-        ),
-    )
+    _check_hyperplane(xi1, xi2, xi3, xi4)
     return float(
         np.abs(
             resonance_lhs(xi1, xi2, xi3, xi4)

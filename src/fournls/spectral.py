@@ -21,7 +21,6 @@ spectrally accurate for periodic band-limited data.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,8 +50,6 @@ __all__ = [
     "field_from_csv",
     "spectrum_to_csv",
     "spectrum_from_csv",
-    "field_to_binary",
-    "field_from_binary",
 ]
 
 
@@ -402,34 +399,3 @@ def spectrum_from_csv(path) -> Spectrum:
             coef[int(kk) % grid.M] = float(re) + 1j * float(im)
     return Spectrum(grid, coef)
 
-
-_BIN_MAGIC = b"FNLS"
-
-
-def field_to_binary(f: Field, path) -> None:
-    """Binary container: magic, L and M as little-endian doubles, then
-    interleaved (re, im) little-endian doubles.
-
-    The header has no slot for a carrier index, so band grids (k0 != 0)
-    are refused rather than read back at k0 = 0; CSV keeps k0.
-    """
-    if f.grid.k0:
-        raise ConfigError(f"binary fields hold k0 = 0 grids only, got k0={f.grid.k0}")
-    with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<dd", f.grid.L, float(f.grid.M)))
-        inter = np.empty(2 * f.grid.M)
-        inter[0::2] = f.values.real
-        inter[1::2] = f.values.imag
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def field_from_binary(path) -> Field:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BIN_MAGIC:
-            raise ConfigError(f"not a field container (magic {magic!r})")
-        L, Mf = struct.unpack("<dd", fh.read(16))
-        M = int(Mf)
-        inter = np.frombuffer(fh.read(16 * M), dtype="<f8")
-    return Field(make_grid(L, M), inter[0::2] + 1j * inter[1::2])

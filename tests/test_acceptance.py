@@ -38,8 +38,8 @@ from fournls.illposedness import (
 from fournls.imethod import (
     almost_conservation_experiment,
     derivative_identity_check,
-    fit_m6_constant,
     gwp_parameters,
+    m6_constant_from_checks,
     rough_localized_datum,
 )
 from fournls.resonance import (
@@ -153,7 +153,7 @@ class TestCriterion04DerivativeIdentities:
             states.append(to_physical(Spectrum(grid, coef)))
         checks = [derivative_identity_check(f, p, cfg, modes) for f in states]
         worst2 = max(c.defect2 for c in checks)
-        c_fit, ratios = fit_m6_constant(states, p, cfg, modes)
+        c_fit, ratios = m6_constant_from_checks(checks)
         spread = float(np.max(ratios) - np.min(ratios))
         ok = worst2 < 1e-6 and spread < 1e-3 and abs(c_fit - 4.0) < 1e-3
         report(4, "modified-energy derivative identities", ok,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
-from fournls.evolution import MCLACHLAN_A, _rotate, run_manifest
+from fournls.evolution import MCLACHLAN_A, _rotate, free_flow, run_manifest
 from fournls.spectral import Spectrum, cubic_convolution
 
 
@@ -104,6 +106,32 @@ class TestLinearPropagators:
         out = linear_propagate_4nls(u, 0.5, orientation=1)
         for s in (-0.5, 0.0, 2.0):
             assert abs(sobolev_norm(out, s) - sobolev_norm(u, s)) < 1e-10
+
+    @pytest.mark.parametrize("equation", ["quartic", "cubic"])
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_free_flow_is_the_steppers_linear_flow(self, equation, orientation):
+        # kappa = 0 leaves the stepper only its linear substeps, so this pins
+        # that free_flow rotates with the stepper's sign
+        u = smooth_datum(L=40.0, M=256)
+        t = 0.25
+        cfg = EvolutionConfig(equation=equation, orientation=orientation, dt=0.05, t_end=1.0)
+        (got,) = free_flow(u, [t], cfg)
+        want = evolve(u, replace(cfg, kappa=0, t_end=t)).final_field()
+        assert np.max(np.abs(got.values - want.values)) < 1e-12
+        prop = (linear_propagate_4nls(u, t, -orientation) if equation == "quartic"
+                else linear_propagate_nls(u, t, orientation))
+        assert np.array_equal(prop.values, got.values)
+
+    def test_free_flow_rows_are_fresh_fields(self):
+        # 11 times at M = 2^16 span two chunks; rows read after the whole
+        # flow must still equal the single-time flow
+        u = smooth_datum(M=2**16)
+        ts = np.linspace(0.0, 0.01, 11)
+        rows = list(free_flow(u, ts, EvolutionConfig(), weight=np.abs(u.grid.xi)))
+        assert len(rows) == len(ts)
+        for t, row in zip(ts, rows):
+            (alone,) = free_flow(u, [t], EvolutionConfig(), weight=np.abs(u.grid.xi))
+            assert np.array_equal(row.values, alone.values)
 
 
 class TestNonlinearSubstep:

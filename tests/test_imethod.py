@@ -30,7 +30,12 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
-from fournls.imethod import SumLastThree, fit_m6_constant, multiplier_m2_derivatives
+from fournls.imethod import (
+    SumLastThree,
+    fit_m6_constant,
+    m6_constant_from_checks,
+    multiplier_m2_derivatives,
+)
 from fournls.spectral import Spectrum
 
 
@@ -465,6 +470,10 @@ class TestDerivativeIdentities:
         c, ratios = fit_m6_constant(states, self.p, self.cfg(), self.modes)
         assert abs(c - 4.0) < 1e-3
         assert np.max(ratios) - np.min(ratios) < 1e-3
+        # the harness fits from the checks it already holds: the same numbers
+        checks = [derivative_identity_check(u, self.p, self.cfg(), self.modes) for u in states]
+        c2, ratios2 = m6_constant_from_checks(checks)
+        assert c2 == c and np.array_equal(ratios2, ratios)
 
     def test_wide_state_rejected(self):
         rng = np.random.default_rng(16)

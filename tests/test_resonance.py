@@ -4,7 +4,6 @@ import sympy as sp
 
 from fournls import ConfigError, IMethodParams
 from fournls.resonance import (
-    HyperplaneSample,
     MeanValueReport,
     _band_field,
     _band_ratio,
@@ -61,8 +60,6 @@ class TestFactorization:
     def test_off_hyperplane_rejected(self):
         with pytest.raises(ConfigError):
             factorization_residual(1.0, 2.0, 3.0, 4.0)
-        with pytest.raises(ConfigError):
-            HyperplaneSample(xi=(1.0, 1.0, 1.0, 1.0), dyadic=(1, 1, 1, 1))
 
 
 class TestMeanValueBounds:

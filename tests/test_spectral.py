@@ -20,9 +20,7 @@ from fournls import (
 from fournls.spectral import (
     boundary_tail_fraction,
     check_resolved,
-    field_from_binary,
     field_from_csv,
-    field_to_binary,
     field_to_csv,
     spectral_tail_fraction,
     spectrum_from_csv,
@@ -287,16 +285,6 @@ class TestSerialization:
         back = spectrum_from_csv(path)
         assert np.array_equal(back.coef, s.coef)
 
-    def test_field_binary_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        g = make_grid(7.5, 32)
-        u = Field(g, rng.normal(size=32) + 1j * rng.normal(size=32))
-        path = tmp_path / "field.bin"
-        field_to_binary(u, path)
-        back = field_from_binary(path)
-        assert back.grid == g
-        assert np.array_equal(back.values, u.values)
-
     def test_band_grid_csv_roundtrip_keeps_carrier_index(self, tmp_path):
         rng = np.random.default_rng(11)
         g = make_grid(12.0, 64, k0=-37)
@@ -313,9 +301,3 @@ class TestSerialization:
         # a k0 = 0 file keeps the header it had before band grids existed
         field_to_csv(Field(make_grid(12.0, 64), u.values), tmp_path / "plain.csv")
         assert (tmp_path / "plain.csv").read_text().splitlines()[0] == "# L=12.0 M=64"
-
-    def test_band_grid_binary_refused(self, tmp_path):
-        u = Field(make_grid(7.5, 32, k0=5), np.ones(32, complex))
-        with pytest.raises(ConfigError):
-            field_to_binary(u, tmp_path / "field.bin")
-        assert not (tmp_path / "field.bin").exists()
