@@ -19,6 +19,8 @@ from .fitting import FitResult, fit_loglog
 from .spectral import (
     Field,
     Spectrum,
+    _edge_fraction,
+    _edge_mask,
     boundary_tail_fraction,
     fractional_derivative,
     lebesgue_norm,
@@ -256,11 +258,12 @@ def local_smoothing_check(
     grid = datum.grid
     ts = np.concatenate([[0.0], _log_time_grid(window, n_times - 1)])
     profiles = np.empty((len(ts), grid.M))
+    edge = _edge_mask(grid)
     flow = free_flow(datum, ts, EvolutionConfig(), weight=np.abs(grid.xi) ** order)
     for i, (t, u) in enumerate(zip(ts, flow)):
-        if boundary_tail_fraction(u) > 1e-3:
+        power = np.square(np.abs(u.values, out=profiles[i]), out=profiles[i])  # |u|^2
+        if _edge_fraction(power, edge) > 1e-3:
             raise ResolutionError(f"window too long: wrap-around at t={t:g}")
-        profiles[i] = np.abs(u.values) ** 2
     integral = np.trapezoid(profiles, ts, axis=0)
     return float(np.sqrt(np.max(integral)) / l2)
 

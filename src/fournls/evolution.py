@@ -20,10 +20,15 @@ of such two-stage methods (R. I. McLachlan, SIAM J. Sci. Comput. 16 (1995)
 classical RK4 in the integrating-factor frame.
 
 Every scheme advances plain arrays through one core, ``_stepper``, which
-tabulates its multipliers and the ``project_K`` mask once per run.  The
-linear flow alone, at any times, has one evaluator of its own, ``free_flow``,
-with the stepper's phase rate; the propagators and the dispersive estimates
-call it.
+tabulates its multipliers once per run and projects by zeroing the one
+FFT-order run of modes with ``|k| > project_K``.  A step may advance its
+state array in place (the split steps multiply, transform, rotate and
+transform back on it; IFRK4 forms |u|^2 u and its transform in place on
+fresh arrays), so a caller that keeps a state across a step must copy it.
+The samples read from a state, and so every recorded field, are fresh
+arrays.  The linear flow alone, at any times, has one evaluator of its own,
+``free_flow``, with the stepper's phase rate; the propagators and the
+dispersive estimates call it.
 
 The stepper's spectral states are raw FFT coefficients ``np.fft.fft(u)``,
 not the coefficients ``c_k`` of :mod:`fournls.spectral`: the two differ by
@@ -216,9 +221,13 @@ def linear_propagate_nls(f: Field, t: float, orientation: int = 1) -> Field:
     return _linear_propagate(f, t, EvolutionConfig(equation="cubic", orientation=orientation))
 
 
-def _rotate(u: np.ndarray, theta: float, buf: np.ndarray) -> np.ndarray:
-    # u <- u e^{i theta |u|^2} in place via the scratch ``buf``; exact flow at theta = -kappa t
-    phase = theta * (u.real**2 + u.imag**2)
+def _rotate(u: np.ndarray, theta: float, buf: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    # u <- u e^{i theta |u|^2} in place via the complex scratch ``buf`` and the
+    # float64 scratch ``phase``; exact flow at theta = -kappa t
+    np.square(u.real, out=phase)
+    np.square(u.imag, out=buf.imag)
+    np.add(phase, buf.imag, out=phase)
+    np.multiply(theta, phase, out=phase)
     np.cos(phase, out=buf.real)
     np.sin(phase, out=buf.imag)
     u *= buf
@@ -227,7 +236,8 @@ def _rotate(u: np.ndarray, theta: float, buf: np.ndarray) -> np.ndarray:
 
 def nonlinear_substep(f: Field, dt: float, kappa: int) -> Field:
     """Exact flow of i u_t = kappa |u|^2 u: a pointwise phase rotation."""
-    return Field(f.grid, _rotate(f.values.copy(), -dt * kappa, np.empty(f.grid.M, complex)))
+    M = f.grid.M
+    return Field(f.grid, _rotate(f.values.copy(), -dt * kappa, np.empty(M, complex), np.empty(M)))
 
 
 def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt: float) -> np.ndarray:
@@ -245,25 +255,34 @@ def _stepper(grid, cfg: EvolutionConfig):
     ``start`` maps samples, an (M,) array or a (B, M) stack, to the scheme's
     state, ``step`` advances a state by ``cfg.dt`` and ``values`` returns the
     samples of a state that has taken at least one step, in the shape
-    ``start`` received.  Spectral states hold raw FFT coefficients (module
-    docstring); every multiplier is tabulated here, once.
+    ``start`` received, as a fresh array.  Spectral states hold raw FFT
+    coefficients (module docstring); every multiplier is tabulated here,
+    once.  A split step overwrites its state's array in place.
     """
     lam = 1j * cfg.linear_phase_rate(grid.xi)
     dt = cfg.dt
-    outside = None if cfg.project_K is None else np.abs(grid.k) > cfg.project_K
+    K = cfg.project_K
 
     def project(w):
-        if outside is not None:
-            w[..., outside] = 0.0
+        # |k| > K is one run of FFT order, k = K+1 .. M/2-1, -M/2 .. -(K+1);
+        # empty for K >= M/2
+        if K is not None:
+            w[..., K + 1:grid.M - K] = 0.0
         return w
 
     if cfg.scheme == "ifrk4":
         half = np.exp(lam * dt / 2)
         full = half * half
+        gain = -1j * cfg.kappa
 
         def nl(w):
+            # project(-1j * kappa * fft(|u|^2 u)) on the fresh ifft output, keeping
+            # the operand order of that expression (a complex product is not
+            # bitwise commutative)
             u = np.fft.ifft(w)
-            return project(-1j * cfg.kappa * np.fft.fft((u.real**2 + u.imag**2) * u))
+            np.multiply(u.real**2 + u.imag**2, u, out=u)
+            np.fft.fft(u, out=u)
+            return project(np.multiply(gain, u, out=u))
 
         return np.fft.fft, (lambda w: _ifrk4(w, nl, half, full, dt)), np.fft.ifft
 
@@ -272,27 +291,33 @@ def _stepper(grid, cfg: EvolutionConfig):
     # (w, lead) is taken just after a nonlinear substep and still owes
     # the trailing L(a dt); that is merged with the next step's leading
     # L(a dt) into one L(2a dt), and applied on its own only when samples
-    # are read, so a step costs one transform pair per stage.  The nonlinear
-    # substep rotates the fresh ifft output in place by cos/sin pairs in
-    # ``buf``, allocated by ``start`` with the state's shape, once per run
+    # are read, so a step costs one transform pair per stage.  Each stage
+    # multiplies, transforms, rotates and transforms back in place on w,
+    # with the scratch arrays ``buf`` (complex) and ``phase`` (float64),
+    # allocated by ``start`` with the state's shape, once per run
     a, stages = (0.5, 1) if cfg.scheme == "strang" else (MCLACHLAN_A, 2)
     edge, merged, middle = (np.exp(lam * frac * dt) for frac in (a, 2 * a, 1 - 2 * a))
     theta = -dt * cfg.kappa / stages
-    buf = None
+    buf = phase = None
 
     def start(u):
-        nonlocal buf
+        nonlocal buf, phase
         buf = np.empty(u.shape, dtype=np.complex128)
+        phase = np.empty(u.shape, dtype=np.float64)
         return np.fft.fft(u), edge
 
-    def nonlinear(w):
-        return project(np.fft.fft(_rotate(np.fft.ifft(w), theta, buf)))
+    def stage(w, linear):
+        np.multiply(w, linear, out=w)
+        np.fft.ifft(w, out=w)
+        _rotate(w, theta, buf, phase)
+        np.fft.fft(w, out=w)
+        project(w)
 
     def step(state):
         w, lead = state
-        w = nonlinear(w * lead)
+        stage(w, lead)
         for _ in range(stages - 1):
-            w = nonlinear(w * middle)
+            stage(w, middle)
         return w, merged
 
     return start, step, (lambda s: np.fft.ifft(s[0] * edge))

@@ -94,8 +94,10 @@ __all__ = [
 ]
 
 TERM_BUDGET = int(1e8)
-# largest (snapshots, 2K+1, 2K+1) temporary of the Lambda4(sigma4) pass, in bytes
-CHUNK_BYTES = 32 * 2**20
+# largest (rows, 2K+1, 2K+1) temporary of a lattice walk, in bytes: one row
+# at K = 120.  Criterion 05's 36 snapshots walked in 3.2 s as one 33 MB
+# product and in 2.4-2.6 s in groups of 1 to 8 rows (2-core Xeon VM)
+CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -322,8 +324,12 @@ def _walk_slices(weight, s1, s2, s3, last, K: int):
     with R <= 3K, and ``weight(i1, k1)`` is the weight on the (k2, k3) slice
     at k1 = i1 - K.  Each slice reads the last slot through a sliding window
     over a zero-padded copy (|k4| <= 3K), so points with |k4| > R add zero
-    unmasked.  Returns the (S, 2K+1) sums over k1 = k and over k2 = k; only
-    one slice's (S, 2K+1, 2K+1) temporaries are alive at a time.
+    unmasked.  Returns the (S, 2K+1) sums over k1 = k and over k2 = k.
+
+    Each slice's weight is built once for all S rows, and ``weight`` may
+    return the same array at every slice.  The rows meet it in groups whose
+    (group, 2K+1, 2K+1) product stays below CHUNK_BYTES; a row does not
+    depend on its group.
     """
     n = 2 * K + 1
     if n**3 > TERM_BUDGET:
@@ -338,9 +344,15 @@ def _walk_slices(weight, s1, s2, s3, last, K: int):
     windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
     by_k1 = np.empty(s1.shape, dtype=np.complex128)
     by_k2 = np.zeros(s1.shape, dtype=np.complex128)
+    g = np.empty(s1.shape, dtype=np.complex128)
+    group = max(1, CHUNK_BYTES // (16 * n * n))
     for i1 in range(n):
+        w = weight(i1, i1 - K)
         # the k3 sum of weight * last * s3, then the s2 factor at each k2
-        g = np.einsum("sij,sj->si", windows[:, i1:i1 + n, :] * weight(i1, i1 - K), s3) * s2
+        for lo in range(0, len(last), group):
+            rows = slice(lo, lo + group)
+            g[rows] = np.einsum("sij,sj->si", windows[rows, i1:i1 + n, :] * w, s3[rows])
+        g *= s2
         by_k1[:, i1] = s1[:, i1] * g.sum(axis=1)
         by_k2 += s1[:, i1:i1 + 1] * g
     return by_k1, by_k2
@@ -409,6 +421,40 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
     return MultilinearResult(value=complex(grid.L * total), terms=terms)
 
 
+def _inv_alpha4(K: int):
+    """The weight ``weight(i1, k1)`` of the Lambda4(sigma4) walk: 1/alpha4 in
+    lattice units on the (k2, k3) slice at k1, 0 where alpha4 = 0.
+
+    alpha4 = (k1+k2)(k1+k4) Q with k4 = -(k1+k2+k3) and Q = k1^2 + k2^2 +
+    k3^2 + k4^2 + 2 (k1+k3)^2 >= max|kj|^2, zero exactly on k2 = -k1 and on
+    k2 + k3 = -(k1 + k4) = 0.  Every factor is an integer below 2^53 within
+    the term budget, so any order of evaluation rounds alike: Q is built as
+    base + 2 k1 (k2 + 3 k3 + 2 k1), with the tables base and k2 + k3 that no
+    k1 changes, in place in one (2K+1, 2K+1) array, which every call returns.
+    """
+    n = 2 * K + 1
+    ks = np.arange(-K, K + 1, dtype=np.float64)
+    k2, k3 = ks[:, None], ks[None, :]
+    k23 = k2 + k3
+    base = k23 * k23 + k2 * k2 + 3 * k3 * k3
+    table = np.empty((n, n))
+    anti_diagonal = table.reshape(-1)[2 * K:n * n - 1:2 * K]  # k2 + k3 = 0
+
+    def inv_alpha4(i1, k1):
+        np.add(k2, 3 * k3 + 2 * k1, out=table)
+        np.multiply(table, 2 * k1, out=table)
+        np.add(table, base, out=table)  # Q
+        np.multiply(table, -(k1 + k2), out=table)
+        np.multiply(table, k23, out=table)
+        with np.errstate(divide="ignore"):  # the zeros of alpha4, overwritten below
+            np.divide(1.0, table, out=table)
+        table[2 * K - i1] = 0.0  # k2 = -k1
+        anti_diagonal[:] = 0.0
+        return table
+
+    return inv_alpha4
+
+
 def _sigma4_marginals(fields, modes: ModeSet) -> np.ndarray:
     """R1 - R2 of each field, shape (len(fields), 2K+1), for Lambda4(sigma4).
 
@@ -416,30 +462,17 @@ def _sigma4_marginals(fields, modes: ModeSet) -> np.ndarray:
     and k2 = k, where W = c[k1] conj(c[-k2]) c[k3] conj(c[-k4]) and alpha4 =
     (xi1+xi2)(xi1+xi4) Q is the factorized resonance denominator of
     ``_sigma4_on_hyperplane``; its zeros (k2 = -k1 or k4 = -k1) are dropped.
-    alpha4 is formed in lattice units, where every factor is an integer below
-    2^53 within the term budget, and scaled by (2 pi / L)^4 at the end.
-    Snapshots go through ``_walk_slices`` in batches whose (batch, 2K+1,
-    2K+1) temporaries stay below CHUNK_BYTES.
+    alpha4 is formed in lattice units (``_inv_alpha4``) and scaled by
+    (2 pi / L)^4 at the end.
+
+    ``fields`` is walked once, whatever it holds (every snapshot of a whole
+    family, say), so each k1-slice's weight is built once for all of them.
     """
     K = modes.K
-    ks = np.arange(-K, K + 1, dtype=np.float64)
-    k23 = ks[:, None] + ks[None, :]  # k2 + k3 = -(k1 + k4)
-    sq23 = ks[:, None] ** 2 + ks[None, :] ** 2
-
-    def inv_alpha4(i1, k1):
-        k4 = -(k1 + k23)
-        alpha = k4 * k4 + sq23 + (k1 * k1 + 2 * (k1 + ks) ** 2)  # Q
-        alpha *= -(k1 + ks)[:, None] * k23  # (k1 + k2)(k1 + k4) Q
-        return np.divide(1.0, alpha, out=np.zeros_like(alpha), where=alpha != 0)
-
-    batch = max(1, CHUNK_BYTES // (16 * len(ks) ** 2))
-    out = []
-    for start in range(0, len(fields), batch):
-        a = _coefs(fields[start:start + batch], K)
-        b = np.conj(a[:, ::-1])
-        r1, r2 = _walk_slices(inv_alpha4, a, b, a, b, K)
-        out.append(r1 - r2)
-    return np.concatenate(out) / (2 * np.pi / modes.grid.L) ** 4
+    a = _coefs(fields, K)
+    b = np.conj(a[:, ::-1])
+    r1, r2 = _walk_slices(_inv_alpha4(K), a, b, a, b, K)
+    return (r1 - r2) / (2 * np.pi / modes.grid.L) ** 4
 
 
 def _lambda4_sigma4(marginals: np.ndarray, p: IMethodParams, modes: ModeSet) -> np.ndarray:
@@ -673,11 +706,11 @@ def almost_conservation_experiment(
 
     ``data`` is one field or a family of fields sharing a grid; the family
     is evolved once, as one stack, and the sweep reuses each member's
-    snapshots and their Lambda4(sigma4) marginals (one pass per member for
-    every N), with increments sup_t |E(t) - E(0)| averaged over the family
-    (single random-phase realizations carry an O(0.5) slope scatter).  The
-    corrected slope is predicted near -3; the uncorrected E2 series is
-    fitted for comparison.
+    snapshots and their Lambda4(sigma4) marginals (one walk of the whole
+    family serves every N), with increments sup_t |E(t) - E(0)| averaged
+    over the family (single random-phase realizations carry an O(0.5) slope
+    scatter).  The corrected slope is predicted near -3; the uncorrected E2
+    series is fitted for comparison.
     """
     family = [data] if isinstance(data, Field) else list(data)
     if len(N_values) < 4:
@@ -689,9 +722,10 @@ def almost_conservation_experiment(
     records = evolve_many(family, cfg)
     K = support_K or _support_radius(to_spectrum(family[0]))
     modes = ModeSet(family[0].grid, K)
-    for rec in records:
+    # one walk over every snapshot of every member; members share their times
+    walked = _sigma4_marginals([f for rec in records for f in rec.fields], modes)
+    for rec, marginals in zip(records, walked.reshape(len(records), -1, 2 * K + 1)):
         snapshots = rec.fields
-        marginals = _sigma4_marginals(snapshots, modes)
         for N in N_values:
             p = IMethodParams(N=float(N), s=s)
             e2 = np.array([energy2(f, p) for f in snapshots])

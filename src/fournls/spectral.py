@@ -318,11 +318,19 @@ def spectral_tail_fraction(f: Field) -> float:
 
 def boundary_tail_fraction(f: Field) -> float:
     """Fraction of mass within L/16 of either domain edge."""
-    power = np.abs(f.values) ** 2
+    return _edge_fraction(np.abs(f.values) ** 2, _edge_mask(f.grid))
+
+
+def _edge_mask(grid: Grid) -> np.ndarray:
+    """The samples within L/16 of either domain edge."""
+    return np.abs(grid.x) >= grid.L / 2 - grid.L / 16
+
+
+def _edge_fraction(power: np.ndarray, edge: np.ndarray) -> float:
+    """The share of ``power`` (samples of |u|^2) on the ``edge`` samples; 0 for u = 0."""
     total = np.sum(power)
     if total == 0:
         return 0.0
-    edge = np.abs(f.grid.x) >= f.grid.L / 2 - f.grid.L / 16
     return float(np.sum(power[edge]) / total)
 
 

@@ -29,7 +29,7 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
-from fournls.evolution import MCLACHLAN_A, _rotate, free_flow, run_manifest
+from fournls.evolution import MCLACHLAN_A, _rotate, _stepper, free_flow, run_manifest
 from fournls.spectral import Spectrum, cubic_convolution
 
 
@@ -159,7 +159,7 @@ class TestRotation:
         rng = np.random.default_rng(seed)
         u = amplitude * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2)
         expected = u * np.exp(-1j * kappa * dt * (u.real**2 + u.imag**2))
-        out = _rotate(u.copy(), -dt * kappa, np.empty_like(u))
+        out = _rotate(u.copy(), -dt * kappa, np.empty_like(u), np.empty(n))
         assert np.all(np.abs(out - expected) <= 1e-15 * np.abs(u))
 
     def test_substep_leaves_its_input_unchanged(self):
@@ -419,6 +419,80 @@ class TestEvolveMany:
         assert "field" not in str(alone.value)
         assert exc.value.record.aborted
         _assert_records_equal(exc.value.record, alone.value.record)
+
+
+SCHEMES = ["strang", "mclachlan2", "ifrk4"]
+
+
+class TestInPlaceStepping:
+    """A step may overwrite its state; nothing the caller holds may change."""
+
+    @pytest.mark.parametrize("K", [None, 0, 128 // 6, 128 // 2, 128],
+                             ids=["unset", "0", "M/6", "M/2", "M"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_inputs_are_untouched(self, scheme, K):
+        fields = _family(128, L=30.0)
+        before = [f.values.tobytes() for f in fields]
+        cfg = EvolutionConfig(dt=1e-3, t_end=5e-3, scheme=scheme, record_stride=2,
+                              project_K=K, require_localized=False)
+        evolve(fields[0], cfg)
+        evolve_many(fields, cfg)
+        assert [f.values.tobytes() for f in fields] == before
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_recorded_fields_do_not_alias(self, scheme):
+        fields = _family(128, L=30.0)
+        cfg = EvolutionConfig(dt=1e-3, t_end=6e-3, scheme=scheme, record_stride=2,
+                              project_K=20)
+        arrays = [f.values for rec in evolve_many(fields, cfg) for f in rec.fields]
+        arrays += [evolve(fields[0], cfg).fields[-1].values]
+        assert len(arrays) == 3 * 4 + 1
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+            assert not any(np.shares_memory(a, f.values) for f in fields)
+        kept = [a.copy() for a in arrays]
+        arrays[5][:] = 0.0
+        for i, (a, b) in enumerate(zip(arrays, kept)):
+            assert i == 5 or a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["one", "stack"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_samples_read_from_a_state_are_not_the_state(self, scheme, shape):
+        grid = make_grid(30.0, 128)
+        rng = np.random.default_rng(3)
+        u = 0.5 * (rng.normal(size=shape + (128,)) + 1j * rng.normal(size=shape + (128,)))
+        start, step, values = _stepper(grid, EvolutionConfig(dt=1e-3, scheme=scheme,
+                                                             project_K=30))
+        state = step(start(u))
+        read = values(state)
+        kept = read.copy()
+        step(state)
+        assert read.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("grid", [make_grid(2 * np.pi, 64), make_grid(40.0, 64, 10),
+                                      make_grid(25.0, 500, -37)],
+                             ids=["M64", "band-M64", "band-M500"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_projection_zeroes_exactly_the_modes_above_K(self, scheme, grid):
+        # the stepper zeroes the FFT-order run [K+1, M-K); it must be the
+        # set np.abs(grid.k) > K, for every K, on band grids as well
+        rng = np.random.default_rng(4)
+        u = 0.3 * (rng.normal(size=(2, grid.M)) + 1j * rng.normal(size=(2, grid.M)))
+        for K in (0, 1, 5, grid.M // 6, grid.M // 2 - 1, grid.M // 2, grid.M):
+            above = np.abs(grid.k) > K
+            for w in (u[0], u):
+                cfg = EvolutionConfig(dt=1e-3, scheme=scheme, project_K=K)
+                start, step, _ = _stepper(grid, cfg)
+                got = step(start(w))
+                if scheme == "ifrk4":
+                    # the nonlinear stages vanish above K, so those modes only
+                    # rotate, exactly as in a kappa = 0 step; the rest move
+                    start0, step0, _ = _stepper(grid, replace(cfg, kappa=0))
+                    free = step0(start0(w))
+                    assert np.array_equal(got[..., above], free[..., above]), K
+                    assert np.all(got[..., ~above] != free[..., ~above]), K
+                else:
+                    assert np.array_equal(got[0] == 0, np.broadcast_to(above, w.shape)), K
 
 
 class TestGalerkin:

@@ -16,6 +16,7 @@ from fournls import (
     derivative_identity_check,
     energy2,
     energy4,
+    evolve,
     gwp_parameters,
     i_multiplier,
     lambda_n,
@@ -30,6 +31,7 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
+from fournls import imethod
 from fournls.imethod import (
     SumLastThree,
     fit_m6_constant,
@@ -419,6 +421,65 @@ class TestEnergy4:
             gap = abs(energy4(u, p, ModeSet(g, 18)) - energy2(u, p))
             ratios.append(gap / energy2(u, p) ** 2)
         assert max(ratios) < 1.0
+
+
+class TestSigma4Walk:
+    @pytest.mark.parametrize("rows_per_group", [None, 1, 2, 4],
+                             ids=["one-group", "group-1", "group-2", "group-4"])
+    def test_family_walk_equals_member_walks_bitwise(self, monkeypatch, rows_per_group):
+        # the snapshots of three members, walked one member at a time and then
+        # as one family; a small CHUNK_BYTES splits the family into groups of
+        # rows that cut through members
+        g = make_grid(2 * np.pi, 64)
+        rng = np.random.default_rng(21)
+        members = [[narrow_state(g, rng, support=6, n_modes=9, scale=0.5) for _ in range(n)]
+                   for n in (3, 2, 3)]
+        modes = ModeSet(g, 18)
+        alone = np.concatenate([imethod._sigma4_marginals(m, modes) for m in members])
+        if rows_per_group is not None:
+            monkeypatch.setattr(imethod, "CHUNK_BYTES", rows_per_group * 16 * 37 * 37)
+        family = imethod._sigma4_marginals([f for m in members for f in m], modes)
+        assert family.shape == (8, 37)
+        assert family.tobytes() == alone.tobytes()
+
+    def test_sweep_equals_member_by_member_walks(self):
+        # the sweep walks every snapshot of the family at once; its increments
+        # must be those of one walk per member, the loop kept here as reference
+        g = make_grid(2 * np.pi, 64)
+        rng = np.random.default_rng(5)
+        family = [imethod.rough_localized_datum(g, rng, support=10) for _ in range(3)]
+        cfg = EvolutionConfig(dt=1e-3, t_end=6e-3, scheme="ifrk4", record_stride=2,
+                              require_localized=False, start_tail_tol=1.0,
+                              run_tail_tol=1.0, project_K=10)
+        N_values = [1.0, 2.0, 3.0, 4.0]
+        res = imethod.almost_conservation_experiment(family, N_values, cfg, support_K=10)
+        modes = ModeSet(g, 10)
+        inc4 = {N: [] for N in N_values}
+        for f in family:
+            snapshots = evolve(f, cfg).fields
+            marginals = imethod._sigma4_marginals(snapshots, modes)
+            for N in N_values:
+                e2 = np.array([energy2(u, params(N=N)) for u in snapshots])
+                e4 = e2 + imethod._lambda4_sigma4(marginals, params(N=N), modes).real
+                inc4[N].append(float(np.max(np.abs(e4 - e4[0]))))
+        assert res.increments_corrected == {N: float(np.mean(v)) for N, v in inc4.items()}
+        assert len(set(res.increments_corrected.values())) == 4
+
+    @pytest.mark.parametrize("K", [12, 120])
+    def test_inv_alpha4_is_the_direct_formula_bitwise(self, K):
+        ks = np.arange(-K, K + 1, dtype=np.float64)
+        k2, k3 = np.meshgrid(ks, ks, indexing="ij")
+        weight = imethod._inv_alpha4(K)
+        for i1, k1 in enumerate(ks):
+            k4 = -(k1 + k2 + k3)
+            alpha = (k1 + k2) * (k1 + k4) * (
+                k1**2 + k2**2 + k3**2 + k4**2 + 2 * (k1 + k3) ** 2)
+            want = np.divide(1.0, alpha, out=np.zeros_like(alpha), where=alpha != 0)
+            got = weight(i1, k1)
+            assert got.tobytes() == want.tobytes(), k1
+            resonant = (k2 == -k1) | (k2 + k3 == 0)
+            assert np.array_equal(alpha == 0, resonant)
+            assert np.all(got[resonant] == 0) and not np.any(np.signbit(got[resonant]))
 
 
 class TestDerivativeIdentities:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fournls import ConfigError, IMethodParams
 from fournls.resonance import (
@@ -60,6 +62,27 @@ class TestFactorization:
     def test_off_hyperplane_rejected(self):
         with pytest.raises(ConfigError):
             factorization_residual(1.0, 2.0, 3.0, 4.0)
+
+
+# |k| <= 2048 keeps |k4| <= 6144 and every term and partial product of both
+# sides below 2^53, so float64 evaluates them exactly
+lattice_triples = st.lists(st.tuples(*[st.integers(-2048, 2048)] * 3), min_size=1, max_size=64)
+
+
+class TestFactorizationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_triples)
+    def test_signed_factorization_on_integer_quadruples(self, triples):
+        k1, k2, k3 = (np.array(k, dtype=np.int64) for k in zip(*triples))
+        k4 = -(k1 + k2 + k3)
+        quad = k1**2 + k2**2 + k3**2 + k4**2 + 2 * (k1 + k3) ** 2
+        exact = k1**4 - k2**4 + k3**4 - k4**4  # int64 holds these exactly
+        assert np.array_equal((k1 + k2) * (k1 + k4) * quad, exact)
+        biggest = np.maximum.reduce([k1 * k1, k2 * k2, k3 * k3, k4 * k4])
+        assert np.all(biggest <= quad) and np.all(quad <= 12 * biggest)
+        x = [k.astype(np.float64) for k in (k1, k2, k3, k4)]
+        assert np.array_equal(resonance_product_signed(*x), exact.astype(np.float64))
+        assert np.array_equal(resonance_lhs(*x), exact.astype(np.float64))
 
 
 class TestMeanValueBounds:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fournls import (
     ConfigError,
@@ -105,6 +107,20 @@ class TestScaleTransform:
         u = make_gaussian(make_grid(50.0, 128), width=2.0)
         with pytest.raises(ConfigError):
             scale_transform(u, -2.0)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.125, 8.0), st.floats(-1.5, 1.5), st.sampled_from([0, 7, -40]),
+           st.integers(0, 2**32 - 1))
+    def test_homogeneous_norms_scale_by_lambda_to_s_plus_three_halves(self, lam, s, k0, seed):
+        # any spectrum, band grids included: |c_k| is unchanged by the map and
+        # every frequency stretches by lam, so the ratio is lam^(s+3/2) to round-off
+        rng = np.random.default_rng(seed)
+        grid = make_grid(float(rng.uniform(5.0, 100.0)), 64, k0)
+        u = Field(grid, rng.normal(size=64) + 1j * rng.normal(size=64))
+        scaled = scale_transform(u, lam).field
+        ratio = sobolev_norm(scaled, s, homogeneous=True) / sobolev_norm(u, s, homogeneous=True)
+        assert abs(ratio / lam ** (s + 1.5) - 1.0) < 1e-12
 
 
 class TestScalingCovariance:
