@@ -19,8 +19,8 @@ from .fitting import FitResult, fit_loglog
 from .spectral import (
     Field,
     Spectrum,
-    _edge_fraction,
     _edge_mask,
+    _mass_fraction,
     boundary_tail_fraction,
     fractional_derivative,
     lebesgue_norm,
@@ -262,7 +262,7 @@ def local_smoothing_check(
     flow = free_flow(datum, ts, EvolutionConfig(), weight=np.abs(grid.xi) ** order)
     for i, (t, u) in enumerate(zip(ts, flow)):
         power = np.square(np.abs(u.values, out=profiles[i]), out=profiles[i])  # |u|^2
-        if _edge_fraction(power, edge) > 1e-3:
+        if _mass_fraction(power, edge) > 1e-3:
             raise ResolutionError(f"window too long: wrap-around at t={t:g}")
     integral = np.trapezoid(profiles, ts, axis=0)
     return float(np.sqrt(np.max(integral)) / l2)

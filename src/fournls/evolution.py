@@ -47,6 +47,12 @@ the last axis and the tabulated multipliers broadcast over the rows, so each
 row of a stack does the arithmetic of a run on that field alone, bitwise
 (``evolve_many``); a stack saves the per-call overhead of the transforms,
 which dominates at the band grids' few hundred points.
+
+A record point takes one forward transform per field: the energy, every
+Sobolev norm and the run's spectral tail guard all read that one spectrum,
+through weights tabulated once per run, bitwise equal to
+``conserved_energy``, ``sobolev_norm`` and ``spectral_tail_fraction`` of the
+recorded field.
 """
 
 from __future__ import annotations
@@ -62,10 +68,12 @@ from .errors import AbortedRunError, ConfigError
 from .spectral import (
     Field,
     Spectrum,
+    _mass_fraction,
+    _sobolev_weight,
+    _tail_mask,
+    _weighted_norm,
     check_resolved,
     cubic_convolution,
-    sobolev_norm,
-    spectral_tail_fraction,
     to_spectrum,
 )
 
@@ -169,7 +177,7 @@ class TrajectoryRecord:
         return self.fields[-1]
 
 
-_FLOW_CHUNK_BYTES = 8 * 2**20  # times evaluated at once: one complex (chunk, M) array
+_FLOW_BLOCK_BYTES = 8 * 2**20  # times evaluated at once: one complex (chunk, M) array
 
 
 def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
@@ -183,9 +191,9 @@ def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
     grid = f.grid
     coef = to_spectrum(f).coef * weight
     rate = cfg.linear_phase_rate(grid.xi)
-    centering = grid._centering_phase()
+    centering = grid._centering_phase
     times = np.asarray(times, dtype=np.float64)
-    chunk = max(1, _FLOW_CHUNK_BYTES // (16 * grid.M))
+    chunk = max(1, _FLOW_BLOCK_BYTES // (16 * grid.M))
     for lo in range(0, len(times), chunk):
         t = times[lo:lo + chunk]
         rows = np.empty((len(t), grid.M), dtype=np.complex128)
@@ -344,36 +352,53 @@ def conserved_energy(f: Field, cfg: EvolutionConfig) -> float:
     Quartic: orientation/2 * int |u_xx|^2 + kappa/4 * int |u|^4.
     Cubic:   orientation/2 * int |u_x|^2  + kappa/4 * int |u|^4.
     """
-    kinetic, quartic = _energy_parts(f, 2 if cfg.equation == "quartic" else 1)
+    return _energy(cfg, *_energy_parts(f, _energy_order(cfg)))
+
+
+def _energy_order(cfg: EvolutionConfig) -> int:
+    return 2 if cfg.equation == "quartic" else 1
+
+
+def _energy(cfg: EvolutionConfig, kinetic, quartic) -> float:
     return float(cfg.orientation * kinetic + cfg.kappa / 4 * quartic)
 
 
 def _energy_parts(f: Field, order: int):
     """(1/2) int |d_x^order u|^2 by Plancherel and int |u|^4 by grid quadrature."""
-    coef = to_spectrum(f).coef
-    kinetic = 0.5 * f.grid.L * np.sum(np.abs(f.grid.xi) ** (2 * order) * np.abs(coef) ** 2)
-    return kinetic, f.grid.dx * np.sum(np.abs(f.values) ** 4)
+    return _energy_sums(f, np.abs(f.grid.xi) ** (2 * order), np.abs(to_spectrum(f).coef) ** 2)
+
+
+def _energy_sums(f: Field, weight: np.ndarray, power: np.ndarray):
+    """``_energy_parts`` from the weight |xi|^(2 order) and the power |c_k|^2 of ``f``."""
+    return 0.5 * f.grid.L * np.sum(weight * power), f.grid.dx * np.sum(np.abs(f.values) ** 4)
 
 
 class _Trajectory:
-    """The diagnostics of one run's field, appended at each record point."""
+    """The diagnostics of one run's field, appended at each record point,
+    with the spectral weights of the energy, the norms and the tail tabulated."""
 
     def __init__(self, grid, cfg: EvolutionConfig):
         self.grid, self.cfg = grid, cfg
         self.times, self.masses, self.energies = [], [], []
         self.sob = {s: [] for s in cfg.sobolev_orders}
         self.fields = [] if cfg.record_fields else None
+        self.kinetic_weight = np.abs(grid.xi) ** (2 * _energy_order(cfg))
+        self.sobolev_weights = {s: _sobolev_weight(grid.xi, s) for s in cfg.sobolev_orders}
+        self.tail_mask = _tail_mask(grid)
 
-    def record(self, t: float, u_phys: np.ndarray) -> Field:
+    def record(self, t: float, u_phys: np.ndarray) -> float:
+        """Append the diagnostics of the samples ``u_phys`` at time ``t``;
+        return their spectral tail fraction."""
         f = Field(self.grid, u_phys)
+        power = np.abs(to_spectrum(f).coef) ** 2
         self.times.append(t)
         self.masses.append(self.grid.dx * float(np.sum(np.abs(u_phys) ** 2)))
-        self.energies.append(conserved_energy(f, self.cfg))
-        for s in self.cfg.sobolev_orders:
-            self.sob[s].append(sobolev_norm(f, s))
+        self.energies.append(_energy(self.cfg, *_energy_sums(f, self.kinetic_weight, power)))
+        for s, weight in self.sobolev_weights.items():
+            self.sob[s].append(_weighted_norm(self.grid.L, weight, power))
         if self.fields is not None:
             self.fields.append(f.copy())
-        return f
+        return _mass_fraction(power, self.tail_mask)
 
     def result(self, aborted: bool = False) -> TrajectoryRecord:
         return TrajectoryRecord(
@@ -430,7 +455,7 @@ def evolve_many(fields, cfg: EvolutionConfig) -> list[TrajectoryRecord]:
         if n % cfg.record_stride == 0 or n == n_steps:
             rows = values(state).reshape(len(fields), grid.M)
             for i, (run, u) in enumerate(zip(runs, rows)):
-                tail = spectral_tail_fraction(run.record(n * cfg.dt, u))
+                tail = run.record(n * cfg.dt, u)
                 if tail > cfg.run_tail_tol:
                     member = f" in field {i} of {len(fields)}" if len(fields) > 1 else ""
                     raise AbortedRunError(

@@ -94,10 +94,6 @@ __all__ = [
 ]
 
 TERM_BUDGET = int(1e8)
-# largest (rows, 2K+1, 2K+1) temporary of a lattice walk, in bytes: one row
-# at K = 120.  Criterion 05's 36 snapshots walked in 3.2 s as one 33 MB
-# product and in 2.4-2.6 s in groups of 1 to 8 rows (2-core Xeon VM)
-CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -327,9 +323,11 @@ def _walk_slices(weight, s1, s2, s3, last, K: int):
     unmasked.  Returns the (S, 2K+1) sums over k1 = k and over k2 = k.
 
     Each slice's weight is built once for all S rows, and ``weight`` may
-    return the same array at every slice.  The rows meet it in groups whose
-    (group, 2K+1, 2K+1) product stays below CHUNK_BYTES; a row does not
-    depend on its group.
+    return the same array at every slice.  A slice is one contraction over
+    every row, ``einsum("sij,ij,sj->si")`` of the window, the weight and s3,
+    unoptimized, so each term is formed as (window * weight) * s3 in that
+    order and no (S, 2K+1, 2K+1) product is ever stored; a row's sums do
+    not depend on the other rows.
     """
     n = 2 * K + 1
     if n**3 > TERM_BUDGET:
@@ -344,14 +342,10 @@ def _walk_slices(weight, s1, s2, s3, last, K: int):
     windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
     by_k1 = np.empty(s1.shape, dtype=np.complex128)
     by_k2 = np.zeros(s1.shape, dtype=np.complex128)
-    g = np.empty(s1.shape, dtype=np.complex128)
-    group = max(1, CHUNK_BYTES // (16 * n * n))
     for i1 in range(n):
         w = weight(i1, i1 - K)
-        # the k3 sum of weight * last * s3, then the s2 factor at each k2
-        for lo in range(0, len(last), group):
-            rows = slice(lo, lo + group)
-            g[rows] = np.einsum("sij,sj->si", windows[rows, i1:i1 + n, :] * w, s3[rows])
+        # the k3 sum of last * weight * s3, then the s2 factor at each k2
+        g = np.einsum("sij,ij,sj->si", windows[:, i1:i1 + n, :], w, s3)
         g *= s2
         by_k1[:, i1] = s1[:, i1] * g.sum(axis=1)
         by_k2 += s1[:, i1:i1 + 1] * g
@@ -367,6 +361,12 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
     band-limited u (one overall factor L).  A six-slot :class:`SumLastThree`
     symbol is summed as sum_{k1,k2,k3} core * u1 u2 u3 V(-(k1+k2+k3)) with
     V the exact lattice convolution of the last three slots (|k'| <= 3K).
+
+    On the four-slot and collapsed walks the symbol is called once per
+    k1-slice with (2K+1, 2K+1) arrays: xi2 and xi3 are read-only tables
+    shared by every slice, and xi1 and xi4 are buffers refilled for the next
+    slice.  A symbol must therefore neither write to its inputs nor keep
+    them (or an output that is one of them) past the call.
     """
     n = len(fields)
     if n not in (2, 4, 6):
@@ -393,10 +393,18 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
         core = symbol.core if collapsed else symbol
         last = cubic_convolution(*slots[3:]) if collapsed else slots[3]
         k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
+        # the k1-free tables once; per slice only xi1 and xi4 change, refilled
+        # in place, xi4 as 2 pi/L times the exact integers (k1 + k4) - k1
+        xi2, xi3 = two_pi_over_L * k2g, two_pi_over_L * k3g
+        xi2.setflags(write=False)
+        xi3.setflags(write=False)
+        k4_plus_k1 = -(k2g + k3g)
+        xi1, xi4 = np.empty(k2g.shape), np.empty(k2g.shape)
 
         def weight(i1, k1):
-            lattice = (np.full(k2g.shape, k1), k2g, k3g, -(k1 + k2g + k3g))
-            return np.asarray(core(*(two_pi_over_L * k for k in lattice)))
+            xi1.fill(two_pi_over_L * k1)
+            np.multiply(two_pi_over_L, k4_plus_k1 - k1, out=xi4)
+            return np.asarray(core(xi1, xi2, xi3, xi4))
 
         with np.errstate(all="ignore"):  # a non-finite symbol is refused below
             by_k1, _ = _walk_slices(weight, *(s[None, :] for s in (*slots[:3], last)), K)

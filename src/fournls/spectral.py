@@ -22,6 +22,7 @@ spectrally accurate for periodic band-limited data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,7 +59,10 @@ class Grid:
     """Periodic spatial grid on ``[-L/2, L/2)`` with ``M`` points.
 
     ``k0`` is the carrier index of a band grid (module docstring).
-    Immutable; safe to share between threads and reuse across fields.
+    Immutable; safe to share between threads and reuse across fields.  The
+    lattice arrays ``x``, ``k``, ``xi`` and the centering phase are computed
+    on first use, kept for the grid's lifetime and read-only (writing to one
+    raises ``ValueError``); equality and hashing see only (L, M, k0).
     """
 
     L: float
@@ -75,28 +79,34 @@ class Grid:
     def dx(self) -> float:
         return self.L / self.M
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return -self.L / 2 + self.dx * np.arange(self.M)
+        return _read_only(-self.L / 2 + self.dx * np.arange(self.M))
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
         """Integer mode indices in FFT order: 0, 1, ..., M/2-1, -M/2, ..., -1."""
-        return np.fft.fftfreq(self.M, d=1.0 / self.M).astype(np.int64)
+        return _read_only(np.fft.fftfreq(self.M, d=1.0 / self.M).astype(np.int64))
 
-    @property
+    @cached_property
     def xi(self) -> np.ndarray:
         """Angular frequencies 2*pi*(k + k0)/L in FFT order."""
-        return 2.0 * np.pi / self.L * (self.k + self.k0)
+        return _read_only(2.0 * np.pi / self.L * (self.k + self.k0))
 
     @property
     def xi_max(self) -> float:
         """Largest represented |xi - xi_{k0}| (the Nyquist frequency pi*M/L)."""
         return np.pi * self.M / self.L
 
+    @cached_property
     def _centering_phase(self) -> np.ndarray:
         # exp(-i xi_k x_0) with x_0 = -L/2 equals (-1)^k exactly.
-        return np.where(self.k % 2 == 0, 1.0, -1.0)
+        return _read_only(np.where(self.k % 2 == 0, 1.0, -1.0))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass
@@ -158,12 +168,12 @@ def make_grid(L: float, M: int, k0: int = 0) -> Grid:
 
 
 def to_spectrum(f: Field) -> Spectrum:
-    phase = f.grid._centering_phase()
+    phase = f.grid._centering_phase
     return Spectrum(f.grid, np.fft.fft(f.values) * phase / f.grid.M)
 
 
 def to_physical(s: Spectrum) -> Field:
-    phase = s.grid._centering_phase()
+    phase = s.grid._centering_phase
     return Field(s.grid, np.fft.ifft(s.coef * phase) * s.grid.M)
 
 
@@ -203,15 +213,23 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     is excluded (its weight is zero for s > 0 and undefined for s < 0; on
     mean-free data the exclusion is exact).
     """
-    spec = to_spectrum(f)
-    xi = f.grid.xi
+    power = np.abs(to_spectrum(f).coef) ** 2
+    return _weighted_norm(f.grid.L, _sobolev_weight(f.grid.xi, s, homogeneous), power)
+
+
+def _sobolev_weight(xi: np.ndarray, s: float, homogeneous: bool = False) -> np.ndarray:
+    """The weight of ``sobolev_norm`` at the frequencies ``xi``."""
     if homogeneous:
         w = np.zeros_like(xi)
         nz = xi != 0
         w[nz] = np.abs(xi[nz]) ** (2.0 * s)
-    else:
-        w = (1.0 + xi**2) ** s
-    return float(np.sqrt(f.grid.L * np.sum(w * np.abs(spec.coef) ** 2)))
+        return w
+    return (1.0 + xi**2) ** s
+
+
+def _weighted_norm(L: float, weight: np.ndarray, power: np.ndarray) -> float:
+    """``(L sum weight |c_k|^2)^{1/2}`` from the spectral power ``|c_k|^2``."""
+    return float(np.sqrt(L * np.sum(weight * power)))
 
 
 def lebesgue_norm(f: Field, p: float) -> float:
@@ -307,18 +325,17 @@ def spectral_tail_fraction(f: Field) -> float:
     of ``Grid.xi`` at k0 = 0: rounding decides the boundary mode k = M/4
     (on about 4 % of random (L, M)), so a k0 = 0 grid keeps its old mask.
     """
-    spec = to_spectrum(f)
-    power = np.abs(spec.coef) ** 2
-    total = np.sum(power)
-    if total == 0:
-        return 0.0
-    hi = np.abs(2.0 * np.pi / f.grid.L * f.grid.k) >= f.grid.xi_max / 2
-    return float(np.sum(power[hi]) / total)
+    return _mass_fraction(np.abs(to_spectrum(f).coef) ** 2, _tail_mask(f.grid))
+
+
+def _tail_mask(grid: Grid) -> np.ndarray:
+    """The modes of the top octave read by ``spectral_tail_fraction``."""
+    return np.abs(2.0 * np.pi / grid.L * grid.k) >= grid.xi_max / 2
 
 
 def boundary_tail_fraction(f: Field) -> float:
     """Fraction of mass within L/16 of either domain edge."""
-    return _edge_fraction(np.abs(f.values) ** 2, _edge_mask(f.grid))
+    return _mass_fraction(np.abs(f.values) ** 2, _edge_mask(f.grid))
 
 
 def _edge_mask(grid: Grid) -> np.ndarray:
@@ -326,12 +343,12 @@ def _edge_mask(grid: Grid) -> np.ndarray:
     return np.abs(grid.x) >= grid.L / 2 - grid.L / 16
 
 
-def _edge_fraction(power: np.ndarray, edge: np.ndarray) -> float:
-    """The share of ``power`` (samples of |u|^2) on the ``edge`` samples; 0 for u = 0."""
+def _mass_fraction(power: np.ndarray, mask: np.ndarray) -> float:
+    """The share of ``power`` (|u|^2 samples or |c_k|^2) on ``mask``; 0 for u = 0."""
     total = np.sum(power)
     if total == 0:
         return 0.0
-    return float(np.sum(power[edge]) / total)
+    return float(np.sum(power[mask]) / total)
 
 
 def check_resolved(f: Field, tol: float = 1e-8, localized: bool = True) -> dict:

@@ -29,8 +29,16 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
-from fournls.evolution import MCLACHLAN_A, _rotate, _stepper, free_flow, run_manifest
-from fournls.spectral import Spectrum, cubic_convolution
+from fournls.evolution import (
+    MCLACHLAN_A,
+    _rotate,
+    _stepper,
+    _Trajectory,
+    conserved_energy,
+    free_flow,
+    run_manifest,
+)
+from fournls.spectral import Spectrum, cubic_convolution, spectral_tail_fraction
 
 
 def smooth_datum(L=60.0, M=512, width=1.5, amplitude=1.0):
@@ -371,6 +379,41 @@ def _assert_records_equal(got, want):
     for f, g in zip(got.fields or (), want.fields or ()):
         assert f.values.tobytes() == g.values.tobytes()
     assert got.aborted == want.aborted
+
+
+class TestRecord:
+    @pytest.mark.parametrize("equation", ["quartic", "cubic"])
+    @pytest.mark.parametrize("L, M, k0", [(30.0, 128, 0), (40.0, 96, 37)], ids=["k0=0", "band"])
+    def test_diagnostics_are_the_public_functions_bitwise(self, equation, L, M, k0):
+        # one transform per record serves the energy, the Sobolev norms and the
+        # tail; each must be what the public function returns for the field
+        g = make_grid(L, M, k0)
+        u0 = Field(g, np.exp(-(g.x / 2.5) ** 2) * (1.0 + 0.3j * np.sin(2 * np.pi * g.x / L)))
+        orders = (-0.75, 0.0, 0.5, 1.0)
+        cfg = EvolutionConfig(equation=equation, kappa=-1, orientation=-1, dt=1e-3,
+                              t_end=0.02, scheme="strang", record_stride=5,
+                              sobolev_orders=orders, run_tail_tol=1.0)
+        rec = evolve(u0, cfg)
+        assert len(rec.fields) == 5
+        run = _Trajectory(g, cfg)
+        for i, f in enumerate(rec.fields):
+            assert rec.mass[i] == mass(f)
+            assert rec.energy[i] == conserved_energy(f, cfg)
+            for s in orders:
+                assert rec.sobolev[s][i] == sobolev_norm(f, s)
+            assert run.record(rec.times[i], f.values) == spectral_tail_fraction(f)
+        assert spectral_tail_fraction(rec.fields[-1]) > 0
+
+    def test_a_record_takes_one_transform(self, monkeypatch):
+        g = make_grid(30.0, 128)
+        cfg = EvolutionConfig(sobolev_orders=(-0.5, 0.0, 1.0))
+        run = _Trajectory(g, cfg)
+        u = smooth_datum(M=128, L=30.0).values
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or fft(*a, **kw))
+        run.record(0.0, u)
+        assert len(calls) == 1
 
 
 class TestEvolveMany:

@@ -423,21 +423,44 @@ class TestEnergy4:
         assert max(ratios) < 1.0
 
 
+class TestLambdaNSymbolInputs:
+    @pytest.mark.parametrize("L, K", [(2 * np.pi, 12), (7.3, 12), (7.3, 5)])
+    @pytest.mark.parametrize("collapsed", [False, True], ids=["four-slot", "collapsed"])
+    def test_symbol_sees_the_hyperplane_lattice_bitwise(self, L, K, collapsed):
+        # at every k1-slice, in order, the symbol's inputs are 2 pi/L times the
+        # integer lattice (k1, k2, k3, -(k1 + k2 + k3)); xi2 and xi3 are read-only
+        g = make_grid(L, 64)
+        u = narrow_state(g, np.random.default_rng(3), support=3, n_modes=5)
+        ks = np.arange(-K, K + 1)
+        k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
+        slices = []
+
+        def spy(x1, x2, x3, x4):
+            k1 = ks[len(slices)]
+            lattice = (np.full(k2g.shape, k1), k2g, k3g, -(k1 + k2g + k3g))
+            for got, k in zip((x1, x2, x3, x4), lattice):
+                assert got.tobytes() == (2 * np.pi / L * k).tobytes()
+            assert not x2.flags.writeable and not x3.flags.writeable
+            slices.append(k1)
+            return np.ones(k2g.shape, dtype=np.complex128)
+
+        symbol = SumLastThree(spy) if collapsed else spy
+        res = lambda_n(symbol, [u] * (6 if collapsed else 4), ModeSet(g, K))
+        assert slices == list(ks)
+        assert res.terms == (2 * K + 1) ** 3
+        assert np.isfinite(res.value)
+
+
 class TestSigma4Walk:
-    @pytest.mark.parametrize("rows_per_group", [None, 1, 2, 4],
-                             ids=["one-group", "group-1", "group-2", "group-4"])
-    def test_family_walk_equals_member_walks_bitwise(self, monkeypatch, rows_per_group):
+    def test_family_walk_equals_member_walks_bitwise(self):
         # the snapshots of three members, walked one member at a time and then
-        # as one family; a small CHUNK_BYTES splits the family into groups of
-        # rows that cut through members
+        # as one family
         g = make_grid(2 * np.pi, 64)
         rng = np.random.default_rng(21)
         members = [[narrow_state(g, rng, support=6, n_modes=9, scale=0.5) for _ in range(n)]
                    for n in (3, 2, 3)]
         modes = ModeSet(g, 18)
         alone = np.concatenate([imethod._sigma4_marginals(m, modes) for m in members])
-        if rows_per_group is not None:
-            monkeypatch.setattr(imethod, "CHUNK_BYTES", rows_per_group * 16 * 37 * 37)
         family = imethod._sigma4_marginals([f for m in members for f in m], modes)
         assert family.shape == (8, 37)
         assert family.tobytes() == alone.tobytes()

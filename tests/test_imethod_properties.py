@@ -58,23 +58,6 @@ def test_snapshot_batch_matches_one_at_a_time(case, N):
     assert np.allclose(batch, single, rtol=1e-13, atol=0)
 
 
-def test_batches_split_at_the_chunk_limit(monkeypatch):
-    grid = make_grid(2 * np.pi, 32)
-    rng = np.random.default_rng(0)
-    ks = np.arange(-5, 6)
-    fields = []
-    for _ in range(5):
-        coef = np.zeros(32, dtype=np.complex128)
-        coef[ks % 32] = rng.normal(size=11) + 1j * rng.normal(size=11)
-        fields.append(to_physical(Spectrum(grid, 0.3 * coef)))
-    modes = ModeSet(grid, 8)
-    whole = imethod._sigma4_marginals(fields, modes)
-    # room for two (17, 17) complex slices per batch: batches of 2, 2 and 1
-    monkeypatch.setattr(imethod, "CHUNK_BYTES", 2 * 16 * 17 * 17)
-    split = imethod._sigma4_marginals(fields, modes)
-    assert np.allclose(split, whole, rtol=1e-13, atol=0)
-
-
 @PROPS
 @given(narrow_states(max_K=6), thresholds)
 def test_collapsed_lambda6_matches_six_fold_sum(case, N):

@@ -45,6 +45,26 @@ class TestGrid:
         assert g.dx == 100.0 / 1024
         assert g.dx * g.M == g.L
 
+    @pytest.mark.parametrize("L, M, k0", [(2 * np.pi, 8, 0), (7.3, 64, 0), (40.0, 96, 37)])
+    def test_lattice_arrays_are_their_formulas_once_and_read_only(self, L, M, k0):
+        g = make_grid(L, M, k0)
+        k = np.fft.fftfreq(M, d=1.0 / M).astype(np.int64)
+        formulas = {
+            "x": -L / 2 + L / M * np.arange(M),
+            "k": k,
+            "xi": 2.0 * np.pi / L * (k + k0),
+            "_centering_phase": np.where(k % 2 == 0, 1.0, -1.0),
+        }
+        for name, want in formulas.items():
+            got = getattr(g, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert getattr(g, name) is got, name  # computed once
+            with pytest.raises(ValueError):
+                got[0] = got[1]
+        # the cached arrays do not enter equality or hashing
+        fresh = make_grid(L, M, k0)
+        assert fresh == g and hash(fresh) == hash(g)
+
     def test_invalid(self):
         with pytest.raises(ConfigError):
             make_grid(-1.0, 16)
