@@ -62,6 +62,8 @@ def kernel_K(t: float, x: float, alpha: float) -> complex:
     are added back, leaving a truncation error well below 1e-6 for |t| >= 0.05.
     Self-similar: K_t(x) = t^{-(alpha+1)/4} K_1(x t^{-1/4}) for t > 0.
     """
+    if not (np.isfinite(t) and np.isfinite(x)):
+        raise ConfigError(f"kernel needs finite t and x, got t={t}, x={x}")
     if t == 0:
         raise ConfigError("kernel is defined for t != 0")
     if not (0 <= alpha <= 1):
@@ -238,8 +240,8 @@ def bilinear_fit(n1: float, n2_values, width: float = 1.0, n_times: int = 33) ->
 # local smoothing
 
 
-def _log_time_grid(t_end: float, n: int, t_floor_ratio: float = 1e-8):
-    return np.geomspace(t_end * t_floor_ratio, t_end, n)
+def _log_time_grid(t_end: float, n: int):
+    return np.geomspace(t_end * 1e-8, t_end, n)
 
 
 def local_smoothing_check(
@@ -268,29 +270,22 @@ def local_smoothing_check(
     return float(np.sqrt(np.max(integral)) / l2)
 
 
-def local_smoothing_family(
-    scales,
-    order: float = 1.5,
-    base_width: float = 1.0,
-    base_carrier: float = 4.0,
-    L: float = 80.0,
-    M: int = 16384,
-) -> dict:
+def local_smoothing_family(scales, order: float = 1.5) -> dict:
     """Ratios of the local-smoothing quotient across a frequency-rescaled family.
 
+    phi is the Gaussian of width 1 and carrier 4, and
     phi_lambda(x) = lambda^(1/2) phi(lambda x) concentrates at frequency
-    ~ lambda * base_carrier; each scale gets a window ending before its
-    fastest content wraps.  For the critical order 3/2 the ratios stay
-    bounded; order 2 is the growing negative control.
+    ~ 4 lambda; every member lives on the grid L = 80, M = 16384.  Each
+    scale gets a window ending before its fastest content wraps.  For the
+    critical order 3/2 the ratios stay bounded; order 2 is the growing
+    negative control.
     """
-    grid = make_grid(L, M)
+    grid = make_grid(80.0, 16384)
     out = {}
     for lam in scales:
         lam = float(lam)
-        f = make_gaussian(
-            grid, amplitude=np.sqrt(lam), width=base_width / lam, carrier=base_carrier * lam
-        )
-        xi_hi = base_carrier * lam + 6.0 * lam / base_width
-        window = 0.25 * L / (4 * xi_hi**3)
+        f = make_gaussian(grid, amplitude=np.sqrt(lam), width=1.0 / lam, carrier=4.0 * lam)
+        xi_hi = 4.0 * lam + 6.0 * lam  # the carrier plus six inverse widths
+        window = 0.25 * grid.L / (4 * xi_hi**3)
         out[lam] = local_smoothing_check(f, window, order=order)
     return out

@@ -32,14 +32,16 @@ class FitResult:
 def fit_loglog(points) -> FitResult:
     """Fit ``log y = slope * log x + intercept`` by least squares.
 
-    Requires at least 4 strictly positive points with a non-degenerate
-    x-range; the residual RMS is reported in log units.
+    Requires at least 4 finite, strictly positive points with a
+    non-degenerate x-range; the residual RMS is reported in log units.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 4:
         raise ConfigError(f"need at least 4 points for a fit, got {len(pts)}")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ConfigError("log-log fit requires finite values")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ConfigError("log-log fit requires strictly positive values")
     lx, ly = np.log(xs), np.log(ys)
@@ -50,12 +52,8 @@ def fit_loglog(points) -> FitResult:
     fitted = A @ np.array([slope, intercept])
     resid = ly - fitted
     rms = float(np.sqrt(np.mean(resid**2)))
-    n = len(pts)
-    if n > 2:
-        sxx = np.sum((lx - lx.mean()) ** 2)
-        stderr = float(np.sqrt(np.sum(resid**2) / (n - 2) / sxx))
-    else:
-        stderr = np.nan
+    sxx = np.sum((lx - lx.mean()) ** 2)
+    stderr = float(np.sqrt(np.sum(resid**2) / (len(pts) - 2) / sxx))
     return FitResult(
         slope=float(slope),
         intercept=float(intercept),

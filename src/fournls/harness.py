@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dispersive, illposedness, imethod, resonance
 from .errors import ConfigError
-from .evolution import EvolutionConfig, evolve, run_manifest, trajectory_to_csv
+from .evolution import EvolutionConfig, _is_integer, evolve, run_manifest, trajectory_to_csv
 from .fitting import FitResult, fit_loglog
 from .spectral import make_gaussian, make_grid, to_physical, Spectrum
 
@@ -188,11 +188,11 @@ def _run_imethod_almost(p, tol, rng, out):
     return payload, ["increments.csv"], ok
 
 
-def _random_narrow_state(grid, rng, support, n_modes=5, scale=0.3):
+def _random_narrow_state(grid, rng, support):
     coef = np.zeros(grid.M, dtype=np.complex128)
-    ks = rng.choice(np.arange(-support, support + 1), size=n_modes, replace=False)
+    ks = rng.choice(np.arange(-support, support + 1), size=5, replace=False)
     for k in ks:
-        coef[int(k) % grid.M] = scale * (rng.normal() + 1j * rng.normal())
+        coef[int(k) % grid.M] = 0.3 * (rng.normal() + 1j * rng.normal())
     return to_physical(Spectrum(grid, coef))
 
 
@@ -408,6 +408,11 @@ def _key_errors(kind: str, params: dict, tolerances: dict) -> list:
     return errors
 
 
+def _is_number(v) -> bool:
+    # JSON true and false arrive as bool, an int subclass, not as a length or step
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def validate_spec(doc: dict) -> ExperimentSpec:
     """Validate a raw spec document, collecting every error before raising."""
     errors = []
@@ -435,17 +440,17 @@ def validate_spec(doc: dict) -> ExperimentSpec:
     if kind in EXPERIMENT_KINDS:
         errors += _key_errors(kind, params, tolerances)
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         errors.append(f"'seed' must be a non-negative integer, got {seed!r}")
         seed = 0
     M = params.get("M")
     if M is not None and (not isinstance(M, int) or M % 2 != 0 or M < 8):
         errors.append(f"params.M must be an even integer >= 8, got {M!r}")
     L = params.get("L")
-    if L is not None and not (isinstance(L, (int, float)) and L > 0):
+    if L is not None and not (_is_number(L) and L > 0):
         errors.append(f"params.L must be positive, got {L!r}")
     dt = params.get("dt")
-    if dt is not None and not (isinstance(dt, (int, float)) and dt > 0):
+    if dt is not None and not (_is_number(dt) and dt > 0):
         errors.append(f"params.dt must be positive, got {dt!r}")
     if errors:
         raise SpecValidationError(errors)

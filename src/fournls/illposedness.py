@@ -8,9 +8,10 @@ and the carrier-modulated field
 
     U_ap(t, x) = exp(i N^4 t) exp(i N x) v(s, y)
 
-solves (i d_t + d_x^4) U + kappa |U|^2 U = E with residual of size
-O(N^-2), provided v solves i d_s v - d_y^2 v + kappa |v|^2 v = 0.  With
-kappa = -1 that profile equation has the exact soliton family
+solves (i d_t + d_x^4) U - |U|^2 U = E with residual of size O(N^-2),
+provided v solves i d_s v - d_y^2 v - |v|^2 v = 0.  The construction's sign
+is kappa = -1 (focusing, after Christ-Colliander-Tao), the one sign for
+which that profile equation has the exact soliton family
 
     v_a(s, y) = sqrt(2) a sech(a y) exp(-i a^2 s),
 
@@ -49,16 +50,13 @@ XI_HEADROOM = 4.0  # grid4's Nyquist frequency in units of the carrier N
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Carrier frequency and the shared nonlinearity sign of the construction."""
+    """Carrier frequency of the construction (its sign is kappa = -1)."""
 
     N: float
-    kappa: int = -1
 
     def __post_init__(self):
         if not (np.isfinite(self.N) and self.N >= 8):
             raise ConfigError("carrier frequency must be >= 8")
-        if self.kappa not in (1, -1):
-            raise ConfigError("kappa must be +1 or -1")
 
 
 class SolitonProfile:
@@ -97,18 +95,17 @@ class UapSetup:
     grid_v: Grid
     band: Grid  # 4NLS modes k* + m, -profile_modes <= m < profile_modes
 
-    @property
-    def profile_length(self) -> float:
-        return self.grid_v.L
-
 
 def plan_uap_discretization(
     N: float,
     profile_length: float = 50.0,
     profile_modes: int = 512,
-    kappa: int = -1,
 ) -> UapSetup:
     """Choose the 4NLS grid and the profile grid so they are commensurate.
+
+    The construction's sign is kappa = -1: the quartic equation
+    (i d_t + d_x^4) U - |U|^2 U = 0 with the soliton profile of
+    ``SolitonProfile``.
 
     The 4NLS domain has length sqrt(6)*N*profile_length so the comoving
     window covers the profile torus exactly once; the carrier is snapped to
@@ -136,7 +133,7 @@ def plan_uap_discretization(
     m4_needed = L4 * (XI_HEADROOM * N_exact) / np.pi
     M4 = profile_modes * _next_5smooth(int(np.ceil(m4_needed * 1.02 / profile_modes)))
     return UapSetup(
-        params=ApproxParams(N=N_exact, kappa=kappa),
+        params=ApproxParams(N=N_exact),
         grid4=make_grid(L4, M4),
         grid_v=make_grid(Lv, profile_modes),
         band=make_grid(L4, 2 * profile_modes, k_star),
@@ -173,7 +170,7 @@ def _comoving_modes(setup: UapSetup, spec_v: Spectrum, t: float) -> np.ndarray:
     return spec_v.coef * np.exp(1j * setup.grid_v.xi * shift)
 
 
-def _padded(setup: UapSetup, c: np.ndarray, grid: Grid, offset: int = 0) -> Field:
+def _padded(setup: UapSetup, c: np.ndarray, grid: Grid, offset: int) -> Field:
     """The modes ``c`` placed at the local indices grid_v.k + offset of ``grid``."""
     big = np.zeros(grid.M, dtype=np.complex128)
     big[(setup.grid_v.k + offset) % grid.M] = c
@@ -184,7 +181,7 @@ def _profile_on_grid4(setup: UapSetup, spec_v: Spectrum, t: float) -> np.ndarray
     """Band-limited evaluation of the profile at the mapped points y(t, x_j)."""
     if setup.grid4.M % setup.grid_v.M != 0:
         raise ConfigError("4NLS grid must refine the profile grid")
-    return _padded(setup, _comoving_modes(setup, spec_v, t), setup.grid4).values
+    return _padded(setup, _comoving_modes(setup, spec_v, t), setup.grid4, 0).values
 
 
 def _uap_on(profile, setup: UapSetup, t: float, grid: Grid) -> Field:
@@ -205,7 +202,7 @@ def build_uap(profile, setup: UapSetup, t: float) -> Field:
 class ResidualFields:
     e1: Field              # (1/36) N^-4 carrier * d_y^4 v
     e2: Field              # (4i/6^{3/2}) N^-2 carrier * d_y^3 v
-    direct: Field          # (i d_t + d_x^4) U + kappa |U|^2 U by FD + spectral
+    direct: Field          # (i d_t + d_x^4) U - |U|^2 U by FD + spectral
     relative_defect: float  # ||direct - (e1 + e2)||_2 / ||e1 + e2||_2, unscaled if e1 + e2 = 0
 
 
@@ -221,7 +218,6 @@ def residual_fields(
     ``e1 + e2`` validates the whole change-of-variables computation.
     """
     N = setup.params.N
-    kappa = setup.params.kappa
     grid4, grid_v = setup.grid4, setup.grid_v
 
     def dy_m(m: int, at_t: float) -> np.ndarray:
@@ -245,7 +241,7 @@ def residual_fields(
     u_xxxx = to_physical(
         Spectrum(grid4, to_spectrum(Field(grid4, u)).coef * grid4.xi**4)
     ).values
-    direct = Field(grid4, iu_t + u_xxxx + kappa * np.abs(u) ** 2 * u)
+    direct = Field(grid4, iu_t + u_xxxx - np.abs(u) ** 2 * u)
 
     target = e1.values + e2.values
     scale = np.sqrt(grid4.dx * np.sum(np.abs(target) ** 2))
@@ -273,25 +269,22 @@ def modulation_norm_check(
     grid: Grid,
     sweep: str,
     values,
-    A: complex = 1.0,
     M: float = 64.0,
-    tau: float = 1.0,
-    x0: float = 0.0,
-    smoothness: float = 5.0,
 ) -> FitResult:
     """Fit ||A e^{iMx} u((x-x0)/tau)||_{H^s} against one swept parameter.
 
-    Expected slopes: s for the carrier sweep, 1/2 for the width sweep, 1
-    for the amplitude sweep.  The validity hypothesis (M tau >= 1 for
-    s >= 0; tau M^{1+s/smoothness} >= 1 for s < 0 and u of the given
-    smoothness) is checked per point and flagged with a warning, but the
-    norm is computed regardless.
+    The base point is A = 1, carrier M, tau = 1 and x0 = 0; the sweep
+    replaces A, M or tau.  Expected slopes: s for the carrier sweep, 1/2
+    for the width sweep, 1 for the amplitude sweep.  The validity
+    hypothesis (M tau >= 1 for s >= 0; tau M^{1+s/5} >= 1 for s < 0, taking
+    u of smoothness 5) is checked per point and flagged with a warning, but
+    the norm is computed regardless.
     """
     if sweep not in ("carrier", "width", "amplitude"):
         raise ConfigError(f"unknown sweep '{sweep}'")
     pts = []
     for val in values:
-        a_, m_, t_ = A, M, tau
+        a_, m_, t_ = 1.0, M, 1.0
         if sweep == "carrier":
             m_ = float(val)
         elif sweep == "width":
@@ -301,13 +294,13 @@ def modulation_norm_check(
         if s >= 0:
             ok = m_ * t_ >= 1
         else:
-            ok = t_ * m_ ** (1 + s / smoothness) >= 1
+            ok = t_ * m_ ** (1 + s / 5.0) >= 1
         if not ok:
             warnings.warn(
                 f"modulation hypothesis violated at {sweep}={val}: computed anyway",
                 stacklevel=2,
             )
-        v = modulated_profile(u, a_, m_, t_, x0, grid)
+        v = modulated_profile(u, a_, m_, t_, 0.0, grid)
         pts.append((abs(val), sobolev_norm(v, s)))
     return fit_loglog(pts)
 
@@ -316,9 +309,9 @@ def modulation_norm_check(
 # experiments against the true solver
 
 
-def _solver_config(kappa: int, dt: float, t_end: float, stride: int) -> EvolutionConfig:
-    # (i d_t + d_x^4) U + kappa |U|^2 U = 0  <=>  i U_t = -U_xxxx - kappa |U|^2 U
-    return EvolutionConfig(equation="quartic", orientation=-1, kappa=-kappa, dt=dt,
+def _solver_config(dt: float, t_end: float, stride: int) -> EvolutionConfig:
+    # (i d_t + d_x^4) U - |U|^2 U = 0  <=>  i U_t = -U_xxxx + |U|^2 U
+    return EvolutionConfig(equation="quartic", orientation=-1, kappa=1, dt=dt,
                            t_end=t_end, scheme="strang", record_stride=stride,
                            record_fields=True)
 
@@ -342,7 +335,7 @@ def uap_tracking_error(N: float, window: float = 1.0, amplitude: float = 1.0,
     steps = int(round(window / dt))
     stride = max(1, steps // n_records)
     rec = evolve(_uap_on(profile, setup, 0.0, band),
-                 _solver_config(setup.params.kappa, dt, window, stride))
+                 _solver_config(dt, window, stride))
     worst = 0.0
     for t, f in zip(rec.times, rec.fields):
         if t == 0:
@@ -442,7 +435,7 @@ def separation_experiment(
 
     steps = int(round(t_run / dt))
     stride = max(1, steps // n_records)
-    cfg = _solver_config(setup.params.kappa, dt, steps * dt, stride)
+    cfg = _solver_config(dt, steps * dt, stride)
     rec1, rec2 = evolve_many([u1_0, u2_0], cfg)
 
     def scaled_norm(f: Field) -> float:

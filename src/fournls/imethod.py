@@ -107,8 +107,8 @@ class IMethodParams:
     def __post_init__(self):
         if not (np.isfinite(self.N) and self.N >= 1):
             raise ConfigError("threshold N must be >= 1")
-        if self.s > 0:
-            raise ConfigError("target regularity s must be <= 0")
+        if not -np.inf < self.s <= 0:
+            raise ConfigError(f"target regularity s must be finite and <= 0, got {self.s}")
 
 
 def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
@@ -572,12 +572,12 @@ class IdentityCheck:
     c_estimate: float
 
 
-def _support_radius(spec: Spectrum, rel_tol: float = 1e-13) -> int:
+def _support_radius(spec: Spectrum) -> int:
     mags = np.abs(spec.coef)
     peak = np.max(mags)
     if peak == 0:
         return 0
-    occupied = mags > rel_tol * peak
+    occupied = mags > 1e-13 * peak
     return int(np.max(np.abs(spec.grid.k[occupied])))
 
 
@@ -682,7 +682,6 @@ def rough_localized_datum(
     amplitude: float = 0.4,
     support: int = 120,
     decay: float = 1.2,
-    envelope: float = 0.18,
 ) -> Field:
     """Random-phase datum with |c_k| ~ (1+|k|)^-decay under a spatial envelope.
 
@@ -695,7 +694,7 @@ def rough_localized_datum(
         2j * np.pi * rng.random(band.sum())
     )
     f = to_physical(Spectrum(grid, coef))
-    vals = f.values * np.exp(-((grid.x / (envelope * grid.L)) ** 2))
+    vals = f.values * np.exp(-((grid.x / (0.18 * grid.L)) ** 2))
     c2 = np.fft.fft(vals)
     c2[~band] = 0
     vals = np.fft.ifft(c2)
@@ -708,7 +707,6 @@ def almost_conservation_experiment(
     cfg: EvolutionConfig,
     s: float = -0.5,
     support_K: int | None = None,
-    floor: float = 1e-13,
 ) -> AlmostConservationResult:
     """Sweep the threshold N and fit the modified-mass increment decay.
 
@@ -721,6 +719,7 @@ def almost_conservation_experiment(
     series is fitted for comparison.
     """
     family = [data] if isinstance(data, Field) else list(data)
+    floor = 1e-13  # increments below it are round-off
     if len(N_values) < 4:
         raise ConfigError("need at least 4 threshold values for the sweep")
     if not cfg.record_fields:

@@ -35,13 +35,13 @@ __all__ = [
 ]
 
 
-def sample_hyperplane(rng: np.random.Generator, n: int, log2_range=(0.0, 10.0)):
+def sample_hyperplane(rng: np.random.Generator, n: int):
     """Draw n random zero-sum quadruples with log-uniform magnitudes.
 
+    The magnitudes of xi1, xi2, xi3 are 2^U with U uniform on [0, 10].
     Returns four arrays (xi1, xi2, xi3, xi4) with xi4 = -(xi1+xi2+xi3).
     """
-    lo, hi = log2_range
-    mags = 2.0 ** rng.uniform(lo, hi, size=(3, n))
+    mags = 2.0 ** rng.uniform(0.0, 10.0, size=(3, n))
     signs = rng.choice([-1.0, 1.0], size=(3, n))
     x1, x2, x3 = mags * signs
     x4 = -(x1 + x2 + x3)
@@ -95,7 +95,6 @@ def mean_value_bound_check(
     p: IMethodParams,
     rng: np.random.Generator,
     n_samples: int = 2000,
-    xi_range=(4.0, 4096.0),
     region: str = "any",
 ) -> MeanValueReport:
     """Measure the constants in the one- and two-increment bounds for m^2.
@@ -104,10 +103,11 @@ def mean_value_bound_check(
     ratios |a(xi+eta) - a(xi)| / (|eta| sup|a'|) and
     |a(xi+eta+lam) - a(xi+eta) - a(xi+lam) + a(xi)| / (|eta||lam| sup|a''|),
     with each sup taken over the convex hull of the evaluation points.
-    ``region`` restricts the base point: 'constant' (all below N), 'power'
-    (all above 2N) or 'junction' (straddling [N, 2N]).
+    ``region`` picks the base point: 'any' (uniform on [4, 4096]),
+    'constant' (all below N), 'power' (all above 2N) or 'junction'
+    (straddling [N, 2N]).
     """
-    lo, hi = xi_range
+    lo, hi = 4.0, 4096.0
     if region == "constant":
         lo, hi = 1.0, p.N / 2
     elif region == "power":

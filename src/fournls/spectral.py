@@ -47,10 +47,6 @@ __all__ = [
     "spectral_tail_fraction",
     "boundary_tail_fraction",
     "check_resolved",
-    "field_to_csv",
-    "field_from_csv",
-    "spectrum_to_csv",
-    "spectrum_from_csv",
 ]
 
 
@@ -128,9 +124,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
-    def conj(self) -> "Field":
-        return Field(self.grid, np.conj(self.values))
-
 
 @dataclass
 class Spectrum:
@@ -145,9 +138,6 @@ class Spectrum:
             raise ConfigError(
                 f"coefficient count {self.coef.shape} does not match grid M={self.grid.M}"
             )
-
-    def copy(self) -> "Spectrum":
-        return Spectrum(self.grid, self.coef.copy())
 
 
 @dataclass(frozen=True)
@@ -366,61 +356,3 @@ def check_resolved(f: Field, tol: float = 1e-8, localized: bool = True) -> dict:
     if localized and boundary > tol:
         raise ResolutionError(f"boundary tail {boundary:.3e} exceeds {tol:.1e}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _csv_header(grid: Grid) -> str:
-    # k0 is written only for band grids, so k0 = 0 files keep their old header
-    band = f" k0={grid.k0}" if grid.k0 else ""
-    return f"# L={grid.L!r} M={grid.M}{band}\n"
-
-
-def _grid_from_header(header: str) -> Grid:
-    parts = dict(tok.split("=") for tok in header.strip().lstrip("# ").split())
-    return make_grid(float(parts["L"]), int(parts["M"]), int(parts.get("k0", 0)))
-
-
-def field_to_csv(f: Field, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(_csv_header(f.grid))
-        fh.write("x,re_u,im_u\n")
-        for xj, uj in zip(f.grid.x, f.values):
-            fh.write(f"{float(xj)!r},{float(uj.real)!r},{float(uj.imag)!r}\n")
-
-
-def field_from_csv(path) -> Field:
-    with open(path) as fh:
-        grid = _grid_from_header(fh.readline())
-        fh.readline()  # column names
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    vals = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    return Field(grid, vals)
-
-
-def spectrum_to_csv(s: Spectrum, path) -> None:
-    order = np.argsort(s.grid.k)
-    with open(path, "w") as fh:
-        fh.write(_csv_header(s.grid))
-        fh.write("k,xi,re_c,im_c\n")
-        for i in order:
-            fh.write(
-                f"{int(s.grid.k[i])},{float(s.grid.xi[i])!r},"
-                f"{float(s.coef[i].real)!r},{float(s.coef[i].imag)!r}\n"
-            )
-
-
-def spectrum_from_csv(path) -> Spectrum:
-    with open(path) as fh:
-        grid = _grid_from_header(fh.readline())
-        fh.readline()
-        coef = np.zeros(grid.M, dtype=np.complex128)
-        for line in fh:
-            if not line.strip():
-                continue
-            kk, _, re, im = line.strip().split(",")
-            coef[int(kk) % grid.M] = float(re) + 1j * float(im)
-    return Spectrum(grid, coef)
-

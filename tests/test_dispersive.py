@@ -59,6 +59,11 @@ class TestKernel:
         with pytest.raises(ConfigError):
             kernel_K(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("t, x", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_point_rejected(self, t, x):
+        with pytest.raises(ConfigError):
+            kernel_K(t, x, 0.0)
+
 
 def full_range_K(t, x, alpha):
     """The full-range form of ``kernel_K``: the complex exponential summed on

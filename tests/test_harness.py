@@ -44,6 +44,10 @@ class TestFitLoglog:
             fit_loglog([(1.0, 1.0), (2.0, -2.0), (3.0, 1.0), (4.0, 1.0)])
         with pytest.raises(ConfigError):
             fit_loglog([(1.0, 1.0)] * 5)
+        good = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+        for bad in [(4.0, np.nan), (4.0, np.inf), (np.inf, 4.0), (np.nan, 4.0)]:
+            with pytest.raises(ConfigError):
+                fit_loglog(good + [bad])
 
 
 class TestSpecValidation:
@@ -63,6 +67,16 @@ class TestSpecValidation:
         assert len(exc.value.errors) == 5  # kind, seed, M, L, dt
         assert "no-such-kind" in msgs
         assert "M" in msgs and "L" in msgs and "dt" in msgs and "seed" in msgs
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "evolve", "seed": True},
+        {"kind": "evolve", "params": {"L": True}},
+        {"kind": "evolve", "params": {"dt": True}},
+    ])
+    def test_bool_values_rejected(self, doc):
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec(doc)
+        assert len(exc.value.errors) == 1
 
     def test_unknown_kind_lists_valid_kinds(self):
         with pytest.raises(SpecValidationError) as exc:

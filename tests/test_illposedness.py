@@ -227,7 +227,7 @@ class TestExperiments:
         # outside the band dropped: fields agree to round-off
         setup = small_setup(16.0)
         prof = SolitonProfile(1.0, setup.grid_v)
-        cfg = _solver_config(setup.params.kappa, 2e-3, 0.1, 50)
+        cfg = _solver_config(2e-3, 0.1, 50)
         full = evolve(build_uap(prof, setup, 0.0), cfg).final_field()
         band = evolve(_uap_on(prof, setup, 0.0, setup.band), cfg).final_field()
         k = (setup.band.k + setup.band.k0) % setup.grid4.M

@@ -83,6 +83,11 @@ class TestMultiplier:
         with pytest.raises(ConfigError):
             IMethodParams(N=4.0, s=0.5)
 
+    @pytest.mark.parametrize("s", [np.nan, -np.inf])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(ConfigError):
+            IMethodParams(N=2.0, s=s)
+
     def test_derivative_closed_forms(self):
         p = params(N=8.0, s=-0.5)
         xi = np.linspace(2.0, 64.0, 300)
