@@ -55,12 +55,6 @@ from .spectral import (
     to_physical,
     to_spectrum,
 )
-from .symmetries import (
-    ConservedReport,
-    check_scaling_covariance,
-    hamiltonian,
-    mass,
-    scale_transform,
-)
+from .symmetries import check_scaling_covariance, mass, scale_transform
 
 __version__ = "0.1.0"

@@ -190,39 +190,38 @@ def strichartz_admissible(q, r, alpha) -> bool:
 # bilinear interaction of separated packets
 
 
-def _packet(grid, carrier: float, width: float = 1.0) -> Field:
-    f = make_gaussian(grid, amplitude=1.0, width=width, carrier=carrier)
+def _packet(grid, carrier: float) -> Field:
+    f = make_gaussian(grid, amplitude=1.0, width=1.0, carrier=carrier)
     norm = np.sqrt(grid.dx * np.sum(np.abs(f.values) ** 2))
     return Field(grid, f.values / norm)
 
 
-def bilinear_interaction_norm(
-    n1: float, n2: float, width: float = 1.0, n_times: int = 33
-) -> float:
+def bilinear_interaction_norm(n1: float, n2: float) -> float:
     """L^2_{t,x} norm of the product of two free unit-L^2 packets.
 
-    The packets carry frequencies n1 and n2 and cross at relative group
-    speed ~ 4(n2^3 - n1^3); the quadrature window covers the full crossing
-    (or, for co-moving packets, the envelope dispersal time).
+    The packets are Gaussians of width 1 that carry frequencies n1 and n2
+    and cross at relative group speed ~ 4(n2^3 - n1^3); the quadrature
+    takes 33 times over a window that covers the full crossing (or, for
+    co-moving packets, the envelope dispersal time).
     """
     n1, n2 = float(n1), float(n2)
     speed = 4 * abs(n2**3 - n1**3)
     if speed > 0:
-        t_win = 10.0 * width / speed
+        t_win = 10.0 / speed
     else:
-        t_win = width**3 / (24 * max(n1, n2) ** 2) * 20
-    span = 2 * (width * 6 + speed * t_win * 1.2)
+        t_win = 1.0 / (24 * max(n1, n2) ** 2) * 20
+    span = 2 * (6.0 + speed * t_win * 1.2)
     L = max(48.0, span)
-    xi_need = max(n1, n2) + 8.0 / width
+    xi_need = max(n1, n2) + 8.0
     M = int(2 ** np.ceil(np.log2(L * xi_need / np.pi * 1.25)))
     grid = make_grid(L, M)
-    ts = np.linspace(-t_win, t_win, n_times)
-    flows = (free_flow(_packet(grid, n, width), ts, EvolutionConfig()) for n in (n1, n2))
+    ts = np.linspace(-t_win, t_win, 33)
+    flows = (free_flow(_packet(grid, n), ts, EvolutionConfig()) for n in (n1, n2))
     vals = [grid.dx * np.sum(np.abs(u1.values * u2.values) ** 2) for u1, u2 in zip(*flows)]
     return float(np.sqrt(np.trapezoid(np.array(vals), ts)))
 
 
-def bilinear_fit(n1: float, n2_values, width: float = 1.0, n_times: int = 33) -> FitResult:
+def bilinear_fit(n1: float, n2_values) -> FitResult:
     """Fit the packet-interaction norm against the high frequency.
 
     Requires the separation hypothesis n1 <= n2/8 throughout the sweep;
@@ -232,7 +231,7 @@ def bilinear_fit(n1: float, n2_values, width: float = 1.0, n_times: int = 33) ->
     for n2 in n2_values:
         if n1 > float(n2) / 8:
             raise ConfigError("sweep requires n1 <= n2/8")
-        pts.append((float(n2), bilinear_interaction_norm(n1, n2, width, n_times)))
+        pts.append((float(n2), bilinear_interaction_norm(n1, n2)))
     return fit_loglog(pts)
 
 
@@ -280,10 +279,12 @@ def local_smoothing_family(scales, order: float = 1.5) -> dict:
     critical order 3/2 the ratios stay bounded; order 2 is the growing
     negative control.
     """
+    scales = [float(lam) for lam in scales]
+    if not scales or min(scales) <= 0:
+        raise ConfigError(f"the local-smoothing family needs positive scales, got {scales}")
     grid = make_grid(80.0, 16384)
     out = {}
     for lam in scales:
-        lam = float(lam)
         f = make_gaussian(grid, amplitude=np.sqrt(lam), width=1.0 / lam, carrier=4.0 * lam)
         xi_hi = 4.0 * lam + 6.0 * lam  # the carrier plus six inverse widths
         window = 0.25 * grid.L / (4 * xi_hi**3)

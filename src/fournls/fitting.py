@@ -21,13 +21,6 @@ class FitResult:
     slope_stderr: float
     points: list
 
-    def __str__(self):
-        return (
-            f"slope={self.slope:+.4f} (+/- {self.slope_stderr:.4f}), "
-            f"intercept={self.intercept:+.4f}, rms={self.residual_rms:.4f}, "
-            f"n={len(self.points)}"
-        )
-
 
 def fit_loglog(points) -> FitResult:
     """Fit ``log y = slope * log x + intercept`` by least squares.

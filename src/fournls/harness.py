@@ -28,13 +28,14 @@ import numpy as np
 
 from . import dispersive, illposedness, imethod, resonance
 from .errors import ConfigError
-from .evolution import EvolutionConfig, _is_integer, evolve, run_manifest, trajectory_to_csv
-from .fitting import FitResult, fit_loglog
+from .evolution import (EvolutionConfig, _is_integer, _write_csv, evolve, run_manifest,
+                        trajectory_to_csv)
+from .fitting import FitResult
 from .spectral import make_gaussian, make_grid, to_physical, Spectrum
 
 __all__ = [
     "ExperimentKind", "ExperimentSpec", "ReportDocument", "SpecValidationError",
-    "parse_spec", "run", "fit_loglog", "EXPERIMENT_KINDS", "OUTPUT_ROOT_ENV",
+    "parse_spec", "run", "EXPERIMENT_KINDS", "OUTPUT_ROOT_ENV",
 ]
 
 OUTPUT_ROOT_ENV = "FOURNLS_OUT"
@@ -93,14 +94,6 @@ def _kind(name: str, params: dict, tolerances: dict):
 
 def _float_list(v):
     return [float(x) for x in v]
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
 
 
 def _fit_payload(fit: FitResult) -> dict:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolution import EvolutionConfig, evolve, evolve_many
+from .evolution import EvolutionConfig, _is_integer, evolve, evolve_many
 from .fitting import FitResult, fit_loglog
 from .spectral import Field, Grid, Spectrum, make_grid, sobolev_norm, to_physical, to_spectrum
 from .symmetries import scale_transform
@@ -124,6 +124,12 @@ def plan_uap_discretization(
     k* + m: written as 2*pi*(m + k*)/L4 they move the N = 32 tracking error
     by 7e-8 relative, since xi^4 dt is a phase of thousands of radians.
     """
+    if not (np.isfinite(N) and N > 0):
+        raise ConfigError(f"carrier frequency N must be positive and finite, got {N!r}")
+    if not (np.isfinite(profile_length) and profile_length > 0):
+        raise ConfigError(f"profile_length must be positive and finite, got {profile_length!r}")
+    if not (_is_integer(profile_modes) and profile_modes > 0):
+        raise ConfigError(f"profile_modes must be a positive integer, got {profile_modes!r}")
     L4 = SQRT6 * N * profile_length
     k_star = int(round(N * L4 / (2 * np.pi)))
     if 2 * np.pi * k_star / L4 < 8.0:  # keep the snapped carrier admissible
@@ -320,7 +326,6 @@ def _solver_config(dt: float, t_end: float, stride: int) -> EvolutionConfig:
 class ErrorDecayResult:
     fit: FitResult
     sup_errors: dict
-    window: float
 
 
 def uap_tracking_error(N: float, window: float = 1.0, amplitude: float = 1.0,
@@ -361,7 +366,7 @@ def error_decay_experiment(N_values, window: float = 1.0, amplitude: float = 1.0
         for N in N_values
     }
     fit = fit_loglog(sorted(sups.items()))
-    return ErrorDecayResult(fit=fit, sup_errors=sups, window=window)
+    return ErrorDecayResult(fit=fit, sup_errors=sups)
 
 
 @dataclass
@@ -439,7 +444,7 @@ def separation_experiment(
     rec1, rec2 = evolve_many([u1_0, u2_0], cfg)
 
     def scaled_norm(f: Field) -> float:
-        return sobolev_norm(scale_transform(f, lam).field, s)
+        return sobolev_norm(scale_transform(f, lam), s)
 
     def scaled_dist(f: Field, g: Field) -> float:
         return scaled_norm(Field(f.grid, f.values - g.values))

@@ -216,15 +216,19 @@ def _sigma4_on_hyperplane(x1, x2, x3, x4, p):
     tol = 1e-12 * np.sqrt(quad)
     nz = (np.abs(s12) > tol) & (np.abs(s14) > tol)
     np.divide(np.broadcast_to(num, out.shape), denom, out=out, where=nz)
-    resonant = ~nz
-    if np.any(resonant):
-        bad = np.abs(np.broadcast_to(num, out.shape)[resonant])
-        if np.any(bad > 1e-12):
-            raise NumericDomainError(
-                "non-removable resonant singularity: alpha4 = 0 with M4 != 0 "
-                f"(|M4| up to {np.max(bad):.3e})"
-            )
+    _check_removable(np.broadcast_to(num, out.shape)[~nz])
     return out
+
+
+def _check_removable(m4_at_zeros):
+    """Raise unless M4, read where alpha4 = 0, vanishes there (to 1e-12):
+    sigma4 = M4 / alpha4 is defined only at such removable zeros."""
+    bad = np.abs(m4_at_zeros)
+    if np.any(bad > 1e-12):
+        raise NumericDomainError(
+            "non-removable resonant singularity: alpha4 = 0 with M4 != 0 "
+            f"(|M4| up to {np.max(bad):.3e})"
+        )
 
 
 def symbol_sigma4(xi1, xi2, xi3, xi4, p: IMethodParams):
@@ -496,12 +500,7 @@ def _lambda4_sigma4(marginals: np.ndarray, p: IMethodParams, modes: ModeSet) -> 
     m2_1, m2_3 = m2[:, None], m2[None, :]  # m^2(xi1), m^2(xi3) on the (k1, k3) grid
     neg_1, neg_3 = m2[::-1][:, None], m2[::-1][None, :]  # m^2(-xi1), m^2(-xi3)
     for m2_2, m2_4 in ((neg_1, neg_3), (neg_3, neg_1)):
-        bad = np.abs(0.5 * (m2_1 - m2_2 + m2_3 - m2_4))
-        if np.any(bad > 1e-12):
-            raise NumericDomainError(
-                "non-removable resonant singularity: alpha4 = 0 with M4 != 0 "
-                f"(|M4| up to {np.max(bad):.3e})"
-            )
+        _check_removable(0.5 * (m2_1 - m2_2 + m2_3 - m2_4))
     # a row sum, not a matrix product, so a row's value does not depend on the batch
     corr = modes.grid.L * (marginals * (m2 - 1.0)).sum(axis=1)
     for value in corr:
@@ -523,9 +522,7 @@ def energy4(f: Field, p: IMethodParams, modes: ModeSet) -> float:
     return energy2(f, p) + corr.real
 
 
-def sigma4_bound_constant(
-    p: IMethodParams, rng: np.random.Generator, n_samples: int = 100_000
-) -> float:
+def sigma4_bound_constant(p: IMethodParams, rng: np.random.Generator) -> float:
     """Largest observed |sigma4| / [m^2(min|xi_i|) / prod(N + |xi_i|)].
 
     Half the tuples are broad log-uniform draws; the other half sit on the
@@ -533,7 +530,7 @@ def sigma4_bound_constant(
     where the ratio is extremal.  With the ridge samples the estimate is
     threshold-independent, which is the content of the multiplier bound.
     """
-    n_half = n_samples // 2
+    n_half = 50_000  # 100 000 tuples in all
     x1, x2, x3 = 2.0 ** rng.uniform(0, np.log2(p.N) + 4, size=(3, n_half)) * rng.choice(
         [-1.0, 1.0], size=(3, n_half)
     )
@@ -582,14 +579,14 @@ def _support_radius(spec: Spectrum) -> int:
 
 
 def derivative_identity_check(
-    f: Field, p: IMethodParams, cfg: EvolutionConfig, modes: ModeSet, fd_step: float = 1e-5
+    f: Field, p: IMethodParams, cfg: EvolutionConfig, modes: ModeSet
 ) -> IdentityCheck:
     """Compare finite-difference dE2/dt and dE4/dt with the multilinear forms.
 
     The state is evolved with the truncated Galerkin system; since the
     energy gradients reach three times the state's support, exactness
     requires 3 * support <= K, which is enforced.  Time derivatives use the
-    five-point fourth-order stencil with step ``fd_step`` (the resonance
+    five-point fourth-order stencil with step 1e-5 (the resonance
     phases reach ~K^4, so a second-order stencil would not meet 1e-6).
     """
     spec0 = to_spectrum(f)
@@ -602,7 +599,7 @@ def derivative_identity_check(
     if cfg.equation != "quartic" or cfg.orientation != 1:
         raise ConfigError("identity check is defined for i u_t = +u_xxxx + kappa|u|^2 u")
 
-    h = fd_step
+    h = 1e-5
     states = {}
     for mlt in (-2, -1, 1, 2):
         states[mlt] = to_physical(
@@ -658,6 +655,8 @@ def fit_m6_constant(states, p: IMethodParams, cfg: EvolutionConfig, modes: ModeS
 
 def m6_constant_from_checks(checks):
     """The (c, ratios) of :func:`fit_m6_constant` from identity checks already run."""
+    if not checks:
+        raise ConfigError("fitting the M6 constant needs at least one identity check")
     res = np.array([chk.re_lambda6 for chk in checks])
     nums = np.array([chk.c_estimate for chk in checks]) * res
     c = float(np.sum(nums * res) / np.sum(res * res))

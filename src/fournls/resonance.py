@@ -41,6 +41,8 @@ def sample_hyperplane(rng: np.random.Generator, n: int):
     The magnitudes of xi1, xi2, xi3 are 2^U with U uniform on [0, 10].
     Returns four arrays (xi1, xi2, xi3, xi4) with xi4 = -(xi1+xi2+xi3).
     """
+    if n < 1:
+        raise ConfigError(f"need at least one sample, got {n}")
     mags = 2.0 ** rng.uniform(0.0, 10.0, size=(3, n))
     signs = rng.choice([-1.0, 1.0], size=(3, n))
     x1, x2, x3 = mags * signs
@@ -211,7 +213,7 @@ def _band_ratio(N: float, s: float, times: np.ndarray) -> tuple:
     return lhs, float(rhs_single**3)
 
 
-def trilinear_counterexample(N_values, s: float, n_times: int = 9) -> TrilinearResult:
+def trilinear_counterexample(N_values, s: float) -> TrilinearResult:
     """Scaling check of the cubic interaction of width-1/N band data.
 
     For each N the datum has unit spectrum on [N, N + 1/N]; its free quartic
@@ -228,7 +230,7 @@ def trilinear_counterexample(N_values, s: float, n_times: int = 9) -> TrilinearR
     if s >= 0.5:
         raise ConfigError("counterexample targets s <= 0 (rough data)")
     lhs, rhs = {}, {}
-    times = np.linspace(-1.0, 1.0, n_times)
+    times = np.linspace(-1.0, 1.0, 9)
     for N in N_values:
         lhs[N], rhs[N] = _band_ratio(float(N), s, times)
     fit = fit_loglog([(N, lhs[N] / rhs[N]) for N in N_values])

@@ -83,7 +83,7 @@ class TestCriterion02ScalingCovariance:
         defect = check_scaling_covariance(u0, lam, cfg, t=t)
 
         # measured discretization error of the scaled-data run (step halving)
-        scaled0 = scale_transform(u0, lam).field
+        scaled0 = scale_transform(u0, lam)
         ends = {}
         for d in (dt, dt / 2):
             rec = evolve(scaled0, replace(cfg, dt=d, t_end=t, record_fields=True,
@@ -96,13 +96,13 @@ class TestCriterion02ScalingCovariance:
         ratios_ok = True
         details = []
         for s in (-0.5, -1.0, 0.5):
-            got = sobolev_norm(scale_transform(u0, lam).field, s, homogeneous=True) / (
+            got = sobolev_norm(scale_transform(u0, lam), s, homogeneous=True) / (
                 sobolev_norm(u0, s, homogeneous=True)
             )
             want = lam ** (s + 1.5)
             ratios_ok &= abs(got / want - 1.0) < 1e-6
             details.append(f"s={s}: exp err {abs(got / want - 1):.1e}")
-        crit = sobolev_norm(scale_transform(u0, lam).field, -1.5, homogeneous=True) / (
+        crit = sobolev_norm(scale_transform(u0, lam), -1.5, homogeneous=True) / (
             sobolev_norm(u0, -1.5, homogeneous=True)
         )
         ok = defect <= 2 * disc and defect < 1e-6 and ratios_ok and abs(crit - 1) < 1e-8

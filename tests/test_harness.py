@@ -195,6 +195,29 @@ class TestRun:
         assert len(report.results["fit"]["points"]) == 4
         assert report.passed
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "illposed-error", "params": {"profile_length": -1.0}},
+        {"kind": "illposed-error", "params": {"profile_modes": 0}},
+        {"kind": "illposed-separation", "params": {"N": float("nan")}},
+    ], ids=["negative-profile-length", "zero-profile-modes", "nan-carrier"])
+    def test_bad_uap_plan_raises_config_error(self, doc, tmp_path):
+        # a negative profile length used to loop forever in the grid planner
+        with pytest.raises(ConfigError):
+            run(validate_spec(doc), out_dir=tmp_path)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "resonance-check", "params": {"samples": 0}},
+        {"kind": "resonance-check", "params": {"samples": -5}},
+        {"kind": "derivative-identity", "params": {"n_states": 0}},
+        {"kind": "local-smoothing", "params": {"scales": []}},
+        {"kind": "local-smoothing", "params": {"scales": [0, 1]}},
+        {"kind": "evolve", "params": {"sobolev_orders": "abc"}},
+    ], ids=["zero-samples", "negative-samples", "no-states", "no-scales", "zero-scale",
+            "string-orders"])
+    def test_bad_counts_raise_config_error(self, doc, tmp_path):
+        with pytest.raises(ConfigError):
+            run(validate_spec(doc), out_dir=tmp_path)
+
     def test_gwp_kind(self, tmp_path):
         spec = ExperimentSpec(kind="gwp-parameters", params={"s": -0.5, "T": 100.0})
         report = run(spec, out_dir=tmp_path)

@@ -44,7 +44,19 @@ def test_marginal_lambda4_matches_direct_sum(case, N):
         lambda a, b, c, d: _sigma4_on_hyperplane(a, b, c, d, p), [f] * 4, modes
     ).value
     marginal = imethod._lambda4_sigma4(imethod._sigma4_marginals([f], modes), p, modes)[0]
-    assert abs(marginal - direct) <= 1e-12 * abs(direct)
+    # round-off is relative to the marginal formula's absolute terms,
+    # L sum_k |m^2_k - 1| (A1 + A2)(k) / (2 pi/L)^4, with A1 and A2 the
+    # marginals of |coefficients| weighted by |1/alpha4|: Lambda4 itself can
+    # cancel to 1e-40 while its terms stay of order one
+    K = modes.K
+    a = np.abs(imethod._coefs([f], K))
+    inv_alpha4 = imethod._inv_alpha4(K)
+    a1, a2 = imethod._walk_slices(lambda i1, k1: np.abs(inv_alpha4(i1, k1)),
+                                  a, a[:, ::-1], a, a[:, ::-1], K)
+    m2 = imethod._m_values(p, modes.xi_values) ** 2
+    terms = np.sum(np.abs(m2 - 1.0) * (a1 + a2).real[0])
+    scale = modes.grid.L * terms / (2 * np.pi / modes.grid.L) ** 4
+    assert abs(marginal - direct) <= 1e-12 * scale
 
 
 @PROPS
