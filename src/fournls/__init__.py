@@ -44,7 +44,6 @@ from .spectral import (
     Field,
     Grid,
     Spectrum,
-    SymbolFn,
     apply_symbol,
     fractional_derivative,
     lebesgue_norm,

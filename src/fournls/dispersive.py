@@ -253,6 +253,8 @@ def local_smoothing_check(
     must stay below the first wrap-around of the fastest resolved content,
     checked at every time by the boundary tail fraction.
     """
+    if not order >= 0:
+        raise ConfigError(f"smoothing order must be >= 0, got {order!r}")
     l2 = lebesgue_norm(datum, 2)
     if l2 == 0:
         return 0.0

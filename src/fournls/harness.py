@@ -123,6 +123,8 @@ def _run_evolve(p, tol, rng, out):
     grid = make_grid(p["L"], p["M"])
     f0 = make_gaussian(grid, amplitude=p["amplitude"], width=p["width"],
                        carrier=p["carrier"], center=p["center"])
+    if not isinstance(p["sobolev_orders"], (list, tuple)):
+        raise ConfigError(f"sobolev_orders must be a list, got {p['sobolev_orders']!r}")
     cfg = EvolutionConfig(
         **{k: p[k] for k in _CONFIG_KEYS},
         record_stride=p["record_stride"],
@@ -216,7 +218,7 @@ def _run_derivative_identity(p, tol, rng, out):
 
 @_kind("resonance-check", params=dict(samples=1_000_000), tolerances=dict(residual=1e-6))
 def _run_resonance_check(p, tol, rng, out):
-    n = int(p["samples"])
+    n = p["samples"]
     x1, x2, x3, x4 = resonance.sample_hyperplane(rng, n)
     lhs = resonance.resonance_lhs(x1, x2, x3, x4)
     rhs = resonance.resonance_product_signed(x1, x2, x3, x4)

@@ -34,7 +34,8 @@ import numpy as np
 from .errors import ConfigError
 from .evolution import EvolutionConfig, _is_integer, evolve, evolve_many
 from .fitting import FitResult, fit_loglog
-from .spectral import Field, Grid, Spectrum, make_grid, sobolev_norm, to_physical, to_spectrum
+from .spectral import (Field, Grid, Spectrum, apply_symbol, make_grid, sobolev_norm,
+                       to_physical, to_spectrum)
 from .symmetries import scale_transform
 
 __all__ = [
@@ -227,8 +228,7 @@ def residual_fields(
     grid4, grid_v = setup.grid4, setup.grid_v
 
     def dy_m(m: int, at_t: float) -> np.ndarray:
-        spec = to_spectrum(profile.value(at_t))
-        spec = Spectrum(grid_v, spec.coef * (1j * grid_v.xi) ** m)
+        spec = apply_symbol(to_spectrum(profile.value(at_t)), (1j * grid_v.xi) ** m)
         return _profile_on_grid4(setup, spec, at_t)
 
     carrier = np.exp(1j * N**4 * t) * np.exp(1j * N * grid4.x)
@@ -244,9 +244,7 @@ def residual_fields(
     w_t = (w[-2] - 8 * w[-1] + 8 * w[1] - w[2]) / (12 * h)
     u = np.exp(1j * N**4 * t) * w[0]
     iu_t = np.exp(1j * N**4 * t) * (1j * w_t - N**4 * w[0])
-    u_xxxx = to_physical(
-        Spectrum(grid4, to_spectrum(Field(grid4, u)).coef * grid4.xi**4)
-    ).values
+    u_xxxx = to_physical(apply_symbol(to_spectrum(Field(grid4, u)), grid4.xi**4)).values
     direct = Field(grid4, iu_t + u_xxxx - np.abs(u) ** 2 * u)
 
     target = e1.values + e2.values

@@ -23,9 +23,11 @@ sigma4 = M4 / (xi1^4 - xi2^4 + xi3^4 - xi4^4)  (real-valued), and
 M6 = i sigma4(xi1, xi2, xi3, xi4+xi5+xi6).  The correction term cancels the
 quadrilinear increment exactly for g = +1, the normalization adopted here.
 
-Evaluation.  Neither form is summed symbol by symbol.  One walk of the
+Evaluation.  Lambda4(sigma4) and Lambda4(M4) are not summed symbol by
+symbol: each reads one table of m^2 on the lattice.  One walk of the
 hyperplane, ``_walk_slices`` (k1-slices of (k2, k3) points, the last slot
-read through a zero-padded window), serves both and the generic Lambda4:
+read through a zero-padded window), serves Lambda4(sigma4), Lambda6(M6) and
+the generic Lambda4:
 
 * Lambda4(sigma4).  With W = u(xi1) conj(u(-xi2)) u(xi3) conj(u(-xi4)) and
   the N-free weight alpha4 = (xi1+xi2)(xi1+xi4) Q of the factorized
@@ -38,18 +40,28 @@ read through a zero-padded window), serves both and the generic Lambda4:
   resp. k2 = k (terms with alpha4 = 0 dropped, as sigma4 := 0 drops them).
   The marginals R1 - R2 are computed once per snapshot, and each threshold
   N then costs one dot product with the tabulated m^2 - 1.
+* Lambda4(M4).  M4 has unit weight, so the same relabellings leave two
+  exact lattice convolutions (``cubic_convolution``) and no walk: with
+  a_k = u(xi_k) on |k| <= K and b = conj(a[::-1]),
+
+      Lambda4(M4) = L sum_k (m^2(xi_k) - 1) (a_k (b*a*b)(-k) - b_k (a*a*b)(-k)).
+
 * Lambda6(M6).  M6 sees xi4, xi5, xi6 only through their sum, so with the
   exact lattice convolution V = conj(u(-.)) * u * conj(u(-.)) (|k'| <= 3K),
 
       Lambda6(M6) = L sum_{k1,k2,k3} M6 u(xi1) conj(u(-xi2)) u(xi3) V(-(k1+k2+k3)),
 
   a sum of (2K+1)^3 terms in place of (2K+1)^5 (:class:`SumLastThree`).
+  M6 is evaluated per k1-slice, one ``lambda_n`` call per identity check as
+  the benchmark's tracer counts it; an m^2 table would also need the walk's
+  k4-marginal, since V breaks the xi2 <-> xi4 relabelling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -61,7 +73,7 @@ from .spectral import (
     Field,
     Grid,
     Spectrum,
-    SymbolFn,
+    apply_symbol,
     cubic_convolution,
     to_physical,
     to_spectrum,
@@ -125,9 +137,9 @@ def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def i_multiplier(p: IMethodParams) -> SymbolFn:
-    """The smoothing multiplier m as an evaluable symbol."""
-    return SymbolFn(lambda xi: _m_values(p, xi), tag=f"m[N={p.N:g},s={p.s:g}]")
+def i_multiplier(p: IMethodParams) -> Callable[[np.ndarray], np.ndarray]:
+    """The smoothing multiplier m as a function of xi."""
+    return lambda xi: _m_values(p, xi)
 
 
 def multiplier_m2_derivatives(p: IMethodParams, xi: np.ndarray):
@@ -161,9 +173,7 @@ def multiplier_m2_derivatives(p: IMethodParams, xi: np.ndarray):
 
 
 def apply_I(f: Field, p: IMethodParams) -> Field:
-    return to_physical(
-        Spectrum(f.grid, to_spectrum(f).coef * _m_values(p, f.grid.xi))
-    )
+    return to_physical(apply_symbol(to_spectrum(f), _m_values(p, f.grid.xi)))
 
 
 def energy2(f: Field, p: IMethodParams) -> float:
@@ -496,11 +506,9 @@ def _lambda4_sigma4(marginals: np.ndarray, p: IMethodParams, modes: ModeSet) -> 
     sum R1 - sum R2 = 0 and makes the value exactly 0 inside |xi| <= N.
     """
     m2 = _m_values(p, modes.xi_values) ** 2
-    # alpha4 = 0 on k2 = -k1 and on k4 = -k1; M4 must vanish there as well
-    m2_1, m2_3 = m2[:, None], m2[None, :]  # m^2(xi1), m^2(xi3) on the (k1, k3) grid
-    neg_1, neg_3 = m2[::-1][:, None], m2[::-1][None, :]  # m^2(-xi1), m^2(-xi3)
-    for m2_2, m2_4 in ((neg_1, neg_3), (neg_3, neg_1)):
-        _check_removable(0.5 * (m2_1 - m2_2 + m2_3 - m2_4))
+    # alpha4 = 0 on k2 = -k1 and on k4 = -k1, where M4 vanishes iff m^2 is even;
+    # its largest |M4| there is that of m^2(xi) - m^2(-xi), at xi3 = xi1
+    _check_removable(m2 - m2[::-1])
     # a row sum, not a matrix product, so a row's value does not depend on the batch
     corr = modes.grid.L * (marginals * (m2 - 1.0)).sum(axis=1)
     for value in corr:
@@ -511,6 +519,24 @@ def _lambda4_sigma4(marginals: np.ndarray, p: IMethodParams, modes: ModeSet) -> 
     return corr
 
 
+def _lambda4_m4(f: Field, p: IMethodParams, modes: ModeSet) -> complex:
+    """Lambda4(M4) of one field from two lattice convolutions (module docstring)."""
+    K = modes.K
+    a = _coefs([f], K)[0]
+    b = np.conj(a[::-1])
+    # entry n of a (6K+1) convolution sits at 3K + n; n = -k for k = -K..K
+    c1 = cubic_convolution(b, a, b)[2 * K:4 * K + 1][::-1]
+    c2 = cubic_convolution(a, a, b)[2 * K:4 * K + 1][::-1]
+    m2 = _m_values(p, modes.xi_values) ** 2
+    return complex(modes.grid.L * np.sum((m2 - 1.0) * (a * c1 - b * c2)))
+
+
+def _energies(snapshots, marginals: np.ndarray, p: IMethodParams, modes: ModeSet):
+    """(E2, E4) arrays over ``snapshots``, given their ``_sigma4_marginals`` rows."""
+    e2 = np.array([energy2(f, p) for f in snapshots])
+    return e2, e2 + _lambda4_sigma4(marginals, p, modes).real
+
+
 def energy4(f: Field, p: IMethodParams, modes: ModeSet) -> float:
     """Second modified mass E2 + Re Lambda4(sigma4).
 
@@ -518,8 +544,7 @@ def energy4(f: Field, p: IMethodParams, modes: ModeSet) -> float:
     relative; sigma4 is real and pair-swap symmetric, so a violation means
     the state leaked outside the mode set.
     """
-    corr = _lambda4_sigma4(_sigma4_marginals([f], modes), p, modes)[0]
-    return energy2(f, p) + corr.real
+    return _energies([f], _sigma4_marginals([f], modes), p, modes)[1][0]
 
 
 def sigma4_bound_constant(p: IMethodParams, rng: np.random.Generator) -> float:
@@ -600,22 +625,11 @@ def derivative_identity_check(
         raise ConfigError("identity check is defined for i u_t = +u_xxxx + kappa|u|^2 u")
 
     h = 1e-5
-    states = {}
-    for mlt in (-2, -1, 1, 2):
-        states[mlt] = to_physical(
-            galerkin_evolve(spec0, cfg, modes.K, mlt * h, n_steps=10)
-        )
-
-    def d_dt(energy_fn):
-        return (
-            energy_fn(states[-2]) - 8 * energy_fn(states[-1])
-            + 8 * energy_fn(states[1]) - energy_fn(states[2])
-        ) / (12 * h)
-
-    fd2 = d_dt(lambda u: energy2(u, p))
-    lam4 = lambda_n(
-        lambda a, b, c, d: _m4_on_hyperplane(a, b, c, d, p) + 0j, [f] * 4, modes
-    ).value
+    states = [to_physical(galerkin_evolve(spec0, cfg, modes.K, mlt * h, n_steps=10))
+              for mlt in (-2, -1, 1, 2)]
+    e = np.array(_energies(states, _sigma4_marginals(states, modes), p, modes))
+    fd2, fd4 = (e[:, 0] - 8 * e[:, 1] + 8 * e[:, 2] - e[:, 3]) / (12 * h)
+    lam4 = _lambda4_m4(f, p, modes)
     pred2 = (1j * g * lam4).real
     if 2 * np.pi / f.grid.L * support <= p.N:
         # m = 1 on every occupied mode: M4 vanishes term by term, pred2 is 0
@@ -624,7 +638,6 @@ def derivative_identity_check(
     else:
         defect2 = abs(fd2 - pred2) / max(abs(pred2), abs(fd2), 1e-300)
 
-    fd4 = d_dt(lambda u: energy4(u, p, modes))
     re_l6 = lambda_n(_m6(p), [f] * 6, modes).value.real
     # sigma4 is normalized to cancel the quadrilinear increment of the
     # g = +1 equation; for other g the uncancelled remainder appears here
@@ -632,15 +645,7 @@ def derivative_identity_check(
     pred4 = mismatch + 4.0 * g * re_l6
     defect4 = abs(fd4 - pred4) / max(abs(fd4), abs(pred4), 1e-300)
     c_est = (fd4 - mismatch) / re_l6 if re_l6 != 0 else np.nan
-    return IdentityCheck(
-        defect2=float(defect2),
-        defect4=float(defect4),
-        fd2=float(fd2),
-        pred2=float(pred2),
-        fd4=float(fd4),
-        re_lambda6=float(re_l6),
-        c_estimate=float(c_est),
-    )
+    return IdentityCheck(*map(float, (defect2, defect4, fd2, pred2, fd4, re_l6, c_est)))
 
 
 def fit_m6_constant(states, p: IMethodParams, cfg: EvolutionConfig, modes: ModeSet):
@@ -731,11 +736,8 @@ def almost_conservation_experiment(
     # one walk over every snapshot of every member; members share their times
     walked = _sigma4_marginals([f for rec in records for f in rec.fields], modes)
     for rec, marginals in zip(records, walked.reshape(len(records), -1, 2 * K + 1)):
-        snapshots = rec.fields
         for N in N_values:
-            p = IMethodParams(N=float(N), s=s)
-            e2 = np.array([energy2(f, p) for f in snapshots])
-            e4 = e2 + _lambda4_sigma4(marginals, p, modes).real
+            e2, e4 = _energies(rec.fields, marginals, IMethodParams(N=float(N), s=s), modes)
             inc4[N].append(float(np.max(np.abs(e4 - e4[0]))))
             inc2[N].append(float(np.max(np.abs(e2 - e2[0]))))
     mean4 = {N: float(np.mean(v)) for N, v in inc4.items()}
@@ -773,6 +775,9 @@ def gwp_parameters(s, T: float, u0_norm: float, eps0: float) -> GwpParameters:
     s = Fraction(s)
     if not (Fraction(-3, 2) < s <= 0):
         raise ConfigError("regularity must satisfy -3/2 < s <= 0")
+    for name, v in (("T", T), ("u0_norm", u0_norm), ("eps0", eps0)):
+        if not (isinstance(v, Real) and np.isfinite(float(v)) and v > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
     three_plus = 3 + 2 * s
     lam_exp = -2 * s / three_plus
     t_exp = (14 * s + 9) / three_plus

@@ -21,9 +21,8 @@ spectrally accurate for periodic band-limited data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "Grid",
     "Field",
     "Spectrum",
-    "SymbolFn",
     "make_grid",
     "to_spectrum",
     "to_physical",
@@ -140,17 +138,6 @@ class Spectrum:
             )
 
 
-@dataclass(frozen=True)
-class SymbolFn:
-    """An evaluable Fourier multiplier xi -> complex with a readable tag."""
-
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    tag: str = "symbol"
-
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(xi, dtype=np.float64)))
-
-
 def make_grid(L: float, M: int, k0: int = 0) -> Grid:
     """Build a periodic grid of length ``L`` with ``M`` (even, >= 8) modes,
     centred on the carrier index ``k0``."""
@@ -167,11 +154,12 @@ def to_physical(s: Spectrum) -> Field:
     return Field(s.grid, np.fft.ifft(s.coef * phase) * s.grid.M)
 
 
-def apply_symbol(s: Spectrum, sigma: SymbolFn) -> Spectrum:
-    """Multiply each coefficient by sigma(xi_k)."""
-    vals = np.asarray(sigma(s.grid.xi), dtype=np.complex128)
+def apply_symbol(s: Spectrum, values: np.ndarray) -> Spectrum:
+    """Multiply each coefficient by a multiplier tabulated on the grid, its value
+    at ``s.grid.xi[j]`` in ``values[j]``; a real table is cast to complex first."""
+    vals = np.asarray(values, dtype=np.complex128)
     if not np.all(np.isfinite(vals.view(np.float64))):
-        raise NumericDomainError(f"symbol '{sigma.tag}' is non-finite on the grid")
+        raise NumericDomainError("multiplier is non-finite on the grid")
     return Spectrum(s.grid, s.coef * vals)
 
 
@@ -192,8 +180,7 @@ def fractional_derivative(f: Field, alpha: float) -> Field:
         raise ConfigError("negative-order derivatives are not supported")
     if alpha == 0:
         return f.copy()
-    sym = SymbolFn(lambda xi: np.abs(xi) ** alpha, tag=f"|xi|^{alpha}")
-    return to_physical(apply_symbol(to_spectrum(f), sym))
+    return to_physical(apply_symbol(to_spectrum(f), np.abs(f.grid.xi) ** alpha))
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
@@ -252,14 +239,12 @@ def _dyadic_exponent(N: float) -> int:
     return j
 
 
-def band_symbol(N: float) -> SymbolFn:
-    """Littlewood-Paley bump for the band |xi| ~ N (N dyadic >= 1)."""
+def _band(xi: np.ndarray, N: float) -> np.ndarray:
+    """Littlewood-Paley bump for the band |xi| ~ N (N dyadic >= 1) at ``xi``."""
     _dyadic_exponent(N)
     if N == 1:
-        return SymbolFn(lambda xi: _bump(xi), tag="band[1]")
-    return SymbolFn(
-        lambda xi: _bump(xi / N) - _bump(2.0 * xi / N), tag=f"band[{N:g}]"
-    )
+        return _bump(xi)
+    return _bump(xi / N) - _bump(2.0 * xi / N)
 
 
 def project_band(f: Field, N: float) -> Field:
@@ -269,7 +254,7 @@ def project_band(f: Field, N: float) -> Field:
     the first dyadic level >= the grid's Nyquist frequency reproduces the
     field exactly on resolved frequencies.
     """
-    return to_physical(apply_symbol(to_spectrum(f), band_symbol(N)))
+    return to_physical(apply_symbol(to_spectrum(f), _band(f.grid.xi, N)))
 
 
 def make_gaussian(

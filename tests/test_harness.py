@@ -218,6 +218,24 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(validate_spec(doc), out_dir=tmp_path)
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "evolve", "params": {"sobolev_orders": 0.5}},
+        {"kind": "trilinear-counterexample", "params": {"n_values": [0, 16, 32, 64]}},
+        {"kind": "trilinear-counterexample", "params": {"n_values": [-16, 16, 32, 64]}},
+        {"kind": "gwp-parameters", "params": {"T": -1.0}},
+        {"kind": "gwp-parameters", "params": {"u0_norm": -1.0}},
+        {"kind": "gwp-parameters", "params": {"eps0": 0.0}},
+        {"kind": "local-smoothing", "params": {"order": -1.0}},
+        {"kind": "resonance-check", "params": {"samples": 2.5}},
+    ], ids=["number-orders", "zero-band", "negative-band", "negative-time",
+            "negative-norm", "zero-eps0", "negative-order", "fractional-samples"])
+    def test_bad_values_raise_config_error_before_any_report(self, doc, tmp_path):
+        # each used to raise a bare exception, warn, write a truncated report
+        # or run silently with a value nobody asked for
+        with pytest.raises(ConfigError):
+            run(validate_spec(doc), out_dir=tmp_path)
+        assert not (tmp_path / doc["kind"] / "report.json").exists()
+
     def test_gwp_kind(self, tmp_path):
         spec = ExperimentSpec(kind="gwp-parameters", params={"s": -0.5, "T": 100.0})
         report = run(spec, out_dir=tmp_path)

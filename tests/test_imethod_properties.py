@@ -1,5 +1,6 @@
-"""Property tests: the marginal Lambda4(sigma4) pass and the collapsed Lambda6
-sum against the direct hyperplane sums of ``lambda_n``."""
+"""Property tests: the marginal Lambda4(sigma4) pass, the convolution form of
+Lambda4(M4) and the collapsed Lambda6 sum against the direct hyperplane sums
+of ``lambda_n``."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from fournls import IMethodParams, ModeSet, lambda_n, make_grid, to_physical
 from fournls import imethod
-from fournls.imethod import SumLastThree, _sigma4_on_hyperplane
-from fournls.spectral import Spectrum
+from fournls.imethod import SumLastThree, _m4_on_hyperplane, _sigma4_on_hyperplane
+from fournls.spectral import Spectrum, cubic_convolution
 
 PROPS = settings(max_examples=25, deadline=None)
 
@@ -57,6 +58,28 @@ def test_marginal_lambda4_matches_direct_sum(case, N):
     terms = np.sum(np.abs(m2 - 1.0) * (a1 + a2).real[0])
     scale = modes.grid.L * terms / (2 * np.pi / modes.grid.L) ** 4
     assert abs(marginal - direct) <= 1e-12 * scale
+
+
+@PROPS
+@given(narrow_states(), thresholds)
+def test_convolution_lambda4_m4_matches_direct_sum(case, N):
+    (f,), modes = case
+    p = IMethodParams(N=N)
+    direct = lambda_n(
+        lambda a, b, c, d: _m4_on_hyperplane(a, b, c, d, p) + 0j, [f] * 4, modes
+    ).value
+    convolved = imethod._lambda4_m4(f, p, modes)
+    # round-off is relative to the absolute terms of the convolution form,
+    # L sum_k |m^2_k - 1| (|a_k| |C1|(-k) + |b_k| |C2|(-k)), with |C1| and
+    # |C2| the same convolutions of |a|; Lambda4(M4) itself may cancel
+    K = modes.K
+    a = np.abs(imethod._coefs([f], K)[0])
+    b = a[::-1]
+    c1 = cubic_convolution(b, a, b)[2 * K:4 * K + 1][::-1]
+    c2 = cubic_convolution(a, a, b)[2 * K:4 * K + 1][::-1]
+    m2 = imethod._m_values(p, modes.xi_values) ** 2
+    scale = modes.grid.L * np.sum(np.abs(m2 - 1.0) * (a * c1 + b * c2))
+    assert abs(convolved - direct) <= 1e-12 * scale
 
 
 @PROPS
