@@ -42,11 +42,15 @@ leading one of the next, so a step is one ``ifft``/``fft`` pair per
 nonlinear substep.
 
 The core runs on the shape its start receives: one field as an (M,) array,
-or a family of B fields on one grid as a (B, M) stack.  Transforms act along
-the last axis and the tabulated multipliers broadcast over the rows, so each
-row of a stack does the arithmetic of a run on that field alone, bitwise
-(``evolve_many``); a stack saves the per-call overhead of the transforms,
-which dominates at the band grids' few hundred points.
+or a family of B fields as a (B, M) stack.  Transforms act along the last
+axis.  The rows share M and k0, but each may have its own length L and step
+dt: a multiplier that every row shares is one (M,) table, which broadcasts
+over the rows, and one that differs is a (B, M) table with a row per field;
+a step that differs is a (B, 1) column.  Each row of a stack so does the
+arithmetic of a run on that field alone, bitwise, since a per-row product is
+the same IEEE operation as the shared one (``evolve_many``).  A stack saves
+the per-call overhead of the transforms, which dominates at the band grids'
+few hundred points.
 
 A record point takes one forward transform per field: the energy, every
 Sobolev norm and the run's spectral tail guard all read that one spectrum,
@@ -232,9 +236,10 @@ def linear_propagate_nls(f: Field, t: float, orientation: int = 1) -> Field:
     return _linear_propagate(f, t, EvolutionConfig(equation="cubic", orientation=orientation))
 
 
-def _rotate(u: np.ndarray, theta: float, buf: np.ndarray, phase: np.ndarray) -> np.ndarray:
+def _rotate(u: np.ndarray, theta, buf: np.ndarray, phase: np.ndarray) -> np.ndarray:
     # u <- u e^{i theta |u|^2} in place via the complex scratch ``buf`` and the
-    # float64 scratch ``phase``; exact flow at theta = -kappa t
+    # float64 scratch ``phase``; exact flow at theta = -kappa t, a scalar or a
+    # (B, 1) column of per-row values
     np.square(u.real, out=phase)
     np.square(u.imag, out=buf.imag)
     np.add(phase, buf.imag, out=phase)
@@ -251,16 +256,41 @@ def nonlinear_substep(f: Field, dt: float, kappa: int) -> Field:
     return Field(f.grid, _rotate(f.values.copy(), -dt * kappa, np.empty(M, complex), np.empty(M)))
 
 
-def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of c' = nl(c) in the integrating-factor frame."""
+def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt) -> np.ndarray:
+    """One classical RK4 step of c' = nl(c) in the integrating-factor frame:
+
+        k1 = nl(c), k2 = nl(e_half (c + dt/2 k1)), k3 = nl(e_half c + dt/2 k2),
+        k4 = nl(e_full c + dt e_half k3),
+        c <- e_full c + dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4).
+
+    ``dt`` is a scalar or a (B, 1) column of per-row steps.  The stage sums
+    are formed in place, in two scratch arrays and in the ``k`` arrays, which
+    ``nl`` returns fresh; each product keeps the operand order written above
+    (a complex product is not bitwise commutative).  ``c`` is left as it is.
+    """
+    h = dt / 2
     k1 = nl(c)
-    k2 = nl(e_half * (c + dt / 2 * k1))
-    k3 = nl(e_half * c + dt / 2 * k2)
-    k4 = nl(e_full * c + dt * e_half * k3)
-    return e_full * c + dt / 6 * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+    x = np.multiply(h, k1)
+    np.add(c, x, out=x)
+    k2 = nl(np.multiply(e_half, x, out=x))
+    y = np.multiply(e_half, c)
+    np.multiply(h, k2, out=x)
+    k3 = nl(np.add(y, x, out=x))
+    np.multiply(e_full, c, out=y)  # e_full c, read twice
+    np.multiply(dt, e_half, out=x)
+    np.multiply(x, k3, out=x)
+    k4 = nl(np.add(y, x, out=x))
+    np.add(k2, k3, out=k2)
+    np.multiply(2, e_half, out=x)
+    np.multiply(x, k2, out=k2)
+    np.multiply(e_full, k1, out=k1)
+    np.add(k1, k2, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(dt / 6, k1, out=k1)
+    return np.add(y, k1, out=k1)
 
 
-def _stepper(grid, cfg: EvolutionConfig):
+def _stepper(grid, cfg):
     """``(start, step, values)`` of ``cfg.scheme`` on ``grid``, on plain arrays.
 
     ``start`` maps samples, an (M,) array or a (B, M) stack, to the scheme's
@@ -269,16 +299,26 @@ def _stepper(grid, cfg: EvolutionConfig):
     ``start`` received, as a fresh array.  Spectral states hold raw FFT
     coefficients (module docstring); every multiplier is tabulated here,
     once.  A split step overwrites its state's array in place.
+
+    ``grid`` and ``cfg`` are each one object, shared by every row, or a list
+    with one per row of a (B, M) stack.  The rows must share M, k0 and every
+    setting but ``dt`` and ``t_end`` (``evolve_many`` checks that).
     """
-    lam = 1j * cfg.linear_phase_rate(grid.xi)
-    dt = cfg.dt
+    grids = grid if isinstance(grid, list) else [grid]
+    cfgs = cfg if isinstance(cfg, list) else [cfg]
+    cfg, M = cfgs[0], grids[0].M
+    # a value every row shares is an (M,) table or a scalar, which broadcasts
+    # over the rows; one that differs is a (B, M) table or a (B, 1) column
+    xi = grids[0].xi if all(g == grids[0] for g in grids) else np.stack([g.xi for g in grids])
+    dt = cfg.dt if all(c.dt == cfg.dt for c in cfgs) else np.array([[c.dt] for c in cfgs])
+    lam = 1j * cfg.linear_phase_rate(xi)
     K = cfg.project_K
 
     def project(w):
         # |k| > K is one run of FFT order, k = K+1 .. M/2-1, -M/2 .. -(K+1);
         # empty for K >= M/2
         if K is not None:
-            w[..., K + 1:grid.M - K] = 0.0
+            w[..., K + 1:M - K] = 0.0
         return w
 
     if cfg.scheme == "ifrk4":
@@ -423,14 +463,19 @@ def evolve(f0: Field, cfg: EvolutionConfig) -> TrajectoryRecord:
     return evolve_many([f0], cfg)[0]
 
 
-def evolve_many(fields, cfg: EvolutionConfig) -> list[TrajectoryRecord]:
-    """``[evolve(f, cfg) for f in fields]``, stepped together as one (B, M) stack.
+def evolve_many(fields, cfg) -> list[TrajectoryRecord]:
+    """``[evolve(f, c) for f, c in zip(fields, cfgs)]``, stepped together as
+    one (B, M) stack.
 
-    Every field must lie on one grid: equal L, M and carrier index k0, or
-    :class:`ConfigError`.  Each member keeps its own start guard, its own
-    record and its own run tail guard; a member that trips the guard raises
-    :class:`AbortedRunError` naming it and carrying its partial record.
-    Each record is bitwise equal to that of ``evolve`` on the member alone.
+    ``cfg`` is one :class:`EvolutionConfig` for every field, or a list with
+    one per field.  The members may share a stack when their grids have equal
+    M and carrier index k0, and their configs are equal but for ``dt`` and
+    ``t_end`` and take equal numbers of steps; the grid lengths L may differ.
+    Any other member raises :class:`ConfigError` naming it.  Each member
+    keeps its own start guard, its own record and its own run tail guard; a
+    member that trips the guard raises :class:`AbortedRunError` naming it and
+    carrying its partial record.  Each record is bitwise equal to that of
+    ``evolve`` on the member alone.
 
     A single field is stepped as an (M,) array, not as a stack of one.  The
     records are bitwise equal either way, but (M,) is faster at the band
@@ -442,34 +487,51 @@ def evolve_many(fields, cfg: EvolutionConfig) -> list[TrajectoryRecord]:
     fields = list(fields)
     if not fields:
         raise ConfigError("evolve_many needs at least one field")
-    grid = fields[0].grid
-    for i, f in enumerate(fields):
-        if f.grid != grid:
-            raise ConfigError(f"field {i} lies on {f.grid}, not on {grid} like field 0")
-        check_resolved(f, tol=cfg.start_tail_tol, localized=cfg.require_localized)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
-        raise ConfigError("t_end must be an integer number of steps")
+    cfgs = list(cfg) if isinstance(cfg, (list, tuple)) else [cfg] * len(fields)
+    if len(cfgs) != len(fields):
+        raise ConfigError(f"{len(cfgs)} configs for {len(fields)} fields")
+    grid, first = fields[0].grid, cfgs[0]
+    for i, (f, c) in enumerate(zip(fields, cfgs)):
+        if (f.grid.M, f.grid.k0) != (grid.M, grid.k0):
+            raise ConfigError(f"field {i} lies on {f.grid}, not on a grid of "
+                              f"M={grid.M}, k0={grid.k0} like field 0")
+        if replace(c, dt=first.dt, t_end=first.t_end) != first:
+            raise ConfigError(f"the config of field {i} differs from that of field 0 "
+                              "in more than dt and t_end")
+        check_resolved(f, tol=c.start_tail_tol, localized=c.require_localized)
+        if _n_steps(c) != _n_steps(first):
+            raise ConfigError(f"field {i} takes {_n_steps(c)} steps, "
+                              f"not {_n_steps(first)} like field 0")
+    n_steps = _n_steps(first)
 
-    runs = [_Trajectory(grid, cfg) for _ in fields]
+    runs = [_Trajectory(f.grid, c) for f, c in zip(fields, cfgs)]
     for run, f in zip(runs, fields):
         run.record(0.0, f.values)
-    start, step, values = _stepper(grid, cfg)
+    start, step, values = _stepper([f.grid for f in fields], cfgs)
     state = start(fields[0].values if len(fields) == 1 else np.stack([f.values for f in fields]))
     for n in range(1, n_steps + 1):
         state = step(state)
-        if n % cfg.record_stride == 0 or n == n_steps:
+        if n % first.record_stride == 0 or n == n_steps:
             rows = values(state).reshape(len(fields), grid.M)
             for i, (run, u) in enumerate(zip(runs, rows)):
-                tail = run.record(n * cfg.dt, u)
-                if tail > cfg.run_tail_tol:
+                tail = run.record(n * run.cfg.dt, u)
+                if tail > first.run_tail_tol:
                     member = f" in field {i} of {len(fields)}" if len(fields) > 1 else ""
                     raise AbortedRunError(
-                        f"spectral tail blow-up{member} at t={n * cfg.dt:g}: "
-                        f"{tail:.3e} > {cfg.run_tail_tol:.1e}",
+                        f"spectral tail blow-up{member} at t={n * run.cfg.dt:g}: "
+                        f"{tail:.3e} > {first.run_tail_tol:.1e}",
                         record=run.result(aborted=True),
                     )
     return [run.result() for run in runs]
+
+
+def _n_steps(cfg: EvolutionConfig) -> int:
+    """The number of steps of ``cfg.dt`` in ``cfg.t_end``; :class:`ConfigError`
+    unless that is a whole number."""
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
+        raise ConfigError("t_end must be an integer number of steps")
+    return n_steps
 
 
 # ---------------------------------------------------------------------------

@@ -233,10 +233,12 @@ def _bump(r: np.ndarray) -> np.ndarray:
 
 
 def _dyadic_exponent(N: float) -> int:
-    j = int(round(np.log2(N)))
-    if N <= 0 or 2.0**j != N:
-        raise ConfigError(f"band parameter must be dyadic (1, 2, 4, ...), got {N}")
-    return j
+    """j with N = 2^j, j >= 0; :class:`ConfigError` for any other N."""
+    if np.isfinite(N) and N >= 1:
+        j = int(round(np.log2(N)))
+        if 2.0**j == N:
+            return j
+    raise ConfigError(f"band parameter must be dyadic (1, 2, 4, ...), got {N}")
 
 
 def _band(xi: np.ndarray, N: float) -> np.ndarray:

@@ -439,14 +439,48 @@ class TestEvolveMany:
         with pytest.raises(ConfigError):
             evolve_many([], EvolutionConfig())
 
-    @pytest.mark.parametrize("other", [dict(L=41.0), dict(M=512), dict(k0=3)],
-                             ids=["L", "M", "k0"])
+    @pytest.mark.parametrize("vary", ["L", "dt", "L and dt"])
+    @pytest.mark.parametrize("M, k0", [(512, 0), (500, 37)], ids=["M512", "band-M500"])
+    @pytest.mark.parametrize("scheme", ["strang", "mclachlan2", "ifrk4"])
+    def test_members_with_own_length_and_step_match_evolve_alone_bitwise(
+            self, scheme, M, k0, vary):
+        # each row has its own phase tables and step; the records must still
+        # be those of the member run alone
+        lengths = (40.0, 33.0, 52.5) if "L" in vary else (40.0,) * 3
+        steps = (1e-3, 6e-4, 1.25e-3) if "dt" in vary else (1e-3,) * 3
+        fields = [_family(M, L, k0)[i] for i, L in enumerate(lengths)]
+        for K in (None, M // 6):
+            cfgs = [EvolutionConfig(dt=dt, t_end=7 * dt, scheme=scheme, record_stride=3,
+                                    sobolev_orders=(-0.5, 1.0), project_K=K,
+                                    require_localized=False)
+                    for dt in steps]
+            for got, f, cfg in zip(evolve_many(fields, cfgs), fields, cfgs, strict=True):
+                assert got.config == cfg
+                assert all(g.grid == f.grid for g in got.fields)
+                _assert_records_equal(got, evolve(f, cfg))
+
+    @pytest.mark.parametrize("other", [dict(M=512), dict(k0=3)], ids=["M", "k0"])
     def test_fields_on_different_grids_rejected(self, other):
         base = dict(M=256, L=40.0, k0=0)
         fields = [_family(**base)[0], _family(**{**base, **other})[1]]
         with pytest.raises(ConfigError, match="field 1"):
             evolve_many(fields, EvolutionConfig(dt=1e-3, t_end=2e-3,
                                                 require_localized=False))
+
+    @pytest.mark.parametrize("other", [dict(scheme="strang"), dict(kappa=-1),
+                                       dict(record_stride=2), dict(t_end=3e-3),
+                                       dict(dt=5e-4)],
+                             ids=["scheme", "kappa", "record_stride", "steps", "dt-steps"])
+    def test_configs_that_cannot_share_a_stack_rejected(self, other):
+        fields = _family(256)[:2]
+        cfg = EvolutionConfig(dt=1e-3, t_end=2e-3)
+        with pytest.raises(ConfigError, match="field 1"):
+            evolve_many(fields, [cfg, replace(cfg, **other)])
+
+    def test_one_config_per_field(self):
+        cfg = EvolutionConfig(dt=1e-3, t_end=2e-3)
+        with pytest.raises(ConfigError, match="2 configs for 3 fields"):
+            evolve_many(_family(256), [cfg, cfg])
 
     def test_one_member_tripping_the_tail_guard_aborts_with_its_record(self):
         # the focusing test datum above blows up; a small one on its grid does not

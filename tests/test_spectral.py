@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,10 +230,15 @@ class TestProjections:
         out = project_band(project_band(u, 16.0), 2.0)
         assert np.max(np.abs(out.values)) < 1e-13
 
-    def test_non_dyadic_rejected(self):
+    @pytest.mark.parametrize("N", [3.0, 0.0, -2.0, np.inf, np.nan, 0.5])
+    def test_non_dyadic_rejected(self, N):
+        # checked before log2, so no RuntimeWarning and no bare OverflowError
+        # or ValueError; 0.5 is dyadic but below the first band N = 1
         g = make_grid(10.0, 64)
-        with pytest.raises(ConfigError):
-            project_band(Field(g, np.ones(64, complex)), 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="dyadic"):
+                project_band(Field(g, np.ones(64, complex)), N)
 
 
 class TestGaussian:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from fournls import (
     Field,
     check_scaling_covariance,
     evolve,
+    evolve_many,
     linear_propagate_4nls,
     make_gaussian,
     make_grid,
@@ -171,3 +174,50 @@ class TestScalingCovariance:
             defects.append(check_scaling_covariance(u, lam, cfg, t=t))
         slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
         assert slope >= 2.0 - 0.2
+
+    @pytest.mark.parametrize("lam", [2.0, 3**0.25], ids=["2", "3^1/4"])
+    def test_stacked_pair_equals_two_runs_bitwise(self, lam):
+        # the commuting choice takes equal step counts, so the two runs share
+        # one evolve_many stack; records and defect must be those of two runs
+        u = make_gaussian(make_grid(60.0, 256), width=2.0)
+        cfg = EvolutionConfig(dt=1e-3, t_end=1.0, record_stride=5)
+        t, dt_scaled = 0.02, 1e-3 / lam**4
+        scaled0 = scale_transform(u, lam)
+        cfg_a = replace(cfg, t_end=lam**4 * t, record_fields=True)
+        cfg_b = replace(cfg, t_end=t, dt=dt_scaled, record_fields=True)
+        pair = evolve_many([u, scaled0], [cfg_a, cfg_b])
+        alone = [evolve(u, cfg_a), evolve(scaled0, cfg_b)]
+        for got, want in zip(pair, alone, strict=True):
+            assert np.array_equal(got.times, want.times)
+            assert got.mass.tobytes() == want.mass.tobytes()
+            assert got.energy.tobytes() == want.energy.tobytes()
+            assert len(got.fields) == len(want.fields) > 2
+            for f, g in zip(got.fields, want.fields):
+                assert f.grid == g.grid
+                assert f.values.tobytes() == g.values.tobytes()
+        u_a = scale_transform(alone[0].final_field(), lam)
+        two_runs = sobolev_norm(Field(u_a.grid, u_a.values - alone[1].final_field().values), 0.0)
+        assert check_scaling_covariance(u, lam, cfg, t=t, dt_scaled=dt_scaled) == two_runs
+
+    def test_commuting_pair_spends_one_transform_pair_per_stage(self, monkeypatch):
+        # as test_scheme_spends_its_transforms_per_step: checks of n and 2n
+        # steps share their record and norm transforms, so the difference
+        # counts those of n steps, 4 per McLachlan step for the stacked pair
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        u = make_gaussian(make_grid(60.0, 256), width=2.0)
+        lam, dt, n, counts = 2.0, 1e-3, 10, []
+        cfg = EvolutionConfig(dt=dt, t_end=1.0, record_stride=10**6)
+        for steps in (n, 2 * n):
+            calls.clear()
+            check_scaling_covariance(u, lam, cfg, t=steps * dt / lam**4, dt_scaled=dt / lam**4)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 4 * n
