@@ -169,8 +169,10 @@ def _as_fraction(v):
 def strichartz_admissible(q, r, alpha) -> bool:
     """Exact check of r >= 2, q >= 8/(1+alpha) and 4/q + (1+alpha)/r = (1+alpha)/2.
 
-    Arguments may be ints, Fractions, floats (converted exactly through
-    their binary value) or ``math.inf``, which is handled symbolically.
+    Arguments may be ints, Fractions, floats or ``math.inf``, which is
+    handled symbolically.  A float is rounded to the nearest fraction with
+    denominator at most 10**9 (``Fraction.limit_denominator``), not taken
+    at its binary value: ``1/3`` counts as exactly 1/3.
     """
     q, r, alpha = _as_fraction(q), _as_fraction(r), _as_fraction(alpha)
     if alpha == inf or not (0 <= alpha <= 1):

@@ -18,10 +18,13 @@ which that profile equation has the exact soliton family
 whose internal phase clock a^2 s drives the uniform-continuity failure:
 two nearby amplitudes decohere at s ~ pi / |a^2 - a'^2|.
 
-The spectrum of U_ap is the profile's packet at the carrier mode k*, so the
-experiments run on a band grid of 2 * profile_modes points with carrier
-index k* (``UapSetup.band``), whose size does not grow with N as the 4NLS
-grid's does: w = exp(-i N x) U is an exact index shift, with |w| = |U|.
+The spectrum of U_ap is the profile's packet at the carrier mode k*, so
+every experiment, the residual identity included, runs on a band grid of
+2 * profile_modes points with carrier index k* (``UapSetup.band``), whose
+size does not grow with N as the 4NLS grid's does: w = exp(-i N x) U is an
+exact index shift, with |w| = |U|.  One function, ``_placed``, puts the
+profile's modes there; the full 4NLS grid (``UapSetup.grid4``) is kept only
+for ``build_uap``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolution import EvolutionConfig, _is_integer, evolve, evolve_many
+from .evolution import EvolutionConfig, _is_integer, evolve_many
 from .fitting import FitResult, fit_loglog
 from .spectral import (Field, Grid, Spectrum, apply_symbol, make_grid, sobolev_norm,
                        to_physical, to_spectrum)
@@ -166,38 +169,26 @@ def change_coords(N: float, t, x):
     return t, (x + 4.0 * N**3 * t) / (SQRT6 * N)
 
 
-def _comoving_modes(setup: UapSetup, spec_v: Spectrum, t: float) -> np.ndarray:
-    """The modes of v(t, y(t, x)) on the 4NLS lattice, exact for band-limited v.
+def _placed(setup: UapSetup, spec_v: Spectrum, t: float, grid: Grid, phase=1.0) -> Field:
+    """v(t, y(t, x)) times the carrier exp(i N x) on ``grid``, exact for band-limited v.
 
     The mapped points y(t, x_j) are the profile grid refined to the 4NLS
-    spacing and shifted by 4 N^2 t / sqrt(6), so profile mode m is 4NLS mode
-    m times that shift as a per-mode phase.
+    spacing and shifted by 4 N^2 t / sqrt(6), so profile mode m is that
+    shift as a per-mode phase at 4NLS mode k* + m: the carrier is an exact
+    index shift, with no pointwise exp(i N x).  ``phase`` is a scalar
+    factor on every mode.
     """
     shift = 4.0 * setup.params.N**2 * t / SQRT6
-    return spec_v.coef * np.exp(1j * setup.grid_v.xi * shift)
-
-
-def _padded(setup: UapSetup, c: np.ndarray, grid: Grid, offset: int) -> Field:
-    """The modes ``c`` placed at the local indices grid_v.k + offset of ``grid``."""
+    c = spec_v.coef * np.exp(1j * setup.grid_v.xi * shift) * phase
     big = np.zeros(grid.M, dtype=np.complex128)
-    big[(setup.grid_v.k + offset) % grid.M] = c
+    big[(setup.grid_v.k + setup.band.k0 - grid.k0) % grid.M] = c
     return to_physical(Spectrum(grid, big))
 
 
-def _profile_on_grid4(setup: UapSetup, spec_v: Spectrum, t: float) -> np.ndarray:
-    """Band-limited evaluation of the profile at the mapped points y(t, x_j)."""
-    if setup.grid4.M % setup.grid_v.M != 0:
-        raise ConfigError("4NLS grid must refine the profile grid")
-    return _padded(setup, _comoving_modes(setup, spec_v, t), setup.grid4, 0).values
-
-
 def _uap_on(profile, setup: UapSetup, t: float, grid: Grid) -> Field:
-    """U_ap(t) on the 4NLS grid or the band, straight from the profile spectrum.
-
-    With xi_{k*} = N the carrier moves mode m to k* + m and adds exp(i N^4 t).
-    """
-    c = _comoving_modes(setup, to_spectrum(profile.value(t)), t)
-    return _padded(setup, c * np.exp(1j * setup.params.N**4 * t), grid, setup.band.k0 - grid.k0)
+    """U_ap(t) on the 4NLS grid or the band, straight from the profile spectrum."""
+    spec = to_spectrum(profile.value(t))
+    return _placed(setup, spec, t, grid, np.exp(1j * setup.params.N**4 * t))
 
 
 def build_uap(profile, setup: UapSetup, t: float) -> Field:
@@ -207,8 +198,10 @@ def build_uap(profile, setup: UapSetup, t: float) -> Field:
 
 @dataclass
 class ResidualFields:
-    e1: Field              # (1/36) N^-4 carrier * d_y^4 v
-    e2: Field              # (4i/6^{3/2}) N^-2 carrier * d_y^3 v
+    """Band fields (carrier as the mode shift k*) of the residual identity."""
+
+    e1: Field              # (1/36) N^-4 exp(i N^4 t) d_y^4 v
+    e2: Field              # (4i/6^{3/2}) N^-2 exp(i N^4 t) d_y^3 v
     direct: Field          # (i d_t + d_x^4) U - |U|^2 U by FD + spectral
     relative_defect: float  # ||direct - (e1 + e2)||_2 / ||e1 + e2||_2, unscaled if e1 + e2 = 0
 
@@ -216,40 +209,40 @@ class ResidualFields:
 def residual_fields(
     profile, setup: UapSetup, t: float, fd_step: float = 1e-5
 ) -> ResidualFields:
-    """Evaluate the two residual expressions and the direct residual.
+    """Evaluate the two residual expressions and the direct residual on the band.
 
-    The time derivative is a five-point finite difference applied after
-    factoring out the exact carrier oscillation exp(i N^4 t) (differencing
-    through a phase rotating at N^4 would swamp the O(N^-2) residual); the
-    spatial derivative is spectral.  Agreement of ``direct`` with
-    ``e1 + e2`` validates the whole change-of-variables computation.
+    Every field comes from ``_placed``, so the carrier exp(i N x) is the
+    exact mode shift k*, and d_x^4 is the band's symbol xi^4.  The time
+    derivative is a five-point finite difference applied after factoring
+    out the exact carrier oscillation exp(i N^4 t) (differencing through a
+    phase rotating at N^4 would swamp the O(N^-2) residual).  Agreement of
+    ``direct`` with ``e1 + e2`` validates the whole change-of-variables
+    computation.
     """
-    N = setup.params.N
-    grid4, grid_v = setup.grid4, setup.grid_v
+    N, band = setup.params.N, setup.band
+    carrier = np.exp(1j * N**4 * t)
+    spec = to_spectrum(profile.value(t))
 
-    def dy_m(m: int, at_t: float) -> np.ndarray:
-        spec = apply_symbol(to_spectrum(profile.value(at_t)), (1j * grid_v.xi) ** m)
-        return _profile_on_grid4(setup, spec, at_t)
+    def dy(m: int) -> Spectrum:
+        return apply_symbol(spec, (1j * setup.grid_v.xi) ** m)
 
-    carrier = np.exp(1j * N**4 * t) * np.exp(1j * N * grid4.x)
-    e1 = Field(grid4, (1.0 / 36.0) * N**-4 * carrier * dy_m(4, t))
-    e2 = Field(grid4, (4j / 6**1.5) * N**-2 * carrier * dy_m(3, t))
+    e1 = _placed(setup, dy(4), t, band, (1.0 / 36.0) * N**-4 * carrier)
+    e2 = _placed(setup, dy(3), t, band, (4j / 6**1.5) * N**-2 * carrier)
 
-    # W(t) = exp(i N x) v(t, y(t, x)); i U_t = exp(i N^4 t) (i W_t - N^4 W)
+    # w(t) = v(t, y(t, x)) with the carrier exp(i N x) as the band's mode
+    # shift; U = exp(i N^4 t) w, so i U_t = exp(i N^4 t) (i w_t - N^4 w)
     h = fd_step
-    w = {}
-    for mlt in (-2, -1, 0, 1, 2):
-        spec = to_spectrum(profile.value(t + mlt * h))
-        w[mlt] = np.exp(1j * N * grid4.x) * _profile_on_grid4(setup, spec, t + mlt * h)
-    w_t = (w[-2] - 8 * w[-1] + 8 * w[1] - w[2]) / (12 * h)
-    u = np.exp(1j * N**4 * t) * w[0]
-    iu_t = np.exp(1j * N**4 * t) * (1j * w_t - N**4 * w[0])
-    u_xxxx = to_physical(apply_symbol(to_spectrum(Field(grid4, u)), grid4.xi**4)).values
-    direct = Field(grid4, iu_t + u_xxxx - np.abs(u) ** 2 * u)
+    w = [_placed(setup, to_spectrum(profile.value(t + m * h)), t + m * h, band).values
+         for m in (-2, -1, 0, 1, 2)]
+    w_t = (w[0] - 8 * w[1] + 8 * w[3] - w[4]) / (12 * h)
+    u = carrier * w[2]
+    iu_t = carrier * (1j * w_t - N**4 * w[2])
+    u_xxxx = to_physical(apply_symbol(to_spectrum(Field(band, u)), band.xi**4)).values
+    direct = Field(band, iu_t + u_xxxx - np.abs(u) ** 2 * u)
 
     target = e1.values + e2.values
-    scale = np.sqrt(grid4.dx * np.sum(np.abs(target) ** 2))
-    defect = np.sqrt(grid4.dx * np.sum(np.abs(direct.values - target) ** 2))
+    scale = np.sqrt(band.dx * np.sum(np.abs(target) ** 2))
+    defect = np.sqrt(band.dx * np.sum(np.abs(direct.values - target) ** 2))
     if scale > 0:
         defect /= scale  # a zero target (zero profile) leaves the absolute norm
     return ResidualFields(e1=e1, e2=e2, direct=direct, relative_defect=float(defect))
@@ -320,6 +313,21 @@ def _solver_config(dt: float, t_end: float, stride: int) -> EvolutionConfig:
                            record_fields=True)
 
 
+def _evolve_uaps(profiles, setup: UapSetup, t_run: float, dt: float, n_records: int) -> list:
+    """The solver's records from U_ap(0) of each profile, stepped on the band as one stack.
+
+    The run takes round(t_run / dt) steps and records about ``n_records``
+    times; each record's first field is U_ap(0).
+    """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
+    if not (_is_integer(n_records) and n_records > 0):
+        raise ConfigError(f"n_records must be a positive integer, got {n_records!r}")
+    steps = int(round(t_run / dt))
+    cfg = _solver_config(dt, steps * dt, max(1, steps // n_records))
+    return evolve_many([_uap_on(p, setup, 0.0, setup.band) for p in profiles], cfg)
+
+
 @dataclass
 class ErrorDecayResult:
     fit: FitResult
@@ -327,40 +335,35 @@ class ErrorDecayResult:
 
 
 def uap_tracking_error(N: float, window: float = 1.0, amplitude: float = 1.0,
-                       s: float = -0.5, dt: float = 5e-4, n_records: int = 20,
+                       dt: float = 5e-4, n_records: int = 20,
                        profile_length: float = 50.0, profile_modes: int = 512) -> float:
-    """sup over the window of ||U - U_ap||_{H^s} with U(0) = U_ap(0), on the band grid."""
+    """sup over the window of ||U - U_ap||_{H^{-1/2}} with U(0) = U_ap(0), on the band grid.
+
+    The window is rounded to a whole number of steps of ``dt``.
+    """
     setup = plan_uap_discretization(
         float(N), profile_length=profile_length, profile_modes=profile_modes
     )
     profile = SolitonProfile(amplitude, setup.grid_v)
-    band = setup.band
-    steps = int(round(window / dt))
-    stride = max(1, steps // n_records)
-    rec = evolve(_uap_on(profile, setup, 0.0, band),
-                 _solver_config(dt, window, stride))
+    (rec,) = _evolve_uaps([profile], setup, window, dt, n_records)
     worst = 0.0
-    for t, f in zip(rec.times, rec.fields):
-        if t == 0:
-            continue
-        ref = _uap_on(profile, setup, float(t), band)
-        worst = max(worst, sobolev_norm(Field(band, f.values - ref.values), s))
+    for t, f in zip(rec.times[1:], rec.fields[1:]):
+        ref = _uap_on(profile, setup, float(t), setup.band)
+        worst = max(worst, sobolev_norm(Field(setup.band, f.values - ref.values), -0.5))
     return worst
 
 
 def error_decay_experiment(N_values, window: float = 1.0, amplitude: float = 1.0,
-                           s: float = -0.5, dt: float = 5e-4, n_records: int = 20,
+                           dt: float = 5e-4, n_records: int = 20,
                            profile_length: float = 50.0,
                            profile_modes: int = 512) -> ErrorDecayResult:
-    """Evolve U(0) = U_ap(0) exactly and fit sup_t ||U - U_ap||_{H^s} vs N.
+    """Evolve U(0) = U_ap(0) exactly and fit sup_t ||U - U_ap||_{H^{-1/2}} vs N.
 
     The residual of the construction is O(N^-2), so the fitted slope is
     predicted near -2.
     """
     sups = {
-        N: uap_tracking_error(
-            N, window, amplitude, s, dt, n_records, profile_length, profile_modes
-        )
+        N: uap_tracking_error(N, window, amplitude, dt, n_records, profile_length, profile_modes)
         for N in N_values
     }
     fit = fit_loglog(sorted(sups.items()))
@@ -372,8 +375,7 @@ class SeparationReport:
     s: float
     N: float
     lam: float
-    eps: float
-    delta: float
+    eps: float                   # max of the two initial norms
     initial_norm_u: float
     initial_norm_v: float
     initial_distance: float
@@ -431,15 +433,8 @@ def separation_experiment(
     setup = plan_uap_discretization(
         float(N), profile_length=profile_length, profile_modes=profile_modes
     )
-    prof1 = SolitonProfile(a, setup.grid_v)
-    prof2 = SolitonProfile(a2, setup.grid_v)
-    u1_0 = _uap_on(prof1, setup, 0.0, setup.band)
-    u2_0 = _uap_on(prof2, setup, 0.0, setup.band)
-
-    steps = int(round(t_run / dt))
-    stride = max(1, steps // n_records)
-    cfg = _solver_config(dt, steps * dt, stride)
-    rec1, rec2 = evolve_many([u1_0, u2_0], cfg)
+    profiles = [SolitonProfile(a, setup.grid_v), SolitonProfile(a2, setup.grid_v)]
+    rec1, rec2 = _evolve_uaps(profiles, setup, t_run, dt, n_records)
 
     def scaled_norm(f: Field) -> float:
         return sobolev_norm(scale_transform(f, lam), s)
@@ -447,8 +442,7 @@ def separation_experiment(
     def scaled_dist(f: Field, g: Field) -> float:
         return scaled_norm(Field(f.grid, f.values - g.values))
 
-    eps = max(scaled_norm(u1_0), scaled_norm(u2_0))
-    delta = scaled_dist(u1_0, u2_0)
+    norm_u, norm_v = scaled_norm(rec1.fields[0]), scaled_norm(rec2.fields[0])
 
     sup_d, t_max, i_max = 0.0, 0.0, 0
     for i, t in enumerate(rec1.times):
@@ -456,24 +450,21 @@ def separation_experiment(
         if d > sup_d:
             sup_d, t_max, i_max = d, float(t), i
 
-    ref1 = _uap_on(prof1, setup, t_max, setup.band)
-    ref2 = _uap_on(prof2, setup, t_max, setup.band)
+    ref1, ref2 = (_uap_on(p, setup, t_max, setup.band) for p in profiles)
     drift1 = scaled_dist(rec1.fields[i_max], ref1)
     drift2 = scaled_dist(rec2.fields[i_max], ref2)
-    lower = scaled_dist(ref1, ref2) - drift1 - drift2
 
     return SeparationReport(
         s=s,
         N=setup.params.N,
         lam=lam,
-        eps=eps,
-        delta=delta,
-        initial_norm_u=scaled_norm(u1_0),
-        initial_norm_v=scaled_norm(u2_0),
-        initial_distance=delta,
+        eps=max(norm_u, norm_v),
+        initial_norm_u=norm_u,
+        initial_norm_v=norm_v,
+        initial_distance=scaled_dist(rec1.fields[0], rec2.fields[0]),
         sup_distance=sup_d,
         time_of_max=t_max / lam**4,
-        scaled_window=steps * dt / lam**4,
-        triangle_lower_bound=lower,
+        scaled_window=rec1.config.t_end / lam**4,
+        triangle_lower_bound=scaled_dist(ref1, ref2) - drift1 - drift2,
         drifts=(drift1, drift2),
     )

@@ -177,6 +177,10 @@ class TestStrichartzAdmissible:
         # 4/q + (1+a)/r = (1+a)/2 with a = 1/3: 4/8 + (4/3)/8 = 2/3 exactly
         assert strichartz_admissible(8, 8, Fraction(1, 3))
         assert not strichartz_admissible(8, 9, Fraction(1, 3))
+        # a float is rounded to a small denominator: the binary value of 1/3
+        # is not 1/3 and would fail the relation, the rounded one passes it
+        assert Fraction(1 / 3) != Fraction(1, 3)
+        assert strichartz_admissible(8, 8, 1 / 3)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigError):

@@ -143,6 +143,17 @@ class TestResiduals:
         scaled = [ratios[N] * N**2 for N in (8.0, 16.0, 32.0)]
         assert max(scaled) / min(scaled) < 1.01
 
+    @pytest.mark.parametrize("N, bound", [(8.0, 1e-5), (16.0, 1e-4)])
+    def test_band_frame_defect_at_fine_step(self, N, bound):
+        # the carrier is the band's exact mode shift, so the fine-step defect
+        # is the time difference's error (4.2e-6 and 3.3e-5), not the
+        # round-off of a pointwise exp(i N x) times xi^4
+        setup = small_setup(N)
+        prof = SolitonProfile(1.0, setup.grid_v)
+        res = residual_fields(prof, setup, t=0.3, fd_step=1e-5)
+        assert res.direct.grid == res.e1.grid == setup.band
+        assert res.relative_defect < bound
+
     def test_zero_profile_zero_residual(self):
         setup = small_setup()
 
@@ -236,6 +247,18 @@ class TestExperiments:
         # and the band holds all but round-off of the full grid's mass
         off_band = np.delete(np.abs(c_full) ** 2, k)
         assert np.sum(off_band) < 1e-24 * np.sum(np.abs(c_full) ** 2)
+
+    @pytest.mark.parametrize("run", [
+        lambda **kw: uap_tracking_error(8.0, window=0.1, **kw),
+        lambda **kw: error_decay_experiment([8.0, 16.0], window=0.1, **kw),
+        lambda **kw: separation_experiment(1.0, 1.05, -0.75, 16.0, T=10.0, **kw),
+    ], ids=["tracking", "decay", "separation"])
+    @pytest.mark.parametrize("bad", [dict(dt=0.0), dict(dt=float("nan")), dict(dt=-1e-3),
+                                     dict(n_records=0), dict(n_records=2.5)],
+                             ids=["dt0", "dt_nan", "dt_negative", "records0", "records_float"])
+    def test_bad_step_or_record_count_rejected(self, run, bad):
+        with pytest.raises(ConfigError):
+            run(profile_modes=256, profile_length=40.0, **bad)
 
     def test_equal_amplitudes_rejected(self):
         with pytest.raises(ConfigError):
