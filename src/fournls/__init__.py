@@ -49,11 +49,12 @@ from .spectral import (
     lebesgue_norm,
     make_gaussian,
     make_grid,
+    mass,
     project_band,
     sobolev_norm,
     to_physical,
     to_spectrum,
 )
-from .symmetries import check_scaling_covariance, mass, scale_transform
+from .symmetries import check_scaling_covariance, scale_transform
 
 __version__ = "0.1.0"

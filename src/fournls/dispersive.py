@@ -26,6 +26,7 @@ from .spectral import (
     lebesgue_norm,
     make_gaussian,
     make_grid,
+    mass,
     to_physical,
 )
 
@@ -194,8 +195,7 @@ def strichartz_admissible(q, r, alpha) -> bool:
 
 def _packet(grid, carrier: float) -> Field:
     f = make_gaussian(grid, amplitude=1.0, width=1.0, carrier=carrier)
-    norm = np.sqrt(grid.dx * np.sum(np.abs(f.values) ** 2))
-    return Field(grid, f.values / norm)
+    return Field(grid, f.values / np.sqrt(mass(f)))
 
 
 def bilinear_interaction_norm(n1: float, n2: float) -> float:
@@ -207,6 +207,8 @@ def bilinear_interaction_norm(n1: float, n2: float) -> float:
     co-moving packets, the envelope dispersal time).
     """
     n1, n2 = float(n1), float(n2)
+    if not (np.isfinite(n1) and np.isfinite(n2)) or n1 == n2 == 0:
+        raise ConfigError(f"packet frequencies must be finite and not both 0, got {n1}, {n2}")
     speed = 4 * abs(n2**3 - n1**3)
     if speed > 0:
         t_win = 10.0 / speed
@@ -219,7 +221,7 @@ def bilinear_interaction_norm(n1: float, n2: float) -> float:
     grid = make_grid(L, M)
     ts = np.linspace(-t_win, t_win, 33)
     flows = (free_flow(_packet(grid, n), ts, EvolutionConfig()) for n in (n1, n2))
-    vals = [grid.dx * np.sum(np.abs(u1.values * u2.values) ** 2) for u1, u2 in zip(*flows)]
+    vals = [mass(Field(grid, u1.values * u2.values)) for u1, u2 in zip(*flows)]
     return float(np.sqrt(np.trapezoid(np.array(vals), ts)))
 
 
@@ -257,6 +259,8 @@ def local_smoothing_check(
     """
     if not order >= 0:
         raise ConfigError(f"smoothing order must be >= 0, got {order!r}")
+    if not (np.isfinite(window) and window > 0):
+        raise ConfigError(f"smoothing window must be positive and finite, got {window!r}")
     l2 = lebesgue_norm(datum, 2)
     if l2 == 0:
         return 0.0

@@ -78,6 +78,7 @@ from .spectral import (
     _weighted_norm,
     check_resolved,
     cubic_convolution,
+    mass,
     to_spectrum,
 )
 
@@ -156,8 +157,9 @@ class EvolutionConfig:
                                                and self.project_K >= 0):
             raise ConfigError("project_K must be None or a non-negative integer")
         for s in self.sobolev_orders:
-            if isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating)):
-                raise ConfigError(f"sobolev_orders must hold numbers, got {s!r}")
+            if (isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating))
+                    or not -np.inf < s < np.inf):
+                raise ConfigError(f"sobolev_orders must hold finite numbers, got {s!r}")
 
     def linear_phase_rate(self, xi: np.ndarray) -> np.ndarray:
         """d(arg c_k)/dt of the linear flow at frequency xi."""
@@ -432,7 +434,7 @@ class _Trajectory:
         f = Field(self.grid, u_phys)
         power = np.abs(to_spectrum(f).coef) ** 2
         self.times.append(t)
-        self.masses.append(self.grid.dx * float(np.sum(np.abs(u_phys) ** 2)))
+        self.masses.append(mass(f))
         self.energies.append(_energy(self.cfg, f, self.kinetic_weight, power))
         for s, weight in self.sobolev_weights.items():
             self.sob[s].append(_weighted_norm(self.grid.L, weight, power))
@@ -539,21 +541,21 @@ def _n_steps(cfg: EvolutionConfig) -> int:
 
 
 def _galerkin_band(s: Spectrum, K: int):
-    """The modes k = -K..K of ``s`` and their coefficients, after checking
-    that K fits the grid and that ``s`` has no support above it."""
+    """The FFT positions, frequencies and coefficients of the modes k = -K..K
+    of ``s``, after checking that K fits the grid and that ``s`` has no support above it."""
     grid = s.grid
     if K < 1 or K > grid.M // 2 - 1:
         raise ConfigError(f"mode cutoff K={K} outside grid resolution")
     peak = np.max(np.abs(s.coef))
     if peak > 0 and np.any(np.abs(s.coef[np.abs(grid.k) > K]) > 1e-12 * peak):
         raise ConfigError("spectrum has support above the Galerkin cutoff")
-    ks = np.arange(-K, K + 1)
-    return ks, s.coef[ks % grid.M]
+    idx = np.arange(-K, K + 1) % grid.M
+    return idx, grid.xi[idx], s.coef[idx]
 
 
-def _galerkin_spectrum(grid, ks: np.ndarray, c: np.ndarray) -> Spectrum:
+def _galerkin_spectrum(grid, idx: np.ndarray, c: np.ndarray) -> Spectrum:
     full = np.zeros(grid.M, dtype=np.complex128)
-    full[ks % grid.M] = c
+    full[idx] = c
     return Spectrum(grid, full)
 
 
@@ -566,10 +568,9 @@ def galerkin_rhs(s: Spectrum, cfg: EvolutionConfig, K: int) -> Spectrum:
     On a band grid the modes are k0 + k: only the linear symbol reads k0,
     since the cubic sum is invariant under a common index shift.
     """
-    ks, c = _galerkin_band(s, K)
-    xi = 2 * np.pi / s.grid.L * (ks + s.grid.k0)
+    idx, xi, c = _galerkin_band(s, K)
     out = _galerkin_cubic(c, K, cfg.kappa) + 1j * cfg.linear_phase_rate(xi) * c
-    return _galerkin_spectrum(s.grid, ks, out)
+    return _galerkin_spectrum(s.grid, idx, out)
 
 
 def _galerkin_cubic(coef: np.ndarray, K: int, kappa: int) -> np.ndarray:
@@ -594,8 +595,8 @@ def galerkin_evolve(s0: Spectrum, cfg: EvolutionConfig, K: int, t: float,
     limit), so the only error is the RK4 error of the slow nonlinear part;
     ground truth for the derivative identities and increment experiments.
     """
-    ks, c = _galerkin_band(s0, K)
-    lam = 1j * cfg.linear_phase_rate(2 * np.pi / s0.grid.L * (ks + s0.grid.k0))
+    idx, xi, c = _galerkin_band(s0, K)
+    lam = 1j * cfg.linear_phase_rate(xi)
     dt = t / n_steps
     e_half = np.exp(lam * dt / 2)
     e_full = e_half * e_half
@@ -605,7 +606,7 @@ def galerkin_evolve(s0: Spectrum, cfg: EvolutionConfig, K: int, t: float,
 
     for _ in range(n_steps):
         c = _ifrk4(c, nl, e_half, e_full, dt)
-    return _galerkin_spectrum(s0.grid, ks, c)
+    return _galerkin_spectrum(s0.grid, idx, c)
 
 
 # ---------------------------------------------------------------------------

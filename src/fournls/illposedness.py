@@ -37,12 +37,12 @@ import numpy as np
 from .errors import ConfigError
 from .evolution import EvolutionConfig, _is_integer, evolve_many
 from .fitting import FitResult, fit_loglog
-from .spectral import (Field, Grid, Spectrum, apply_symbol, make_grid, sobolev_norm,
+from .spectral import (Field, Grid, Spectrum, apply_symbol, make_grid, mass, sobolev_norm,
                        to_physical, to_spectrum)
 from .symmetries import scale_transform
 
 __all__ = [
-    "ApproxParams", "UapSetup", "SolitonProfile", "plan_uap_discretization",
+    "UapSetup", "SolitonProfile", "plan_uap_discretization",
     "change_coords", "build_uap", "residual_fields", "ResidualFields",
     "modulated_profile", "modulation_norm_check", "error_decay_experiment",
     "ErrorDecayResult", "separation_experiment", "SeparationReport",
@@ -50,17 +50,6 @@ __all__ = [
 
 SQRT6 = np.sqrt(6.0)
 XI_HEADROOM = 4.0  # grid4's Nyquist frequency in units of the carrier N
-
-
-@dataclass(frozen=True)
-class ApproxParams:
-    """Carrier frequency of the construction (its sign is kappa = -1)."""
-
-    N: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.N) and self.N >= 8):
-            raise ConfigError("carrier frequency must be >= 8")
 
 
 class SolitonProfile:
@@ -94,7 +83,7 @@ class SolitonProfile:
 class UapSetup:
     """Commensurate grids for the construction; N snapped to the 4NLS lattice."""
 
-    params: ApproxParams
+    N: float  # the carrier frequency 2 pi k* / L4 >= 8, k* = band.k0
     grid4: Grid
     grid_v: Grid
     band: Grid  # 4NLS modes k* + m, -profile_modes <= m < profile_modes
@@ -139,11 +128,13 @@ def plan_uap_discretization(
     if 2 * np.pi * k_star / L4 < 8.0:  # keep the snapped carrier admissible
         k_star += 1
     N_exact = 2 * np.pi * k_star / L4
+    if not N_exact >= 8:
+        raise ConfigError(f"carrier frequency must be >= 8, got N={N!r}")
     Lv = L4 / (SQRT6 * N_exact)
     m4_needed = L4 * (XI_HEADROOM * N_exact) / np.pi
     M4 = profile_modes * _next_5smooth(int(np.ceil(m4_needed * 1.02 / profile_modes)))
     return UapSetup(
-        params=ApproxParams(N=N_exact),
+        N=N_exact,
         grid4=make_grid(L4, M4),
         grid_v=make_grid(Lv, profile_modes),
         band=make_grid(L4, 2 * profile_modes, k_star),
@@ -178,7 +169,7 @@ def _placed(setup: UapSetup, spec_v: Spectrum, t: float, grid: Grid, phase=1.0) 
     index shift, with no pointwise exp(i N x).  ``phase`` is a scalar
     factor on every mode.
     """
-    shift = 4.0 * setup.params.N**2 * t / SQRT6
+    shift = 4.0 * setup.N**2 * t / SQRT6
     c = spec_v.coef * np.exp(1j * setup.grid_v.xi * shift) * phase
     big = np.zeros(grid.M, dtype=np.complex128)
     big[(setup.grid_v.k + setup.band.k0 - grid.k0) % grid.M] = c
@@ -188,7 +179,7 @@ def _placed(setup: UapSetup, spec_v: Spectrum, t: float, grid: Grid, phase=1.0) 
 def _uap_on(profile, setup: UapSetup, t: float, grid: Grid) -> Field:
     """U_ap(t) on the 4NLS grid or the band, straight from the profile spectrum."""
     spec = to_spectrum(profile.value(t))
-    return _placed(setup, spec, t, grid, np.exp(1j * setup.params.N**4 * t))
+    return _placed(setup, spec, t, grid, np.exp(1j * setup.N**4 * t))
 
 
 def build_uap(profile, setup: UapSetup, t: float) -> Field:
@@ -219,7 +210,9 @@ def residual_fields(
     ``direct`` with ``e1 + e2`` validates the whole change-of-variables
     computation.
     """
-    N, band = setup.params.N, setup.band
+    if not (np.isfinite(fd_step) and fd_step != 0):
+        raise ConfigError(f"fd_step must be finite and nonzero, got {fd_step!r}")
+    N, band = setup.N, setup.band
     carrier = np.exp(1j * N**4 * t)
     spec = to_spectrum(profile.value(t))
 
@@ -241,8 +234,8 @@ def residual_fields(
     direct = Field(band, iu_t + u_xxxx - np.abs(u) ** 2 * u)
 
     target = e1.values + e2.values
-    scale = np.sqrt(band.dx * np.sum(np.abs(target) ** 2))
-    defect = np.sqrt(band.dx * np.sum(np.abs(direct.values - target) ** 2))
+    scale = np.sqrt(mass(Field(band, target)))
+    defect = np.sqrt(mass(Field(band, direct.values - target)))
     if scale > 0:
         defect /= scale  # a zero target (zero profile) leaves the absolute norm
     return ResidualFields(e1=e1, e2=e2, direct=direct, relative_defect=float(defect))
@@ -319,6 +312,8 @@ def _evolve_uaps(profiles, setup: UapSetup, t_run: float, dt: float, n_records: 
     The run takes round(t_run / dt) steps and records about ``n_records``
     times; each record's first field is U_ap(0).
     """
+    if not (np.isfinite(t_run) and t_run > 0):
+        raise ConfigError(f"the run length must be positive and finite, got {t_run!r}")
     if not (np.isfinite(dt) and dt > 0):
         raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     if not (_is_integer(n_records) and n_records > 0):
@@ -456,7 +451,7 @@ def separation_experiment(
 
     return SeparationReport(
         s=s,
-        N=setup.params.N,
+        N=setup.N,
         lam=lam,
         eps=max(norm_u, norm_v),
         initial_norm_u=norm_u,

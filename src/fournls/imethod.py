@@ -75,10 +75,10 @@ from .spectral import (
     Spectrum,
     apply_symbol,
     cubic_convolution,
+    mass,
     to_physical,
     to_spectrum,
 )
-from .symmetries import mass
 
 __all__ = [
     "IMethodParams",
@@ -291,7 +291,7 @@ class ModeSet:
 
     @property
     def xi_values(self) -> np.ndarray:
-        return 2 * np.pi / self.grid.L * self.k_values
+        return self.grid.xi[self.k_values % self.grid.M]
 
 
 @dataclass
@@ -772,6 +772,8 @@ def gwp_parameters(s, T: float, u0_norm: float, eps0: float) -> GwpParameters:
     -s(3+2s)/(14s+9).  Numeric lambda and N additionally use u0_norm, eps0
     through lambda^(-3/2-s) N^(-s) u0_norm = eps0.
     """
+    if isinstance(s, Real) and not -np.inf < s < np.inf:
+        raise ConfigError(f"regularity must be finite, got s={s!r}")
     s = Fraction(s)
     if not (Fraction(-3, 2) < s <= 0):
         raise ConfigError("regularity must satisfy -3/2 < s <= 0")

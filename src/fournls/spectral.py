@@ -15,8 +15,8 @@ Conventions, fixed once and inherited by every other module:
   bitwise equal to those of a grid with ``k0 = 0`` at mode ``k + k0``,
 * Parseval: ``sum_j |u(x_j)|^2 dx = L sum_k |c_k|^2``.
 
-All physical-space integrals are the rectangle rule ``dx * sum``, which is
-spectrally accurate for periodic band-limited data.
+All physical-space integrals are the rectangle rule ``dx * sum``, spectrally
+accurate for periodic band-limited data; ``mass`` is the one L^2 quadrature.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "Field",
     "Spectrum",
     "make_grid",
+    "mass",
     "to_spectrum",
     "to_physical",
     "apply_symbol",
@@ -144,6 +145,11 @@ def make_grid(L: float, M: int, k0: int = 0) -> Grid:
     return Grid(float(L), int(M), int(k0))
 
 
+def mass(f: Field) -> float:
+    """int |u|^2 dx by grid quadrature."""
+    return float(f.grid.dx * np.sum(np.abs(f.values) ** 2))
+
+
 def to_spectrum(f: Field) -> Spectrum:
     phase = f.grid._centering_phase
     return Spectrum(f.grid, np.fft.fft(f.values) * phase / f.grid.M)
@@ -190,6 +196,8 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     is excluded (its weight is zero for s > 0 and undefined for s < 0; on
     mean-free data the exclusion is exact).
     """
+    if not -np.inf < s < np.inf:
+        raise ConfigError(f"Sobolev order must be finite, got s={s!r}")
     power = np.abs(to_spectrum(f).coef) ** 2
     return _weighted_norm(f.grid.L, _sobolev_weight(f.grid.xi, s, homogeneous), power)
 
@@ -213,7 +221,7 @@ def lebesgue_norm(f: Field, p: float) -> float:
     """L^p norm by grid quadrature; ``p = inf`` returns the max modulus."""
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
+    if not p >= 1:
         raise ConfigError(f"Lebesgue exponent must be >= 1, got p={p}")
     return float((f.grid.dx * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 

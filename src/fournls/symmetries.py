@@ -1,6 +1,6 @@
-"""Mass and the scaling symmetry of the quartic equation.
+"""The scaling symmetry of the quartic equation.
 
-The energy is ``evolution.conserved_energy``, the package's one energy functional.
+The mass is ``spectral.mass`` and the energy ``evolution.conserved_energy``.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ from .errors import ConfigError
 from .evolution import EvolutionConfig, _n_steps, evolve, evolve_many
 from .spectral import Field, make_grid, sobolev_norm
 
-__all__ = ["mass", "scale_transform", "check_scaling_covariance"]
-
-
-def mass(f: Field) -> float:
-    """int |u|^2 dx by grid quadrature."""
-    return float(f.grid.dx * np.sum(np.abs(f.values) ** 2))
+__all__ = ["scale_transform", "check_scaling_covariance"]
 
 
 def scale_transform(f: Field, lam: float) -> Field:

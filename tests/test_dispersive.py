@@ -203,6 +203,14 @@ class TestBilinear:
         with pytest.raises(ConfigError):
             bilinear_fit(64.0, [64, 128])
 
+    @pytest.mark.parametrize("n1, n2", [(0.0, 0.0), (np.nan, 32.0), (2.0, np.inf)])
+    def test_degenerate_frequencies_rejected(self, n1, n2):
+        # (0, 0) used to divide by zero in the co-moving window
+        from fournls.dispersive import bilinear_interaction_norm
+
+        with pytest.raises(ConfigError):
+            bilinear_interaction_norm(n1, n2)
+
     def test_equal_frequency_degrades(self):
         # diagnostic only: with n1 = n2 the packets co-move and the -3/2
         # transversality mechanism disappears; the exponent visibly degrades
@@ -239,6 +247,13 @@ class TestLocalSmoothing:
         f = make_gaussian(make_grid(80.0, 16384), width=1.0, carrier=4.0)
         got = local_smoothing_check(f, 0.005, order=order, n_times=100)
         assert got == _local_smoothing_one_time_at_a_time(f, 0.005, order, 100)
+
+    @pytest.mark.parametrize("window", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_window_rejected(self, window):
+        # a zero window used to raise a bare ValueError from geomspace
+        f = make_gaussian(make_grid(80.0, 1024), width=1.0, carrier=4.0)
+        with pytest.raises(ConfigError):
+            local_smoothing_check(f, window, n_times=10)
 
     def test_wrap_around_names_the_first_offending_time(self):
         f = make_gaussian(make_grid(80.0, 16384), width=1.0, carrier=4.0)

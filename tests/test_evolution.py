@@ -342,6 +342,9 @@ class TestEvolve:
             EvolutionConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ConfigError):
             EvolutionConfig(kappa=2)
+        for order in (np.nan, np.inf):  # nan used to record a column of nan
+            with pytest.raises(ConfigError):
+                EvolutionConfig(sobolev_orders=(-0.5, order))
 
     @pytest.mark.parametrize("bad", [dict(record_stride=1.5), dict(record_stride=True),
                                      dict(record_stride=0), dict(project_K=-3),

@@ -227,8 +227,13 @@ class TestRun:
         {"kind": "gwp-parameters", "params": {"eps0": 0.0}},
         {"kind": "local-smoothing", "params": {"order": -1.0}},
         {"kind": "resonance-check", "params": {"samples": 2.5}},
+        {"kind": "gwp-parameters", "params": {"s": float("nan")}},
+        {"kind": "evolve", "params": {"sobolev_orders": [float("nan")]}},
+        {"kind": "illposed-error", "params": {"window": float("inf")}},
+        {"kind": "bilinear-fit", "params": {"n1": 0.0, "n2_values": [0, 0]}},
     ], ids=["number-orders", "zero-band", "negative-band", "negative-time",
-            "negative-norm", "zero-eps0", "negative-order", "fractional-samples"])
+            "negative-norm", "zero-eps0", "negative-order", "fractional-samples",
+            "nan-regularity", "nan-order", "infinite-window", "zero-frequencies"])
     def test_bad_values_raise_config_error_before_any_report(self, doc, tmp_path):
         # each used to raise a bare exception, warn, write a truncated report
         # or run silently with a value nobody asked for
@@ -261,6 +266,14 @@ class TestCli:
         code = cli_main(["gwp-parameters", "--spec", str(path)])
         assert code == 2
         assert "spec error" in capsys.readouterr().err
+
+    def test_nan_value_exit_two(self, tmp_path, capsys):
+        # JSON's NaN literal reaches the runner; exit 1 would read as a tolerance failure
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "gwp-parameters", "params": {"s": NaN}}')
+        code = cli_main(["gwp-parameters", "--spec", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "run failed: regularity must be finite" in capsys.readouterr().err
 
     def test_kind_mismatch_rejected(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

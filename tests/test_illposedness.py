@@ -5,7 +5,6 @@ import pytest
 
 from fournls import ConfigError, evolve, make_grid, mass, sobolev_norm
 from fournls.illposedness import (
-    ApproxParams,
     SolitonProfile,
     _solver_config,
     _uap_on,
@@ -37,13 +36,19 @@ class TestPlanUapDiscretization:
             assert M4 % 256 == 0
             # the required multiplier: Nyquist at 4 N with 2 % to spare, in
             # units of the profile grid
-            m4_needed = setup.grid4.L * (4.0 * setup.params.N) / np.pi
+            m4_needed = setup.grid4.L * (4.0 * setup.N) / np.pi
             required = int(np.ceil(m4_needed * 1.02 / 256))
             assert M4 // 256 == next(m for m in smooth if m >= required)
             sizes[N] = M4
         # at N = 8, 12 and 16 the required multiplier is 5-smooth already; at
         # 32 and 64 it is 509 and 4 * 509, rounded up to 512 and 2048
         assert sizes == {8: 8192, 12: 18432, 16: 32768, 32: 131072, 64: 524288}
+
+    @pytest.mark.parametrize("N", [4.0, 7.9])
+    def test_carrier_below_8_rejected(self, N):
+        # the snapped carrier stays below 8 even after its one-mode nudge
+        with pytest.raises(ConfigError, match="carrier frequency must be >= 8"):
+            small_setup(N)
 
 
 class TestChangeCoords:
@@ -93,7 +98,7 @@ class TestBuildUap:
         setup = small_setup()
         prof = SolitonProfile(1.0, setup.grid_v)
         u0 = build_uap(prof, setup, 0.0)
-        N = setup.params.N
+        N = setup.N
         x = setup.grid4.x
         a = prof.amplitude
         expect = np.exp(1j * N * x) * np.sqrt(2) * a / np.cosh(
@@ -108,7 +113,7 @@ class TestBuildUap:
         prof = SolitonProfile(1.0, setup.grid_v)
         for t in (0.0, 0.4):
             u = build_uap(prof, setup, t)
-            expect = np.sqrt(6) * setup.params.N * mass(prof.value(t))
+            expect = np.sqrt(6) * setup.N * mass(prof.value(t))
             assert abs(mass(u) - expect) < 1e-8 * expect
 
     def test_modulated_norm_prefactor(self):
@@ -118,7 +123,7 @@ class TestBuildUap:
             prof = SolitonProfile(1.0, setup.grid_v)
             u0 = build_uap(prof, setup, 0.0)
             s = -0.5
-            Nx = setup.params.N
+            Nx = setup.N
             predict = (np.sqrt(6) * Nx) ** 0.5 * Nx**s * np.sqrt(mass(prof.value(0.0)))
             assert abs(sobolev_norm(u0, s) / predict - 1.0) < 0.01
 
@@ -153,6 +158,17 @@ class TestResiduals:
         res = residual_fields(prof, setup, t=0.3, fd_step=1e-5)
         assert res.direct.grid == res.e1.grid == setup.band
         assert res.relative_defect < bound
+
+    @pytest.mark.parametrize("fd_step", [0.0, np.nan, np.inf])
+    def test_bad_fd_step_rejected(self, fd_step):
+        # 0 and inf used to warn (divide by zero, invalid value in exp) and
+        # nan to raise only after every transform
+        setup = small_setup()
+        prof = SolitonProfile(1.0, setup.grid_v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                residual_fields(prof, setup, t=0.3, fd_step=fd_step)
 
     def test_zero_profile_zero_residual(self):
         setup = small_setup()
@@ -211,6 +227,24 @@ class TestModulationNorms:
         assert np.max(np.abs(v.values - expect)) < 1e-14
 
 
+_RUNS = {
+    "tracking": lambda **kw: uap_tracking_error(8.0, **{"window": 0.1, **kw}),
+    "decay": lambda **kw: error_decay_experiment([8.0, 16.0], **{"window": 0.1, **kw}),
+    "separation": lambda **kw: separation_experiment(1.0, 1.05, -0.75, 16.0, T=10.0, **kw),
+}
+_BAD_STEP = {"dt0": dict(dt=0.0), "dt_nan": dict(dt=float("nan")), "dt_negative": dict(dt=-1e-3),
+             "records0": dict(n_records=0), "records_float": dict(n_records=2.5)}
+# run lengths that are not finite and positive; an infinite window_factor is
+# capped at T, so only its nan is bad
+_BAD_LENGTH = [
+    ("window_nan", "tracking", dict(window=float("nan"))),
+    ("window_inf", "tracking", dict(window=float("inf"))),
+    ("window_nan", "decay", dict(window=float("nan"))),
+    ("window_inf", "decay", dict(window=float("inf"))),
+    ("window_factor_nan", "separation", dict(window_factor=float("nan"))),
+]
+
+
 class TestExperiments:
     def test_tracking_error_decays(self):
         errs = {
@@ -248,14 +282,11 @@ class TestExperiments:
         off_band = np.delete(np.abs(c_full) ** 2, k)
         assert np.sum(off_band) < 1e-24 * np.sum(np.abs(c_full) ** 2)
 
-    @pytest.mark.parametrize("run", [
-        lambda **kw: uap_tracking_error(8.0, window=0.1, **kw),
-        lambda **kw: error_decay_experiment([8.0, 16.0], window=0.1, **kw),
-        lambda **kw: separation_experiment(1.0, 1.05, -0.75, 16.0, T=10.0, **kw),
-    ], ids=["tracking", "decay", "separation"])
-    @pytest.mark.parametrize("bad", [dict(dt=0.0), dict(dt=float("nan")), dict(dt=-1e-3),
-                                     dict(n_records=0), dict(n_records=2.5)],
-                             ids=["dt0", "dt_nan", "dt_negative", "records0", "records_float"])
+    @pytest.mark.parametrize("run, bad", [
+        *(pytest.param(_RUNS[r], bad, id=f"{b}-{r}") for b, bad in _BAD_STEP.items()
+          for r in _RUNS),
+        *(pytest.param(_RUNS[r], bad, id=f"{b}-{r}") for b, r, bad in _BAD_LENGTH),
+    ])
     def test_bad_step_or_record_count_rejected(self, run, bad):
         with pytest.raises(ConfigError):
             run(profile_modes=256, profile_length=40.0, **bad)

@@ -587,3 +587,9 @@ class TestGwpParameters:
             gwp_parameters(Fraction(-3, 2), T=10.0, u0_norm=1.0, eps0=1.0)
         with pytest.raises(ConfigError):
             gwp_parameters(-1.4, T=10.0, u0_norm=1.0, eps0=1.0)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regularity_rejected(self, s):
+        # Fraction(s) used to raise a bare ValueError or OverflowError
+        with pytest.raises(ConfigError):
+            gwp_parameters(s, T=10.0, u0_norm=1.0, eps0=1.0)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from fournls import ConfigError, IMethodParams
 from fournls.resonance import (
+    MODES_PER_BAND,
     MeanValueReport,
-    _band_field,
     _band_ratio,
     factorization_residual,
     mean_value_bound_check,
@@ -17,7 +17,7 @@ from fournls.resonance import (
     sample_hyperplane,
     trilinear_counterexample,
 )
-from fournls.spectral import Field, Spectrum, to_physical, to_spectrum
+from fournls.spectral import Field, Spectrum, make_grid, to_physical, to_spectrum
 
 
 class TestFactorization:
@@ -116,9 +116,27 @@ class TestMeanValueBounds:
         assert junction.second_order_const < 10 * power.second_order_const
 
 
+def _band_grid(N: float):
+    """k0 = 0 grid whose lattice resolves the band [N, N + 1/N] with 4 modes."""
+    L = 2 * np.pi * MODES_PER_BAND * N  # delta_xi = 1/(4N)
+    M = int(np.ceil(L * 1.25 * N / np.pi / 2)) * 2
+    return make_grid(L, M)
+
+
+def _band_field(N: float) -> Field:
+    """Unit-height indicator spectrum on [N, N + 1/N] as a physical field."""
+    grid = _band_grid(N)
+    xi = grid.xi
+    band = (xi >= N) & (xi < N + 1.0 / N)
+    coef = np.zeros(grid.M, dtype=np.complex128)
+    coef[band] = 1.0 / grid.L  # continuum hat(u) = 1 on the band
+    return to_physical(Spectrum(grid, coef))
+
+
 class TestTrilinearCounterexample:
     def test_band_convolution_matches_grid_product(self):
-        # dual route: direct 4^3 convolution vs pointwise product on the grid
+        # dual route: the 16-point band grid vs the pointwise product on a
+        # k0 = 0 grid that reaches the band
         N, s = 16.0, -0.5
         times = np.linspace(-1.0, 1.0, 5)
         u0 = _band_field(N)

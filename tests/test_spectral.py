@@ -176,6 +176,16 @@ class TestNorms:
         with pytest.raises(ConfigError):
             lebesgue_norm(u, 0.5)
 
+    @pytest.mark.parametrize("norm, order", [(sobolev_norm, np.nan), (sobolev_norm, np.inf),
+                                             (sobolev_norm, -np.inf), (lebesgue_norm, np.nan)],
+                             ids=["sobolev-nan", "sobolev-inf", "sobolev-minus-inf",
+                                  "lebesgue-nan"])
+    def test_non_finite_order_rejected(self, norm, order):
+        # each used to return nan
+        u = Field(make_grid(2 * np.pi, 32), np.ones(32, complex))
+        with pytest.raises(ConfigError):
+            norm(u, order)
+
     def test_monotone_in_s(self):
         rng = np.random.default_rng(4)
         g = make_grid(20.0, 128)
