@@ -18,9 +18,6 @@ from .evolution import (
     galerkin_rhs,
     ifrk4_step,
     linear_propagate_4nls,
-    linear_propagate_nls,
-    nonlinear_substep,
-    strang_step,
 )
 from .fitting import FitResult, fit_loglog
 from .imethod import (

@@ -16,9 +16,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments for the fourth-order cubic NLS.",
         epilog="A spec holds kind, params, tolerances, seed and out. Each kind accepts "
         "only the params and tolerances keys of its defaults table "
-        "(fournls.harness.EXPERIMENT_KINDS) and fills in the ones left out; any other "
-        f"key is a spec error (exit 2). Default output root comes from ${OUTPUT_ROOT_ENV} "
-        "(fallback ./runs).",
+        "(fournls.harness.EXPERIMENT_KINDS), each typed by its default, and fills in the "
+        "ones left out; any other key or type is a spec error (exit 2). Default output "
+        f"root comes from ${OUTPUT_ROOT_ENV} (fallback ./runs).",
     )
     parser.add_argument(
         "kind", choices=sorted(EXPERIMENT_KINDS), help="experiment kind to run"

@@ -13,7 +13,8 @@ from math import inf
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError, ResolutionError
+from .errors import (ConfigError, QuadratureError, ResolutionError, check_integer,
+                     check_real, is_integer, is_real)
 from .evolution import EvolutionConfig, free_flow, linear_propagate_4nls
 from .fitting import FitResult, fit_loglog
 from .spectral import (
@@ -63,11 +64,11 @@ def kernel_K(t: float, x: float, alpha: float) -> complex:
     are added back, leaving a truncation error well below 1e-6 for |t| >= 0.05.
     Self-similar: K_t(x) = t^{-(alpha+1)/4} K_1(x t^{-1/4}) for t > 0.
     """
-    if not (np.isfinite(t) and np.isfinite(x)):
-        raise ConfigError(f"kernel needs finite t and x, got t={t}, x={x}")
+    check_real("t", t)
+    check_real("x", x)
     if t == 0:
         raise ConfigError("kernel is defined for t != 0")
-    if not (0 <= alpha <= 1):
+    if not (is_real(alpha) and 0 <= alpha <= 1):
         raise ConfigError("alpha must lie in [0, 1]")
     t = float(t)
     x = float(x)
@@ -158,11 +159,9 @@ def decay_fit(alpha: float, datum: Field, times) -> FitResult:
 def _as_fraction(v):
     if v == inf:
         return inf
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
+    if isinstance(v, Fraction) or is_integer(v):
         return Fraction(v)
-    if isinstance(v, float):
+    if isinstance(v, float) and is_real(v):
         return Fraction(v).limit_denominator(10**9)
     raise ConfigError(f"cannot interpret exponent {v!r}")
 
@@ -206,9 +205,9 @@ def bilinear_interaction_norm(n1: float, n2: float) -> float:
     takes 33 times over a window that covers the full crossing (or, for
     co-moving packets, the envelope dispersal time).
     """
+    if not (is_real(n1) and is_real(n2)) or n1 == n2 == 0:
+        raise ConfigError(f"packet frequencies must be finite, not both 0, got {n1!r}, {n2!r}")
     n1, n2 = float(n1), float(n2)
-    if not (np.isfinite(n1) and np.isfinite(n2)) or n1 == n2 == 0:
-        raise ConfigError(f"packet frequencies must be finite and not both 0, got {n1}, {n2}")
     speed = 4 * abs(n2**3 - n1**3)
     if speed > 0:
         t_win = 10.0 / speed
@@ -257,10 +256,10 @@ def local_smoothing_check(
     must stay below the first wrap-around of the fastest resolved content,
     checked at every time by the boundary tail fraction.
     """
-    if not order >= 0:
+    if not (is_real(order) and order >= 0):
         raise ConfigError(f"smoothing order must be >= 0, got {order!r}")
-    if not (np.isfinite(window) and window > 0):
-        raise ConfigError(f"smoothing window must be positive and finite, got {window!r}")
+    check_real("smoothing window", window, positive=True)
+    check_integer("n_times", n_times, 2)
     l2 = lebesgue_norm(datum, 2)
     if l2 == 0:
         return 0.0

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one test of a scalar
+argument: a number is a finite real and a count an integer, neither a bool
+(JSON's ``true`` is an int subclass).  The checks convert no value."""
+
+from math import isfinite
+from numbers import Integral, Real
 
 
 class ConfigError(ValueError):
@@ -35,3 +40,28 @@ class AbortedRunError(RuntimeError):
     def __init__(self, message: str, record=None):
         super().__init__(message)
         self.record = record
+
+
+def is_real(v) -> bool:
+    """A finite real (numpy scalars and Fractions too) that is not a bool."""
+    return (isinstance(v, Real) and not isinstance(v, bool)
+            and (isinstance(v, Integral) or isfinite(v)))  # isfinite overflows on big ints
+
+
+def is_integer(v) -> bool:
+    """An integer (numpy integers too) that is not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def check_real(name: str, v, positive: bool = False) -> None:
+    """:class:`ConfigError` unless ``v`` is a finite real, and > 0 when ``positive``."""
+    if not (is_real(v) and (v > 0 or not positive)):
+        sign = "positive " if positive else ""
+        raise ConfigError(f"{name} must be a {sign}finite number, got {v!r}")
+
+
+def check_integer(name: str, v, floor: int | None = None) -> None:
+    """:class:`ConfigError` unless ``v`` is an integer, and >= ``floor`` when given."""
+    if not (is_integer(v) and (floor is None or v >= floor)):
+        bound = "" if floor is None else f" >= {floor}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {v!r}")

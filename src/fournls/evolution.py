@@ -27,8 +27,8 @@ transform back on it; IFRK4 forms |u|^2 u and its transform in place on
 fresh arrays), so a caller that keeps a state across a step must copy it.
 The samples read from a state, and so every recorded field, are fresh
 arrays.  The linear flow alone, at any times, has one evaluator of its own,
-``free_flow``, with the stepper's phase rate; the propagators and the
-dispersive estimates call it.
+``free_flow``, with the stepper's phase rate; ``linear_propagate_4nls`` and
+the dispersive estimates call it.
 
 The stepper's spectral states are raw FFT coefficients ``np.fft.fft(u)``,
 not the coefficients ``c_k`` of :mod:`fournls.spectral`: the two differ by
@@ -68,7 +68,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AbortedRunError, ConfigError
+from .errors import AbortedRunError, ConfigError, check_integer, check_real, is_real
 from .spectral import (
     Field,
     Spectrum,
@@ -86,10 +86,7 @@ __all__ = [
     "EvolutionConfig",
     "TrajectoryRecord",
     "linear_propagate_4nls",
-    "linear_propagate_nls",
     "free_flow",
-    "nonlinear_substep",
-    "strang_step",
     "ifrk4_step",
     "evolve",
     "evolve_many",
@@ -103,11 +100,6 @@ __all__ = [
 
 # linear-substep weight of McLachlan's symmetric two-stage splitting
 MCLACHLAN_A = 0.1931833275037836
-
-
-def _is_integer(v) -> bool:
-    # Python and numpy integers; bool is an int subclass but not a count
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -141,25 +133,20 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.equation not in ("quartic", "cubic"):
             raise ConfigError(f"unknown equation '{self.equation}'")
-        if self.orientation not in (1, -1):
-            raise ConfigError("orientation must be +1 or -1")
-        if self.kappa not in (1, 0, -1):
-            raise ConfigError("kappa must be -1, 0 or +1")
+        if not (is_real(self.orientation) and self.orientation in (1, -1)):
+            raise ConfigError(f"orientation must be +1 or -1, got {self.orientation!r}")
+        if not (is_real(self.kappa) and self.kappa in (1, 0, -1)):
+            raise ConfigError(f"kappa must be -1, 0 or +1, got {self.kappa!r}")
         if self.scheme not in ("mclachlan2", "strang", "ifrk4"):
             raise ConfigError(f"unknown scheme '{self.scheme}'")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError("dt must be positive and finite")
-        if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
-            raise ConfigError("t_end must satisfy dt <= t_end")
-        if not (_is_integer(self.record_stride) and self.record_stride >= 1):
-            raise ConfigError("record_stride must be a positive integer")
-        if self.project_K is not None and not (_is_integer(self.project_K)
-                                               and self.project_K >= 0):
-            raise ConfigError("project_K must be None or a non-negative integer")
+        check_real("dt", self.dt, positive=True)
+        if not (is_real(self.t_end) and self.t_end >= self.dt):
+            raise ConfigError(f"t_end must be a finite number >= dt, got {self.t_end!r}")
+        check_integer("record_stride", self.record_stride, 1)
+        if self.project_K is not None:
+            check_integer("project_K", self.project_K, 0)
         for s in self.sobolev_orders:
-            if (isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating))
-                    or not -np.inf < s < np.inf):
-                raise ConfigError(f"sobolev_orders must hold finite numbers, got {s!r}")
+            check_real("a Sobolev order", s)
 
     def linear_phase_rate(self, xi: np.ndarray) -> np.ndarray:
         """d(arg c_k)/dt of the linear flow at frequency xi."""
@@ -217,25 +204,14 @@ def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
             yield Field(grid, u)
 
 
-def _linear_propagate(f: Field, t: float, cfg: EvolutionConfig) -> Field:
-    return f.copy() if t == 0 else next(free_flow(f, [t], cfg))
-
-
 def linear_propagate_4nls(f: Field, t: float, orientation: int = 1) -> Field:
     """Multiply mode xi by exp(i * orientation * t * xi^4).
 
     This is the flow of ``EvolutionConfig(orientation=-orientation)``: the
     stepper's quartic equation with the opposite sign.
     """
-    return _linear_propagate(f, t, EvolutionConfig(orientation=-orientation))
-
-
-def linear_propagate_nls(f: Field, t: float, orientation: int = 1) -> Field:
-    """Multiply mode xi by exp(i * orientation * t * xi^2).
-
-    This is the flow of ``EvolutionConfig(equation="cubic", orientation=orientation)``.
-    """
-    return _linear_propagate(f, t, EvolutionConfig(equation="cubic", orientation=orientation))
+    cfg = EvolutionConfig(orientation=-orientation)
+    return f.copy() if t == 0 else next(free_flow(f, [t], cfg))
 
 
 def _rotate(u: np.ndarray, theta, buf: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -250,12 +226,6 @@ def _rotate(u: np.ndarray, theta, buf: np.ndarray, phase: np.ndarray) -> np.ndar
     np.sin(phase, out=buf.imag)
     u *= buf
     return u
-
-
-def nonlinear_substep(f: Field, dt: float, kappa: int) -> Field:
-    """Exact flow of i u_t = kappa |u|^2 u: a pointwise phase rotation."""
-    M = f.grid.M
-    return Field(f.grid, _rotate(f.values.copy(), -dt * kappa, np.empty(M, complex), np.empty(M)))
 
 
 def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt) -> np.ndarray:
@@ -376,19 +346,10 @@ def _stepper(grid, cfg):
     return start, step, (lambda s: np.fft.ifft(s[0] * edge))
 
 
-def _one_step(f: Field, cfg: EvolutionConfig, scheme: str) -> Field:
-    start, step, values = _stepper(f.grid, replace(cfg, scheme=scheme))
-    return Field(f.grid, values(step(start(f.values))))
-
-
-def strang_step(f: Field, cfg: EvolutionConfig) -> Field:
-    """One half-linear / full-nonlinear / half-linear composition."""
-    return _one_step(f, cfg, "strang")
-
-
 def ifrk4_step(f: Field, cfg: EvolutionConfig) -> Field:
     """Classical RK4 in the rotating Fourier frame (integrating factor)."""
-    return _one_step(f, cfg, "ifrk4")
+    start, step, values = _stepper(f.grid, replace(cfg, scheme="ifrk4"))
+    return Field(f.grid, values(step(start(f.values))))
 
 
 def conserved_energy(f: Field, cfg: EvolutionConfig) -> float:

@@ -7,12 +7,16 @@ the CLI exit code.  Identical spec + seed reproduces byte-identical CSV
 payloads: all randomness flows from one seeded generator, sweep results are
 assembled in input order and floats are serialized with ``repr``.
 
-``EXPERIMENT_KINDS`` is the one source of defaults.  Each kind's entry holds
-its runner and the default of every ``params`` and ``tolerances`` key the
-runner reads.  Validation accepts exactly those keys and rejects any other
-by name; ``run`` merges the defaults under the spec's values, and the
-runners index the merged dicts, so a key missing from a table fails at once
-with ``KeyError``.  The report echoes only the keys the spec gave.
+``EXPERIMENT_KINDS`` is the one source of defaults, and of types.  Each
+kind's entry holds its runner and the default of every ``params`` and
+``tolerances`` key the runner reads.  Validation accepts exactly those keys,
+each with a value of its default's type (a tuple default takes a list of
+finite numbers, an int an integer, a str a string, a float a finite number
+and None null or a finite number; bools are not numbers), and reports every
+other key or value, one error per key, in one pass.  ``run`` merges the
+defaults under the spec's values, and the runners index the merged dicts,
+so a key missing from a table fails at once with ``KeyError``.  The report
+echoes only the keys the spec gave.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import dispersive, illposedness, imethod, resonance
-from .errors import ConfigError
-from .evolution import (EvolutionConfig, _is_integer, _write_csv, evolve, run_manifest,
-                        trajectory_to_csv)
+from .errors import ConfigError, is_integer, is_real
+from .evolution import EvolutionConfig, _write_csv, evolve, run_manifest, trajectory_to_csv
 from .fitting import FitResult
 from .spectral import make_gaussian, make_grid, to_physical, Spectrum
 
@@ -92,10 +95,6 @@ def _kind(name: str, params: dict, tolerances: dict):
     return register
 
 
-def _float_list(v):
-    return [float(x) for x in v]
-
-
 def _fit_payload(fit: FitResult) -> dict:
     return {
         "slope": fit.slope,
@@ -123,8 +122,6 @@ def _run_evolve(p, tol, rng, out):
     grid = make_grid(p["L"], p["M"])
     f0 = make_gaussian(grid, amplitude=p["amplitude"], width=p["width"],
                        carrier=p["carrier"], center=p["center"])
-    if not isinstance(p["sobolev_orders"], (list, tuple)):
-        raise ConfigError(f"sobolev_orders must be a list, got {p['sobolev_orders']!r}")
     cfg = EvolutionConfig(
         **{k: p[k] for k in _CONFIG_KEYS},
         record_stride=p["record_stride"],
@@ -165,7 +162,7 @@ def _run_imethod_almost(p, tol, rng, out):
         project_K=support,  # exact dealiased truncated dynamics
     )
     res = imethod.almost_conservation_experiment(
-        family, _float_list(p["n_values"]), cfg, s=p["s"], support_K=support,
+        family, p["n_values"], cfg, s=p["s"], support_K=support,
     )
     rows = [
         (N, res.increments_corrected[N], res.increments_uncorrected[N])
@@ -237,7 +234,7 @@ def _run_resonance_check(p, tol, rng, out):
        tolerances=dict(exponent=0.15))
 def _run_trilinear(p, tol, rng, out):
     s = p["s"]
-    n_values = _float_list(p["n_values"])
+    n_values = p["n_values"]
     res = resonance.trilinear_counterexample(n_values, s)
     rows = [(N, res.lhs[N], res.rhs[N], res.lhs[N] / res.rhs[N]) for N in n_values]
     _write_csv(out / "ratio.csv", ["N", "lhs", "rhs", "ratio"], rows)
@@ -271,7 +268,7 @@ def _run_dispersive_decay(p, tol, rng, out):
        params=dict(n1=2.0, n2_values=(32, 64, 128, 256, 512)),
        tolerances=dict(slope=0.15))
 def _run_bilinear(p, tol, rng, out):
-    fit = dispersive.bilinear_fit(p["n1"], _float_list(p["n2_values"]))
+    fit = dispersive.bilinear_fit(p["n1"], p["n2_values"])
     _write_csv(out / "bilinear.csv", ["log_n2", "log_norm"], fit.points)
     payload = {"fit": _fit_payload(fit), "predicted": -1.5}
     return payload, ["bilinear.csv"], abs(fit.slope + 1.5) < tol["slope"]
@@ -281,7 +278,7 @@ def _run_bilinear(p, tol, rng, out):
        params=dict(scales=(1, 2, 4, 8, 16, 32), order=1.5, control_order=2.0),
        tolerances=dict(spread=2.0, control_growth=2.0))
 def _run_local_smoothing(p, tol, rng, out):
-    scales = _float_list(p["scales"])
+    scales = p["scales"]
     ratios = dispersive.local_smoothing_family(scales, order=p["order"])
     control = dispersive.local_smoothing_family(scales, order=p["control_order"])
     rows = [(lam, ratios[lam], control[lam]) for lam in scales]
@@ -305,13 +302,13 @@ def _run_modulation(p, tol, rng, out):
     s = p["s"]
     fits = {
         "carrier": illposedness.modulation_norm_check(
-            u, s, grid, "carrier", _float_list(p["carriers"])
+            u, s, grid, "carrier", p["carriers"]
         ),
         "width": illposedness.modulation_norm_check(
-            u, s, grid, "width", _float_list(p["widths"]), M=p["base_carrier"],
+            u, s, grid, "width", p["widths"], M=p["base_carrier"],
         ),
         "amplitude": illposedness.modulation_norm_check(
-            u, s, grid, "amplitude", _float_list(p["amplitudes"]), M=p["base_carrier"],
+            u, s, grid, "amplitude", p["amplitudes"], M=p["base_carrier"],
         ),
     }
     payload = {k: _fit_payload(v) for k, v in fits.items()}
@@ -332,7 +329,7 @@ def _run_modulation(p, tol, rng, out):
        tolerances=dict(slope=0.4))
 def _run_illposed_error(p, tol, rng, out):
     res = illposedness.error_decay_experiment(
-        _float_list(p["n_values"]),
+        p["n_values"],
         window=p["window"],
         amplitude=p["amplitude"],
         dt=p["dt"],
@@ -391,21 +388,52 @@ def _run_gwp(p, tol, rng, out):
 _TOP_LEVEL_KEYS = ("kind", "params", "tolerances", "seed", "out")
 
 
-def _key_errors(kind: str, params: dict, tolerances: dict) -> list:
-    """One error per params or tolerances key that ``kind``'s tables lack."""
-    entry = EXPERIMENT_KINDS[kind]
+def _is_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(is_real(x) for x in v)
+
+
+# what a value must be, and the test of it, by the type of its default
+_TYPES = {
+    tuple: ("a list of finite numbers", _is_numbers),
+    int: ("an integer", is_integer),
+    float: ("a finite number", is_real),
+    type(None): ("null or a finite number", lambda v: v is None or is_real(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+# keys whose values every kind restricts beyond the type of their default
+_DOMAINS = {
+    "M": ("an even integer >= 8", lambda v: is_integer(v) and v % 2 == 0 and v >= 8),
+    "L": ("a positive finite number", lambda v: is_real(v) and v > 0),
+    "dt": ("a positive finite number", lambda v: is_real(v) and v > 0),
+    "corrected_slope_range": ("a list of two finite numbers",
+                              lambda v: _is_numbers(v) and len(v) == 2),
+}
+
+
+def _value_errors(kind: str, params: dict, tolerances: dict) -> list:
+    """One error per params or tolerances key that ``kind``'s tables lack, or
+    whose value is not of its default's type or outside its ``_DOMAINS`` entry.
+    For an unknown ``kind`` only the ``_DOMAINS`` entries are checked."""
+    entry = EXPERIMENT_KINDS.get(kind) if isinstance(kind, str) else None
     errors = []
-    for section, given, accepted in (("params", params, entry.params),
-                                     ("tolerances", tolerances, entry.tolerances)):
-        for key in sorted(set(given) - set(accepted)):
-            errors.append(f"unknown {section} key '{key}' for kind '{kind}'; accepted: "
-                          + (", ".join(sorted(accepted)) or "none"))
+    for section, given in (("params", params), ("tolerances", tolerances)):
+        accepted = getattr(entry, section, None)
+        for key, v in sorted(given.items()):
+            if accepted is not None and key not in accepted:
+                errors.append(f"unknown {section} key '{key}' for kind '{kind}'; accepted: "
+                              + (", ".join(sorted(accepted)) or "none"))
+                continue
+            if key in _DOMAINS:
+                want, ok = _DOMAINS[key]
+            elif accepted is not None:
+                want, ok = _TYPES[type(accepted[key])]
+            else:
+                continue
+            if not ok(v):
+                errors.append(f"{section}.{key} must be {want}, got {v!r}")
     return errors
-
-
-def _is_number(v) -> bool:
-    # JSON true and false arrive as bool, an int subclass, not as a length or step
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def validate_spec(doc: dict) -> ExperimentSpec:
@@ -416,7 +444,7 @@ def validate_spec(doc: dict) -> ExperimentSpec:
     kind = doc.get("kind")
     if kind is None:
         errors.append("missing required key 'kind'")
-    elif kind not in EXPERIMENT_KINDS:
+    elif not isinstance(kind, str) or kind not in EXPERIMENT_KINDS:
         errors.append(
             f"unknown experiment kind '{kind}'; valid kinds: "
             + ", ".join(sorted(EXPERIMENT_KINDS))
@@ -432,21 +460,11 @@ def validate_spec(doc: dict) -> ExperimentSpec:
     if not isinstance(tolerances, dict):
         errors.append("'tolerances' must be an object")
         tolerances = {}
-    if kind in EXPERIMENT_KINDS:
-        errors += _key_errors(kind, params, tolerances)
+    errors += _value_errors(kind, params, tolerances)
     seed = doc.get("seed", 0)
-    if not _is_integer(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         errors.append(f"'seed' must be a non-negative integer, got {seed!r}")
         seed = 0
-    M = params.get("M")
-    if M is not None and (not isinstance(M, int) or M % 2 != 0 or M < 8):
-        errors.append(f"params.M must be an even integer >= 8, got {M!r}")
-    L = params.get("L")
-    if L is not None and not (_is_number(L) and L > 0):
-        errors.append(f"params.L must be positive, got {L!r}")
-    dt = params.get("dt")
-    if dt is not None and not (_is_number(dt) and dt > 0):
-        errors.append(f"params.dt must be positive, got {dt!r}")
     if errors:
         raise SpecValidationError(errors)
     return ExperimentSpec(kind=kind, params=params, tolerances=tolerances, seed=seed,
@@ -467,11 +485,11 @@ def run(spec: ExperimentSpec, out_dir=None, seed: int | None = None) -> ReportDo
     """Dispatch a spec, persist artifacts and report pass/fail.
 
     The kind's defaults fill every key the spec leaves out; a key outside
-    the kind's tables raises ``SpecValidationError``, also for a spec built
-    without ``validate_spec``.
+    the kind's tables, or a value not of its default's type, raises
+    ``SpecValidationError``, also for a spec built without ``validate_spec``.
     """
     entry = EXPERIMENT_KINDS[spec.kind]
-    errors = _key_errors(spec.kind, spec.params, spec.tolerances)
+    errors = _value_errors(spec.kind, spec.params, spec.tolerances)
     if errors:
         raise SpecValidationError(errors)
     root = Path(out_dir or spec.out or os.environ.get(OUTPUT_ROOT_ENV, "runs"))

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .evolution import EvolutionConfig, _is_integer, evolve_many
+from .errors import ConfigError, check_integer, check_real, is_real
+from .evolution import EvolutionConfig, evolve_many
 from .fitting import FitResult, fit_loglog
 from .spectral import (Field, Grid, Spectrum, apply_symbol, make_grid, mass, sobolev_norm,
                        to_physical, to_spectrum)
@@ -61,8 +61,7 @@ class SolitonProfile:
     """
 
     def __init__(self, amplitude: float, grid: Grid):
-        if not (0 < amplitude):
-            raise ConfigError("soliton amplitude must be positive")
+        check_real("soliton amplitude", amplitude, positive=True)
         self.amplitude = float(amplitude)
         self.grid = grid
         # the periodization seam is of this size; keep it far below the
@@ -117,12 +116,9 @@ def plan_uap_discretization(
     k* + m: written as 2*pi*(m + k*)/L4 they move the N = 32 tracking error
     by 7e-8 relative, since xi^4 dt is a phase of thousands of radians.
     """
-    if not (np.isfinite(N) and N > 0):
-        raise ConfigError(f"carrier frequency N must be positive and finite, got {N!r}")
-    if not (np.isfinite(profile_length) and profile_length > 0):
-        raise ConfigError(f"profile_length must be positive and finite, got {profile_length!r}")
-    if not (_is_integer(profile_modes) and profile_modes > 0):
-        raise ConfigError(f"profile_modes must be a positive integer, got {profile_modes!r}")
+    check_real("carrier frequency N", N, positive=True)
+    check_real("profile_length", profile_length, positive=True)
+    check_integer("profile_modes", profile_modes, 1)
     L4 = SQRT6 * N * profile_length
     k_star = int(round(N * L4 / (2 * np.pi)))
     if 2 * np.pi * k_star / L4 < 8.0:  # keep the snapped carrier admissible
@@ -210,7 +206,7 @@ def residual_fields(
     ``direct`` with ``e1 + e2`` validates the whole change-of-variables
     computation.
     """
-    if not (np.isfinite(fd_step) and fd_step != 0):
+    if not (is_real(fd_step) and fd_step != 0):
         raise ConfigError(f"fd_step must be finite and nonzero, got {fd_step!r}")
     N, band = setup.N, setup.band
     carrier = np.exp(1j * N**4 * t)
@@ -247,8 +243,7 @@ def residual_fields(
 
 def modulated_profile(u, A: complex, M: float, tau: float, x0: float, grid: Grid) -> Field:
     """v(x) = A exp(i M x) u((x - x0)/tau) sampled on the grid; u is a callable."""
-    if tau <= 0:
-        raise ConfigError("width tau must be positive")
+    check_real("width tau", tau, positive=True)
     x = grid.x
     return Field(grid, A * np.exp(1j * M * x) * np.asarray(u((x - x0) / tau)))
 
@@ -312,12 +307,9 @@ def _evolve_uaps(profiles, setup: UapSetup, t_run: float, dt: float, n_records: 
     The run takes round(t_run / dt) steps and records about ``n_records``
     times; each record's first field is U_ap(0).
     """
-    if not (np.isfinite(t_run) and t_run > 0):
-        raise ConfigError(f"the run length must be positive and finite, got {t_run!r}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
-    if not (_is_integer(n_records) and n_records > 0):
-        raise ConfigError(f"n_records must be a positive integer, got {n_records!r}")
+    check_real("the run length", t_run, positive=True)
+    check_real("dt", dt, positive=True)
+    check_integer("n_records", n_records, 1)
     steps = int(round(t_run / dt))
     cfg = _solver_config(dt, steps * dt, max(1, steps // n_records))
     return evolve_many([_uap_on(p, setup, 0.0, setup.band) for p in profiles], cfg)
@@ -404,6 +396,8 @@ def separation_experiment(
     norm live on the band grid of the setup, where the two runs are stepped
     together as one stack.
     """
+    check_real("s", s)
+    check_real("T", T, positive=True)
     if not (-15.0 / 14.0 < s < -0.5):
         warnings.warn(
             f"s={s} outside the guaranteed range (-15/14, -1/2); proceeding",

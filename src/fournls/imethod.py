@@ -61,12 +61,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InconclusiveFitError, NumericDomainError, TermBudgetError
+from .errors import (ConfigError, InconclusiveFitError, NumericDomainError, TermBudgetError,
+                     check_real, is_real)
 from .evolution import EvolutionConfig, evolve_many, galerkin_evolve
 from .fitting import FitResult, fit_loglog
 from .spectral import (
@@ -117,10 +117,10 @@ class IMethodParams:
     s: float = -0.5
 
     def __post_init__(self):
-        if not (np.isfinite(self.N) and self.N >= 1):
-            raise ConfigError("threshold N must be >= 1")
-        if not -np.inf < self.s <= 0:
-            raise ConfigError(f"target regularity s must be finite and <= 0, got {self.s}")
+        if not (is_real(self.N) and self.N >= 1):
+            raise ConfigError(f"threshold N must be a finite number >= 1, got {self.N!r}")
+        if not (is_real(self.s) and self.s <= 0):
+            raise ConfigError(f"target regularity s must be finite and <= 0, got {self.s!r}")
 
 
 def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
@@ -772,14 +772,12 @@ def gwp_parameters(s, T: float, u0_norm: float, eps0: float) -> GwpParameters:
     -s(3+2s)/(14s+9).  Numeric lambda and N additionally use u0_norm, eps0
     through lambda^(-3/2-s) N^(-s) u0_norm = eps0.
     """
-    if isinstance(s, Real) and not -np.inf < s < np.inf:
-        raise ConfigError(f"regularity must be finite, got s={s!r}")
+    check_real("regularity s", s)
     s = Fraction(s)
     if not (Fraction(-3, 2) < s <= 0):
         raise ConfigError("regularity must satisfy -3/2 < s <= 0")
     for name, v in (("T", T), ("u0_norm", u0_norm), ("eps0", eps0)):
-        if not (isinstance(v, Real) and np.isfinite(float(v)) and v > 0):
-            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
+        check_real(name, v, positive=True)
     three_plus = 3 + 2 * s
     lam_exp = -2 * s / three_plus
     t_exp = (14 * s + 9) / three_plus

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .evolution import EvolutionConfig, _is_integer, free_flow
+from .errors import ConfigError, check_integer, check_real
+from .evolution import EvolutionConfig, free_flow
 from .fitting import FitResult, fit_loglog
 from .imethod import IMethodParams, _check_hyperplane, _m_values, multiplier_m2_derivatives
 from .spectral import Field, Spectrum, make_grid, sobolev_norm, to_physical
@@ -42,8 +42,7 @@ def sample_hyperplane(rng: np.random.Generator, n: int):
     The magnitudes of xi1, xi2, xi3 are 2^U with U uniform on [0, 10].
     Returns four arrays (xi1, xi2, xi3, xi4) with xi4 = -(xi1+xi2+xi3).
     """
-    if not (_is_integer(n) and n >= 1):
-        raise ConfigError(f"need a positive integer sample count, got {n!r}")
+    check_integer("sample count n", n, 1)
     mags = 2.0 ** rng.uniform(0.0, 10.0, size=(3, n))
     signs = rng.choice([-1.0, 1.0], size=(3, n))
     x1, x2, x3 = mags * signs
@@ -201,10 +200,11 @@ def trilinear_counterexample(N_values, s: float) -> TrilinearResult:
     so the ratio scales like N^(-2s-1): bounded for s >= -1/2, divergent
     below.
     """
+    check_real("s", s)
     if s >= 0.5:
         raise ConfigError("counterexample targets s <= 0 (rough data)")
-    if not all(np.isfinite(N) and N > 0 for N in N_values):
-        raise ConfigError(f"band frequencies must be finite and positive, got {N_values}")
+    for N in N_values:
+        check_real("band frequency N", N, positive=True)
     lhs, rhs = {}, {}
     times = np.linspace(-1.0, 1.0, 9)
     for N in N_values:

@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericDomainError, ResolutionError
+from .errors import (ConfigError, NumericDomainError, ResolutionError, check_integer,
+                     check_real, is_real)
 
 __all__ = [
     "Grid",
@@ -65,10 +66,10 @@ class Grid:
     k0: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.L) or self.L <= 0:
-            raise ConfigError(f"domain length must be positive, got L={self.L}")
-        if self.M % 2 != 0 or self.M < 8:
-            raise ConfigError(f"mode count must be even and >= 8, got M={self.M}")
+        check_real("domain length L", self.L, positive=True)
+        check_integer("mode count M", self.M, 8)
+        if self.M % 2 != 0:
+            raise ConfigError(f"mode count must be even, got M={self.M}")
 
     @property
     def dx(self) -> float:
@@ -142,6 +143,10 @@ class Spectrum:
 def make_grid(L: float, M: int, k0: int = 0) -> Grid:
     """Build a periodic grid of length ``L`` with ``M`` (even, >= 8) modes,
     centred on the carrier index ``k0``."""
+    # float() and int() would read True, "40" or 256.9 as a length or a count
+    check_real("domain length L", L)
+    check_integer("mode count M", M)
+    check_integer("carrier index k0", k0)
     return Grid(float(L), int(M), int(k0))
 
 
@@ -196,8 +201,7 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     is excluded (its weight is zero for s > 0 and undefined for s < 0; on
     mean-free data the exclusion is exact).
     """
-    if not -np.inf < s < np.inf:
-        raise ConfigError(f"Sobolev order must be finite, got s={s!r}")
+    check_real("Sobolev order s", s)
     power = np.abs(to_spectrum(f).coef) ** 2
     return _weighted_norm(f.grid.L, _sobolev_weight(f.grid.xi, s, homogeneous), power)
 
@@ -242,7 +246,7 @@ def _bump(r: np.ndarray) -> np.ndarray:
 
 def _dyadic_exponent(N: float) -> int:
     """j with N = 2^j, j >= 0; :class:`ConfigError` for any other N."""
-    if np.isfinite(N) and N >= 1:
+    if is_real(N) and N >= 1:
         j = int(round(np.log2(N)))
         if 2.0**j == N:
             return j
@@ -279,8 +283,7 @@ def make_gaussian(
     Fails with :class:`ResolutionError` when the carrier or width leaves
     spectral mass at the Nyquist mode above 1e-12 of the peak coefficient.
     """
-    if width <= 0:
-        raise ConfigError("gaussian width must be positive")
+    check_real("gaussian width", width, positive=True)
     if abs(carrier) >= grid.xi_max:
         raise ConfigError(
             f"carrier {carrier} is at or above the Nyquist frequency {grid.xi_max}"

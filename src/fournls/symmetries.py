@@ -7,9 +7,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, check_real
 from .evolution import EvolutionConfig, _n_steps, evolve, evolve_many
 from .spectral import Field, make_grid, sobolev_norm
 
@@ -26,8 +24,7 @@ def scale_transform(f: Field, lam: float) -> Field:
     lam x) maps solutions to solutions, so the scaled data evolved for t
     matches the original evolved for lam^4 t.
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise ConfigError("scaling factor must be positive")
+    check_real("scaling factor", lam, positive=True)
     new_grid = make_grid(f.grid.L / lam, f.grid.M, f.grid.k0)
     return Field(new_grid, lam**2 * f.values)
 

@@ -186,6 +186,16 @@ class TestStrichartzAdmissible:
         with pytest.raises(ConfigError):
             strichartz_admissible(8, inf, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, -inf, True, "8"])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_bad_exponent_rejected(self, bad, slot):
+        # NaN used to raise a bare ValueError, -inf a bare OverflowError, and
+        # True counted as 1
+        args = [8, inf, 0]
+        args[slot] = bad
+        with pytest.raises(ConfigError):
+            strichartz_admissible(*args)
+
 
 class TestBilinear:
     def test_high_frequency_slope(self):
@@ -262,6 +272,14 @@ class TestLocalSmoothing:
         with pytest.raises(ResolutionError) as got:
             local_smoothing_check(f, 0.5, n_times=100)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n_times", [1, 0, 2.5, True])
+    def test_bad_time_count_rejected(self, n_times):
+        # 1 used to return 0.0 (a trapezoid over the one time 0), 0 raised a
+        # bare ValueError from geomspace and 2.5 a bare TypeError
+        f = make_gaussian(make_grid(80.0, 1024), width=1.0, carrier=4.0)
+        with pytest.raises(ConfigError):
+            local_smoothing_check(f, 1e-3, n_times=n_times)
 
     def test_zero_datum(self):
         g = make_grid(40.0, 512)

@@ -19,13 +19,10 @@ from fournls import (
     galerkin_rhs,
     ifrk4_step,
     linear_propagate_4nls,
-    linear_propagate_nls,
     make_gaussian,
     make_grid,
     mass,
-    nonlinear_substep,
     sobolev_norm,
-    strang_step,
     to_physical,
     to_spectrum,
 )
@@ -43,6 +40,18 @@ from fournls.spectral import Spectrum, cubic_convolution, spectral_tail_fraction
 
 def smooth_datum(L=60.0, M=512, width=1.5, amplitude=1.0):
     return make_gaussian(make_grid(L, M), amplitude=amplitude, width=width)
+
+
+def rotate(u, theta):
+    """The exact nonlinear flow u e^{i theta |u|^2} on a copy of ``u``."""
+    M = u.grid.M
+    return Field(u.grid, _rotate(u.values.copy(), theta, np.empty(M, complex), np.empty(M)))
+
+
+def cubic_flow(u, t, orientation=1):
+    """The linear flow of the cubic equation: mode xi times exp(i orientation t xi^2)."""
+    (out,) = free_flow(u, [t], EvolutionConfig(equation="cubic", orientation=orientation))
+    return out
 
 
 def assert_loop_matches_composition(scheme, one_step):
@@ -81,9 +90,8 @@ def assert_loop_matches_composition(scheme, one_step):
 class TestLinearPropagators:
     def test_zero_time_identity(self):
         u = smooth_datum()
-        for prop in (linear_propagate_4nls, linear_propagate_nls):
-            out = prop(u, 0.0)
-            assert np.array_equal(out.values, u.values)
+        assert np.array_equal(linear_propagate_4nls(u, 0.0).values, u.values)
+        assert np.max(np.abs(cubic_flow(u, 0.0).values - u.values)) < 1e-15
 
     def test_single_mode_phase(self):
         g = make_grid(2 * np.pi, 32)
@@ -92,14 +100,14 @@ class TestLinearPropagators:
         out4 = linear_propagate_4nls(u, t, orientation=-1)
         expect = np.exp(-1j * t * k**4) * u.values
         assert np.max(np.abs(out4.values - expect)) < 1e-12
-        out2 = linear_propagate_nls(u, t, orientation=1)
+        out2 = cubic_flow(u, t, orientation=1)
         expect2 = np.exp(1j * t * k**2) * u.values
         assert np.max(np.abs(out2.values - expect2)) < 1e-12
 
     def test_group_law(self):
         u = smooth_datum()
-        a = linear_propagate_nls(linear_propagate_nls(u, 0.3), 0.7)
-        b = linear_propagate_nls(u, 1.0)
+        a = cubic_flow(cubic_flow(u, 0.3), 0.7)
+        b = cubic_flow(u, 1.0)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_mass_preserved_over_many_steps(self):
@@ -126,9 +134,9 @@ class TestLinearPropagators:
         (got,) = free_flow(u, [t], cfg)
         want = evolve(u, replace(cfg, kappa=0, t_end=t)).final_field()
         assert np.max(np.abs(got.values - want.values)) < 1e-12
-        prop = (linear_propagate_4nls(u, t, -orientation) if equation == "quartic"
-                else linear_propagate_nls(u, t, orientation))
-        assert np.array_equal(prop.values, got.values)
+        if equation == "quartic":
+            prop = linear_propagate_4nls(u, t, -orientation)
+            assert np.array_equal(prop.values, got.values)
 
     def test_free_flow_rows_are_fresh_fields(self):
         # 11 times at M = 2^16 span two chunks; rows read after the whole
@@ -143,19 +151,20 @@ class TestLinearPropagators:
 
 
 class TestNonlinearSubstep:
+    # the split steps' nonlinear substep over dt is _rotate at theta = -kappa dt
     def test_zero_dt_identity(self):
         u = smooth_datum()
-        assert np.array_equal(nonlinear_substep(u, 0.0, 1).values, u.values)
+        assert np.array_equal(rotate(u, -0.0).values, u.values)
 
     def test_modulus_pointwise_invariant(self):
         u = smooth_datum(amplitude=2.0)
-        out = nonlinear_substep(u, 0.3, -1)
+        out = rotate(u, 0.3)
         assert np.max(np.abs(np.abs(out.values) - np.abs(u.values))) < 1e-14
 
     def test_unit_field_phase(self):
         g = make_grid(10.0, 32)
         u = Field(g, np.ones(32, dtype=complex))
-        out = nonlinear_substep(u, np.pi, 1)
+        out = rotate(u, -np.pi)
         assert np.max(np.abs(out.values + 1.0)) < 1e-12
 
 
@@ -170,19 +179,21 @@ class TestRotation:
         out = _rotate(u.copy(), -dt * kappa, np.empty_like(u), np.empty(n))
         assert np.all(np.abs(out - expected) <= 1e-15 * np.abs(u))
 
-    def test_substep_leaves_its_input_unchanged(self):
+    @pytest.mark.parametrize("scheme", ["mclachlan2", "strang", "ifrk4"])
+    def test_evolve_leaves_its_input_unchanged(self, scheme):
+        # the steps advance their state in place; the start must be a copy
         u = smooth_datum(amplitude=2.0)
         before = u.values.copy()
-        out = nonlinear_substep(u, 0.3, 1)
+        rec = evolve(u, EvolutionConfig(dt=1e-3, t_end=2e-3, scheme=scheme))
         assert np.array_equal(u.values.view(np.int64), before.view(np.int64))
-        assert not np.shares_memory(out.values, u.values)
+        assert not any(np.shares_memory(f.values, u.values) for f in rec.fields)
 
 
 class TestSteppers:
     def test_kappa_zero_matches_linear(self):
         u = smooth_datum()
         cfg = EvolutionConfig(kappa=0, dt=0.01, t_end=0.01)
-        a = strang_step(u, cfg)
+        a = evolve(u, replace(cfg, scheme="strang")).final_field()
         b = linear_propagate_4nls(u, 0.01, orientation=-1)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
         c = ifrk4_step(u, cfg)
@@ -190,12 +201,10 @@ class TestSteppers:
 
     def test_strang_reversible(self):
         u = smooth_datum()
-        fwd = strang_step(u, EvolutionConfig(dt=1e-3, t_end=1e-3))
+        cfg = EvolutionConfig(dt=1e-3, t_end=1e-3, scheme="strang")
+        fwd = evolve(u, cfg).final_field()
         # stepping backwards: negate dt via the reversed linear/nonlinear phases
-        g = u.grid
-        back = strang_step(
-            Field(g, np.conj(fwd.values)), EvolutionConfig(dt=1e-3, t_end=1e-3)
-        )
+        back = evolve(Field(u.grid, np.conj(fwd.values)), cfg).final_field()
         assert np.max(np.abs(np.conj(back.values) - u.values)) < 1e-11
 
     def test_strang_second_order_against_ifrk4(self):
@@ -221,9 +230,9 @@ class TestSteppers:
         def one_step(u, dt, project):  # L(a) P N(1/2) L(1-2a) P N(1/2) L(a)
             a = MCLACHLAN_A
             u = linear_propagate_4nls(u, a * dt, orientation=-1)
-            u = project(nonlinear_substep(u, dt / 2, 1))
+            u = project(rotate(u, -dt / 2))
             u = linear_propagate_4nls(u, (1 - 2 * a) * dt, orientation=-1)
-            u = project(nonlinear_substep(u, dt / 2, 1))
+            u = project(rotate(u, -dt / 2))
             return linear_propagate_4nls(u, a * dt, orientation=-1)
 
         assert_loop_matches_composition("mclachlan2", one_step)
@@ -231,7 +240,7 @@ class TestSteppers:
     def test_strang_loop_matches_unmerged_composition(self):
         def one_step(u, dt, project):  # L(1/2) P N(1) L(1/2)
             u = linear_propagate_4nls(u, dt / 2, orientation=-1)
-            u = project(nonlinear_substep(u, dt, 1))
+            u = project(rotate(u, -dt))
             return linear_propagate_4nls(u, dt / 2, orientation=-1)
 
         assert_loop_matches_composition("strang", one_step)
@@ -342,6 +351,11 @@ class TestEvolve:
             EvolutionConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ConfigError):
             EvolutionConfig(kappa=2)
+        # a bool read as 1 was recorded as true in the run manifest
+        for bad in (dict(dt="x"), dict(t_end=True), dict(t_end=np.nan), dict(kappa=True),
+                    dict(orientation=True)):
+            with pytest.raises(ConfigError):
+                EvolutionConfig(**bad)
         for order in (np.nan, np.inf):  # nan used to record a column of nan
             with pytest.raises(ConfigError):
                 EvolutionConfig(sobolev_orders=(-0.5, order))

@@ -126,6 +126,46 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError):  # also when the spec skips validation
             run(ExperimentSpec(kind=kind, **{section: {typo: 1.0}}), out_dir=tmp_path)
 
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    def test_defaults_spelled_out_as_json_validate(self, kind):
+        entry = EXPERIMENT_KINDS[kind]
+        doc = {"kind": kind, "params": entry.params, "tolerances": entry.tolerances}
+        validate_spec(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    def test_value_not_of_its_defaults_type_is_one_spec_error(self, kind, tmp_path):
+        # of "x", true, [] and NaN in the params, 101 once ended in a bare
+        # exception and 32 wrote a report, 31 of them reading true as 1
+        nan, inf = float("nan"), float("inf")
+        entry = EXPERIMENT_KINDS[kind]
+        for section in ("params", "tolerances"):
+            for key, default in getattr(entry, section).items():
+                bad = [True, nan, inf]
+                # [] is a list of finite numbers, and "x" a string
+                bad += [["x"], [nan]] if isinstance(default, tuple) else [[]]
+                if not isinstance(default, str):
+                    bad.append("x")
+                for v in bad:
+                    with pytest.raises(SpecValidationError) as exc:
+                        validate_spec({"kind": kind, section: {key: v}})
+                    assert len(exc.value.errors) == 1, (key, v)
+                    assert exc.value.errors[0].startswith(f"{section}.{key} must be"), (key, v)
+                    with pytest.raises(SpecValidationError):  # also without validate_spec
+                        run(ExperimentSpec(kind=kind, **{section: {key: v}}), out_dir=tmp_path)
+        assert not (tmp_path / kind).exists()
+
+    @pytest.mark.parametrize("kind, section, key", [
+        (kind, section, key) for kind, entry in sorted(EXPERIMENT_KINDS.items())
+        for section in ("params", "tolerances")
+        for key, default in getattr(entry, section).items()
+        if isinstance(default, tuple) and key != "sobolev_orders"])
+    def test_empty_list_raises_config_error_before_any_report(self, kind, section, key,
+                                                              tmp_path):
+        # an empty sobolev_orders is valid: the run records no Sobolev norm
+        with pytest.raises(ConfigError):
+            run(validate_spec({"kind": kind, section: {key: []}}), out_dir=tmp_path)
+        assert not (tmp_path / kind / "report.json").exists()
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -268,12 +308,12 @@ class TestCli:
         assert "spec error" in capsys.readouterr().err
 
     def test_nan_value_exit_two(self, tmp_path, capsys):
-        # JSON's NaN literal reaches the runner; exit 1 would read as a tolerance failure
+        # JSON's NaN literal is a spec error; exit 1 would read as a tolerance failure
         path = tmp_path / "spec.json"
         path.write_text('{"kind": "gwp-parameters", "params": {"s": NaN}}')
         code = cli_main(["gwp-parameters", "--spec", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "run failed: regularity must be finite" in capsys.readouterr().err
+        assert "spec error: params.s must be a finite number" in capsys.readouterr().err
 
     def test_kind_mismatch_rejected(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -50,6 +50,11 @@ class TestPlanUapDiscretization:
         with pytest.raises(ConfigError, match="carrier frequency must be >= 8"):
             small_setup(N)
 
+    @pytest.mark.parametrize("N", ["16", True, np.nan])
+    def test_non_number_carrier_rejected(self, N):
+        with pytest.raises(ConfigError, match="carrier frequency N must be"):
+            small_setup(N)
+
 
 class TestChangeCoords:
     def test_zero_time(self):
@@ -298,6 +303,12 @@ class TestExperiments:
     def test_amplitude_range_enforced(self):
         with pytest.raises(ConfigError):
             separation_experiment(0.2, 1.0, -0.75, 16.0, T=10.0)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0, True])
+    def test_bad_horizon_rejected(self, T):
+        # T = NaN used to run the full window and report
+        with pytest.raises(ConfigError):
+            separation_experiment(1.0, 1.05, -0.75, 16.0, T=T)
 
     def test_out_of_range_s_warns(self):
         with pytest.warns(UserWarning):

@@ -71,6 +71,11 @@ class TestGrid:
             make_grid(10.0, 15)
         with pytest.raises(ConfigError):
             make_grid(10.0, 4)
+        # each is checked before float() or int() could read it as another value
+        for L, M, k0 in ((40.0, 256.9, 0), (40.0, 256, 0.5), ("40", 256, 0), (True, 256, 0),
+                         (40.0, True, 0)):
+            with pytest.raises(ConfigError):
+                make_grid(L, M, k0)
 
 
 class TestTransforms:
