@@ -44,8 +44,10 @@ class AbortedRunError(RuntimeError):
 
 def is_real(v) -> bool:
     """A finite real (numpy scalars and Fractions too) that is not a bool."""
-    return (isinstance(v, Real) and not isinstance(v, bool)
-            and (isinstance(v, Integral) or isfinite(v)))  # isfinite overflows on big ints
+    try:
+        return isinstance(v, Real) and not isinstance(v, bool) and isfinite(v)
+    except OverflowError:  # an int that no float can hold
+        return False
 
 
 def is_integer(v) -> bool:

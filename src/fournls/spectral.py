@@ -58,18 +58,13 @@ class Grid:
     Immutable; safe to share between threads and reuse across fields.  The
     lattice arrays ``x``, ``k``, ``xi`` and the centering phase are computed
     on first use, kept for the grid's lifetime and read-only (writing to one
-    raises ``ValueError``); equality and hashing see only (L, M, k0).
+    raises ``ValueError``); equality and hashing see only (L, M, k0).  Build
+    one with :func:`make_grid`, which checks the arguments.
     """
 
     L: float
     M: int
     k0: int = 0
-
-    def __post_init__(self):
-        check_real("domain length L", self.L, positive=True)
-        check_integer("mode count M", self.M, 8)
-        if self.M % 2 != 0:
-            raise ConfigError(f"mode count must be even, got M={self.M}")
 
     @property
     def dx(self) -> float:
@@ -143,10 +138,12 @@ class Spectrum:
 def make_grid(L: float, M: int, k0: int = 0) -> Grid:
     """Build a periodic grid of length ``L`` with ``M`` (even, >= 8) modes,
     centred on the carrier index ``k0``."""
-    # float() and int() would read True, "40" or 256.9 as a length or a count
-    check_real("domain length L", L)
-    check_integer("mode count M", M)
+    # checked before float() and int(), which would read True, "40" or 256.9
+    check_real("domain length L", L, positive=True)
+    check_integer("mode count M", M, 8)
     check_integer("carrier index k0", k0)
+    if M % 2 != 0:
+        raise ConfigError(f"mode count must be even, got M={M}")
     return Grid(float(L), int(M), int(k0))
 
 

@@ -351,7 +351,6 @@ class TestEvolve:
             EvolutionConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ConfigError):
             EvolutionConfig(kappa=2)
-        # a bool read as 1 was recorded as true in the run manifest
         for bad in (dict(dt="x"), dict(t_end=True), dict(t_end=np.nan), dict(kappa=True),
                     dict(orientation=True)):
             with pytest.raises(ConfigError):

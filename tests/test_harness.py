@@ -134,8 +134,6 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
     def test_value_not_of_its_defaults_type_is_one_spec_error(self, kind, tmp_path):
-        # of "x", true, [] and NaN in the params, 101 once ended in a bare
-        # exception and 32 wrote a report, 31 of them reading true as 1
         nan, inf = float("nan"), float("inf")
         entry = EXPERIMENT_KINDS[kind]
         for section in ("params", "tolerances"):
@@ -143,6 +141,10 @@ class TestSpecValidation:
                 bad = [True, nan, inf]
                 # [] is a list of finite numbers, and "x" a string
                 bad += [["x"], [nan]] if isinstance(default, tuple) else [[]]
+                if not isinstance(default, (int, str, tuple)):
+                    bad.append(10**400)  # no float holds it
+                if isinstance(default, tuple):
+                    bad.append([10**400])
                 if not isinstance(default, str):
                     bad.append("x")
                 for v in bad:

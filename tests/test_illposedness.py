@@ -306,7 +306,6 @@ class TestExperiments:
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0, True])
     def test_bad_horizon_rejected(self, T):
-        # T = NaN used to run the full window and report
         with pytest.raises(ConfigError):
             separation_experiment(1.0, 1.05, -0.75, 16.0, T=T)
 
