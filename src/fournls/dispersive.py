@@ -286,12 +286,14 @@ def local_smoothing_family(scales, order: float = 1.5) -> dict:
     critical order 3/2 the ratios stay bounded; order 2 is the growing
     negative control.
     """
-    scales = [float(lam) for lam in scales]
-    if not scales or min(scales) <= 0:
-        raise ConfigError(f"the local-smoothing family needs positive scales, got {scales}")
+    scales = list(scales)
+    if not scales:
+        raise ConfigError("the local-smoothing family needs at least one scale")
+    for lam in scales:
+        check_real("a local-smoothing scale", lam, positive=True)
     grid = make_grid(80.0, 16384)
     out = {}
-    for lam in scales:
+    for lam in map(float, scales):
         f = make_gaussian(grid, amplitude=np.sqrt(lam), width=1.0 / lam, carrier=4.0 * lam)
         xi_hi = 4.0 * lam + 6.0 * lam  # the carrier plus six inverse widths
         window = 0.25 * grid.L / (4 * xi_hi**3)

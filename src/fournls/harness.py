@@ -412,12 +412,14 @@ _DOMAINS = {
 }
 
 
-def _value_errors(kind: str, params: dict, tolerances: dict) -> list:
+def _value_errors(kind: str, params: dict, tolerances: dict, out=None) -> list:
     """One error per params or tolerances key that ``kind``'s tables lack, or
-    whose value is not of its default's type or outside its ``_DOMAINS`` entry.
-    For an unknown ``kind`` only the ``_DOMAINS`` entries are checked."""
+    whose value is not of its default's type or outside its ``_DOMAINS`` entry,
+    and one if the output root ``out`` is neither None nor a non-empty path
+    string.  For an unknown ``kind`` only the ``_DOMAINS`` entries are checked."""
     entry = EXPERIMENT_KINDS.get(kind) if isinstance(kind, str) else None
-    errors = []
+    errors = [] if out is None or (isinstance(out, str) and out) else [
+        f"'out' must be a non-empty path string, got {out!r}"]
     for section, given in (("params", params), ("tolerances", tolerances)):
         accepted = getattr(entry, section, None)
         for key, v in sorted(given.items()):
@@ -460,7 +462,7 @@ def validate_spec(doc: dict) -> ExperimentSpec:
     if not isinstance(tolerances, dict):
         errors.append("'tolerances' must be an object")
         tolerances = {}
-    errors += _value_errors(kind, params, tolerances)
+    errors += _value_errors(kind, params, tolerances, doc.get("out"))
     seed = doc.get("seed", 0)
     if not is_integer(seed) or seed < 0:
         errors.append(f"'seed' must be a non-negative integer, got {seed!r}")
@@ -485,11 +487,11 @@ def run(spec: ExperimentSpec, out_dir=None, seed: int | None = None) -> ReportDo
     """Dispatch a spec, persist artifacts and report pass/fail.
 
     The kind's defaults fill every key the spec leaves out; a key outside
-    the kind's tables, or a value not of its default's type, raises
-    ``SpecValidationError``, also for a spec built without ``validate_spec``.
+    the kind's tables, a value not of its default's type, or a bad ``out``
+    raises ``SpecValidationError``, also for a spec built without ``validate_spec``.
     """
     entry = EXPERIMENT_KINDS[spec.kind]
-    errors = _value_errors(spec.kind, spec.params, spec.tolerances)
+    errors = _value_errors(spec.kind, spec.params, spec.tolerances, spec.out)
     if errors:
         raise SpecValidationError(errors)
     root = Path(out_dir or spec.out or os.environ.get(OUTPUT_ROOT_ENV, "runs"))

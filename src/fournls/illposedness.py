@@ -267,15 +267,13 @@ def modulation_norm_check(
     """
     if sweep not in ("carrier", "width", "amplitude"):
         raise ConfigError(f"unknown sweep '{sweep}'")
+    values = list(values)
+    for val in values:
+        check_real(f"a {sweep} sweep value", val)
     pts = []
     for val in values:
-        a_, m_, t_ = 1.0, M, 1.0
-        if sweep == "carrier":
-            m_ = float(val)
-        elif sweep == "width":
-            t_ = float(val)
-        else:
-            a_ = complex(val)
+        a_, m_, t_ = {"carrier": (1.0, float(val), 1.0), "width": (1.0, M, float(val)),
+                      "amplitude": (complex(val), M, 1.0)}[sweep]
         if s >= 0:
             ok = m_ * t_ >= 1
         else:

@@ -25,9 +25,8 @@ quadrilinear increment exactly for g = +1, the normalization adopted here.
 
 Evaluation.  Lambda4(sigma4) and Lambda4(M4) are not summed symbol by
 symbol: each reads one table of m^2 on the lattice.  One walk of the
-hyperplane, ``_walk_slices`` (k1-slices of (k2, k3) points, the last slot
-read through a zero-padded window), serves Lambda4(sigma4), Lambda6(M6) and
-the generic Lambda4:
+hyperplane, ``_walk_planes`` (the planes k1 + k2 = a, one BLAS matrix
+product each), serves Lambda4(sigma4), Lambda6(M6) and the generic Lambda4:
 
 * Lambda4(sigma4).  With W = u(xi1) conj(u(-xi2)) u(xi3) conj(u(-xi4)) and
   the N-free weight alpha4 = (xi1+xi2)(xi1+xi4) Q of the factorized
@@ -52,9 +51,9 @@ the generic Lambda4:
       Lambda6(M6) = L sum_{k1,k2,k3} M6 u(xi1) conj(u(-xi2)) u(xi3) V(-(k1+k2+k3)),
 
   a sum of (2K+1)^3 terms in place of (2K+1)^5 (:class:`SumLastThree`).
-  M6 is evaluated per k1-slice, one ``lambda_n`` call per identity check as
-  the benchmark's tracer counts it; an m^2 table would also need the walk's
-  k4-marginal, since V breaks the xi2 <-> xi4 relabelling.
+  M6 is evaluated once per plane, in one ``lambda_n`` call per identity
+  check as the benchmark's tracer counts it; an m^2 table would also need
+  the walk's k4-marginal, since V breaks the xi2 <-> xi4 relabelling.
 """
 
 from __future__ import annotations
@@ -127,13 +126,10 @@ def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
     axi = np.abs(np.asarray(xi, dtype=np.float64))
     out = np.ones_like(axi)
     hi = axi >= 2 * p.N
-    with np.errstate(divide="ignore"):
-        out = np.where(hi, (np.maximum(axi, 1e-300) / p.N) ** p.s, out)
+    out[hi] = (axi[hi] / p.N) ** p.s
     mid = (axi > p.N) & (axi < 2 * p.N)
-    if np.any(mid):
-        t = (np.log(np.where(mid, axi, 1.0)) - np.log(p.N)) / np.log(2.0)
-        logm = p.s * np.log(2.0) * t * t * (2.0 - t)
-        out = np.where(mid, np.exp(logm), out)
+    t = (np.log(axi[mid]) - np.log(p.N)) / np.log(2.0)
+    out[mid] = np.exp(p.s * np.log(2.0) * t * t * (2.0 - t))
     return out
 
 
@@ -146,29 +142,18 @@ def multiplier_m2_derivatives(p: IMethodParams, xi: np.ndarray):
     """(m^2, (m^2)', (m^2)'') evaluated branch-wise in closed form, for the
     mean-value bound checks."""
     xi = np.asarray(xi, dtype=np.float64)
-    axi = np.abs(xi)
-    sgn = np.sign(xi)
+    axi, sgn = np.abs(xi), np.sign(xi)
     m2 = _m_values(p, xi) ** 2
-    d1 = np.zeros_like(m2)
-    d2 = np.zeros_like(m2)
-
+    d1, d2 = np.zeros_like(m2), np.zeros_like(m2)
     hi = axi >= 2 * p.N
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = np.where(hi, sgn * 2 * p.s * m2 / np.maximum(axi, 1e-300), d1)
-        d2 = np.where(hi, 2 * p.s * (2 * p.s - 1) * m2 / np.maximum(axi, 1e-300) ** 2, d2)
-
+    d1[hi] = sgn[hi] * 2 * p.s * m2[hi] / axi[hi]
+    d2[hi] = 2 * p.s * (2 * p.s - 1) * m2[hi] / axi[hi] ** 2
     mid = (axi > p.N) & (axi < 2 * p.N)
-    if np.any(mid):
-        t = (np.log(np.where(mid, axi, 1.0)) - np.log(p.N)) / np.log(2.0)
-        hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
-        hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
-        with np.errstate(invalid="ignore"):
-            d1 = np.where(mid, sgn * m2 * 2 * hp / np.maximum(axi, 1e-300), d1)
-            d2 = np.where(
-                mid,
-                m2 * ((2 * hp) ** 2 + 2 * hpp - 2 * hp) / np.maximum(axi, 1e-300) ** 2,
-                d2,
-            )
+    t = (np.log(axi[mid]) - np.log(p.N)) / np.log(2.0)
+    hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
+    hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
+    d1[mid] = sgn[mid] * m2[mid] * 2 * hp / axi[mid]
+    d2[mid] = m2[mid] * ((2 * hp) ** 2 + 2 * hpp - 2 * hp) / axi[mid] ** 2
     return m2, d1, d2
 
 
@@ -206,27 +191,32 @@ def symbol_m4(xi1, xi2, xi3, xi4, p: IMethodParams):
 
 
 def _m4_on_hyperplane(x1, x2, x3, x4, p):
-    m2 = lambda x: _m_values(p, x) ** 2
-    return 0.5 * (m2(x1) - m2(x2) + m2(x3) - m2(x4))
+    return _m4_of_slots(np.array(np.broadcast_arrays(x1, x2, x3, x4), dtype=np.float64), p)
+
+
+def _m4_of_slots(x, p):
+    """M4 of the slot-first stack ``x`` of the four frequencies."""
+    m2 = _m_values(p, x) ** 2
+    return 0.5 * (m2[0] - m2[1] + m2[2] - m2[3])
 
 
 def _sigma4_on_hyperplane(x1, x2, x3, x4, p):
-    x1, x2, x3, x4 = (np.asarray(x, dtype=np.float64) for x in (x1, x2, x3, x4))
+    x1, x2, x3, x4 = x = np.array(np.broadcast_arrays(x1, x2, x3, x4), dtype=np.float64)
     # factorized resonance denominator; exact on the zero-sum lattice and
     # free of the catastrophic cancellation of the raw fourth-power form
     s12, s14 = x1 + x2, x1 + x4
-    quad = x1**2 + x2**2 + x3**2 + x4**2 + 2 * (x1 + x3) ** 2
+    quad = (x**2).sum(axis=0) + 2 * (x1 + x3) ** 2  # rows added in turn
     denom = s12 * s14 * quad
-    num = _m4_on_hyperplane(x1, x2, x3, x4, p)
-    out = np.zeros(np.broadcast(x1, x2, x3, x4).shape, dtype=np.float64)
+    num = _m4_of_slots(x, p)
+    out = np.zeros(num.shape)
     # a frequency summed in floating point (xi4 + xi5 + xi6 off the 2 pi
     # lattice) leaves a factor of order 1e-16 where it should be 0; read
     # factors at round-off level as the resonant zeros they stand for.
     # max|xi_j| <= sqrt(quad) <= sqrt(12) max|xi_j|
     tol = 1e-12 * np.sqrt(quad)
     nz = (np.abs(s12) > tol) & (np.abs(s14) > tol)
-    np.divide(np.broadcast_to(num, out.shape), denom, out=out, where=nz)
-    _check_removable(np.broadcast_to(num, out.shape)[~nz])
+    np.divide(num, denom, out=out, where=nz)
+    _check_removable(num[~nz])
     return out
 
 
@@ -327,43 +317,47 @@ def _slot_coefs(fields, K: int) -> list:
     return [c if j % 2 == 0 else np.conj(c[::-1]) for j, c in enumerate(coefs)]
 
 
-def _walk_slices(weight, s1, s2, s3, last, K: int):
+def _walk_planes(weight, s1, s2, s3, last, K: int):
     """k1- and k2-marginals of weight * s1[k1] s2[k2] s3[k3] last[k4] on k1+k2+k3+k4 = 0.
 
-    s1, s2, s3 are (S, 2K+1) on k = -K..K, ``last`` is (S, 2R+1) centred
-    with R <= 3K, and ``weight(i1, k1)`` is the weight on the (k2, k3) slice
-    at k1 = i1 - K.  Each slice reads the last slot through a sliding window
-    over a zero-padded copy (|k4| <= 3K), so points with |k4| > R add zero
-    unmasked.  Returns the (S, 2K+1) sums over k1 = k and over k2 = k.
-
-    Each slice's weight is built once for all S rows, and ``weight`` may
-    return the same array at every slice.  A slice is one contraction over
-    every row, ``einsum("sij,ij,sj->si")`` of the window, the weight and s3,
-    unoptimized, so each term is formed as (window * weight) * s3 in that
-    order and no (S, 2K+1, 2K+1) product is ever stored; a row's sums do
-    not depend on the other rows.
+    s1, s2, s3 are (S, 2K+1) on k = -K..K and ``last`` is (S, 2R+1) centred,
+    K <= R <= 3K.  The planes k1 + k2 = a come in the order a = 0, -1, 1,
+    ..., 2K, each a block of points, k1 down the rows and k3 along the
+    columns with |k4| = |a + k3| <= R; about 2/3 of the (2K+1)^3 points at
+    R = K.  ``weight(a, rows, cols)`` gets the slices of indices k + K of
+    the block's k1 and k3 and returns its weight, or None for a plane that
+    adds nothing.  Since last[k4] depends on k3 alone, a row of s1 gets the
+    block's k3 sums as one matrix product of the weight with s3 * last, a
+    real one on the float view of that vector when the weight is real, so
+    its sums do not depend on the other rows.  Returns the (S, 2K+1) sums
+    over k1 = k and over k2 = k.
     """
     n = 2 * K + 1
     if n**3 > TERM_BUDGET:
         raise TermBudgetError(
             f"{n**3:.3g} lattice terms exceed the {TERM_BUDGET:.0g} term budget"
         )
-    R = last.shape[1] // 2
-    # padded[j] = last at k4 = 3K - j, so window i1 + i2 holds last at
-    # k4 = -(k1 + k2 + k3) in column i3
-    padded = np.zeros((len(last), 6 * K + 1), dtype=np.complex128)
-    padded[:, 3 * K - R:3 * K + R + 1] = last[:, ::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)
-    by_k1 = np.empty(s1.shape, dtype=np.complex128)
-    by_k2 = np.zeros(s1.shape, dtype=np.complex128)
-    for i1 in range(n):
-        w = weight(i1, i1 - K)
-        # the k3 sum of last * weight * s3, then the s2 factor at each k2
-        g = np.einsum("sij,ij,sj->si", windows[:, i1:i1 + n, :], w, s3)
-        g *= s2
-        by_k1[:, i1] = s1[:, i1] * g.sum(axis=1)
-        by_k2 += s1[:, i1:i1 + 1] * g
-    return by_k1, by_k2
+    R, o = last.shape[1] // 2, last.shape[1] // 2 - K
+    # reversed, so k2 = a - k1 and k4 = -(a + k3) sit at indices rising with
+    # i = k + K: i1 - a of s2[::-1] and i3 + o + a of last[::-1]
+    s2_rev, last_rev = s2[:, ::-1], last[:, ::-1]
+    by_k1, by_k2_rev = np.zeros((2, *s1.shape), dtype=np.complex128)
+    for a in sorted(range(-2 * K, 2 * K + 1), key=abs):
+        rows = slice(max(0, a), min(n, n + a))
+        cols = slice(max(0, K - R - a), min(n, K + R - a + 1))
+        w = weight(a, rows, cols)
+        if w is None:
+            continue
+        v = s3[:, cols] * last_rev[:, cols.start + o + a:cols.stop + o + a]
+        if np.iscomplexobj(w):
+            g = np.matmul(w, v[:, :, None])[..., 0]
+        else:
+            g = np.matmul(w, v.view(np.float64).reshape(len(v), -1, 2)).view(np.complex128)[..., 0]
+        g *= s1[:, rows]
+        g *= s2_rev[:, rows.start - a:rows.stop - a]
+        by_k1[:, rows] += g
+        by_k2_rev[:, rows.start - a:rows.stop - a] += g
+    return by_k1, by_k2_rev[:, ::-1]
 
 
 def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
@@ -376,11 +370,10 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
     symbol is summed as sum_{k1,k2,k3} core * u1 u2 u3 V(-(k1+k2+k3)) with
     V the exact lattice convolution of the last three slots (|k'| <= 3K).
 
-    On the four-slot and collapsed walks the symbol is called once per
-    k1-slice with (2K+1, 2K+1) arrays: xi2 and xi3 are read-only tables
-    shared by every slice, and xi1 and xi4 are buffers refilled for the next
-    slice.  A symbol must therefore neither write to its inputs nor keep
-    them (or an output that is one of them) past the call.
+    On the four-slot and collapsed walks the symbol is called once per plane
+    k1 + k2 = a on its block of points (``_walk_planes``).  Its inputs are
+    read-only broadcast views, of the block's shape, of 2 pi/L times the
+    integers k1, a - k1, k3 and -(a + k3); it returns an array of that shape.
     """
     n = len(fields)
     if n not in (2, 4, 6):
@@ -406,22 +399,27 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
     elif n == 4 or collapsed:
         core = symbol.core if collapsed else symbol
         last = cubic_convolution(*slots[3:]) if collapsed else slots[3]
-        k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
-        # the k1-free tables once; per slice only xi1 and xi4 change, refilled
-        # in place, xi4 as 2 pi/L times the exact integers (k1 + k4) - k1
-        xi2, xi3 = two_pi_over_L * k2g, two_pi_over_L * k3g
-        xi2.setflags(write=False)
-        xi3.setflags(write=False)
-        k4_plus_k1 = -(k2g + k3g)
-        xi1, xi4 = np.empty(k2g.shape), np.empty(k2g.shape)
 
-        def weight(i1, k1):
-            xi1.fill(two_pi_over_L * k1)
-            np.multiply(two_pi_over_L, k4_plus_k1 - k1, out=xi4)
-            return np.asarray(core(xi1, xi2, xi3, xi4))
+        # 2 pi/L times -R..R rising and falling, broadcast down the rows and
+        # along the columns: with i = k + K, k1 and k3 sit at i + o of the
+        # rising sheets, a - k1 at i + o - a and -(a + k3) at i + o + a of
+        # the falling ones
+        R, o = len(last) // 2, len(last) // 2 - K
+        rising = two_pi_over_L * np.arange(-R, R + 1)
+        rows_up, rows_down = (np.broadcast_to(x[:, None], (2 * R + 1, 2 * K + 1))
+                              for x in (rising, rising[::-1]))
+        cols_up, cols_down = (np.broadcast_to(x, (2 * K + 1, 2 * R + 1))
+                              for x in (rising, rising[::-1]))
+
+        def weight(a, rows, cols):
+            nr, nc = rows.stop - rows.start, cols.stop - cols.start
+            return np.asarray(core(rows_up[rows.start + o:rows.stop + o, :nc],
+                                   rows_down[rows.start + o - a:rows.stop + o - a, :nc],
+                                   cols_up[:nr, cols.start + o:cols.stop + o],
+                                   cols_down[:nr, cols.start + o + a:cols.stop + o + a]))
 
         with np.errstate(all="ignore"):  # a non-finite symbol is refused below
-            by_k1, _ = _walk_slices(weight, *(s[None, :] for s in (*slots[:3], last)), K)
+            by_k1, _ = _walk_planes(weight, *(s[None, :] for s in (*slots[:3], last)), K)
             total = by_k1.sum()
         if not np.isfinite(total):
             raise NumericDomainError(f"the {n}-linear form is not finite: {total}")
@@ -444,35 +442,34 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
 
 
 def _inv_alpha4(K: int):
-    """The weight ``weight(i1, k1)`` of the Lambda4(sigma4) walk: 1/alpha4 in
-    lattice units on the (k2, k3) slice at k1, 0 where alpha4 = 0.
+    """The weight ``weight(a, rows, cols)`` of the Lambda4(sigma4) walk:
+    1/alpha4 in lattice units on the block of the plane k1 + k2 = a, 0 where
+    alpha4 = 0, and None on the plane a = 0, where alpha4 vanishes.
 
     alpha4 = (k1+k2)(k1+k4) Q with k4 = -(k1+k2+k3) and Q = k1^2 + k2^2 +
-    k3^2 + k4^2 + 2 (k1+k3)^2 >= max|kj|^2, zero exactly on k2 = -k1 and on
-    k2 + k3 = -(k1 + k4) = 0.  Every factor is an integer below 2^53 within
-    the term budget, so any order of evaluation rounds alike: Q is built as
-    base + 2 k1 (k2 + 3 k3 + 2 k1), with the tables base and k2 + k3 that no
-    k1 changes, in place in one (2K+1, 2K+1) array, which every call returns.
+    k3^2 + k4^2 + 2 (k1+k3)^2.  On the plane, with t = k1 + k4 = k1 - k3 - a,
+    alpha4 = a t Q and Q = 4 (k1^2 + k1 k3 + k3^2) - 2 a t, zero exactly at t
+    = 0.  Every factor is an integer below 2^53 within the term budget, so
+    1/alpha4 is that of the direct formula, bit for bit.  The walk asks for
+    the planes a and -a in turn, whose blocks mirror each other; as
+    alpha4(-a; -k1, -k3) = alpha4(a; k1, k3), the second is the first reversed.
     """
-    n = 2 * K + 1
     ks = np.arange(-K, K + 1, dtype=np.float64)
-    k2, k3 = ks[:, None], ks[None, :]
-    k23 = k2 + k3
-    base = k23 * k23 + k2 * k2 + 3 * k3 * k3
-    table = np.empty((n, n))
-    anti_diagonal = table.reshape(-1)[2 * K:n * n - 1:2 * K]  # k2 + k3 = 0
+    d = ks[:, None] - ks  # k1 - k3
+    base = 4 * (ks[:, None] ** 2 + ks[:, None] * ks + ks**2)  # Q on a = 0
+    built = {}  # the block just built, by its plane; the walk only reads it
 
-    def inv_alpha4(i1, k1):
-        np.add(k2, 3 * k3 + 2 * k1, out=table)
-        np.multiply(table, 2 * k1, out=table)
-        np.add(table, base, out=table)  # Q
-        np.multiply(table, -(k1 + k2), out=table)
-        np.multiply(table, k23, out=table)
-        with np.errstate(divide="ignore"):  # the zeros of alpha4, overwritten below
-            np.divide(1.0, table, out=table)
-        table[2 * K - i1] = 0.0  # k2 = -k1
-        anti_diagonal[:] = 0.0
-        return table
+    def inv_alpha4(a, rows, cols):
+        if -a in built:
+            return built.pop(-a)[::-1, ::-1].copy()
+        if a == 0:
+            return None
+        at = a * (d[rows, cols] - a)
+        alpha = at * (base[rows, cols] - 2 * at)
+        alpha[alpha == 0] = np.inf  # so that 1/alpha4 reads +0 there
+        built.clear()
+        built[a] = alpha
+        return np.divide(1.0, alpha, out=alpha)
 
     return inv_alpha4
 
@@ -488,12 +485,12 @@ def _sigma4_marginals(fields, modes: ModeSet) -> np.ndarray:
     (2 pi / L)^4 at the end.
 
     ``fields`` is walked once, whatever it holds (every snapshot of a whole
-    family, say), so each k1-slice's weight is built once for all of them.
+    family, say), so each plane's weight is built once for all of them.
     """
     K = modes.K
     a = _coefs(fields, K)
     b = np.conj(a[:, ::-1])
-    r1, r2 = _walk_slices(_inv_alpha4(K), a, b, a, b, K)
+    r1, r2 = _walk_planes(_inv_alpha4(K), a, b, a, b, K)
     return (r1 - r2) / (2 * np.pi / modes.grid.L) ** 4
 
 

@@ -287,6 +287,11 @@ class TestLocalSmoothing:
         vals = np.array([ratios[s] for s in scales])
         assert vals.max() / vals.min() < 2.0
 
+    @pytest.mark.parametrize("scales", [[True, "2"], [1, "2"], [1, float("nan")], [1, -2], [0], []])
+    def test_bad_scales_rejected(self, scales):
+        with pytest.raises(ConfigError):
+            local_smoothing_family(scales)
+
     def test_supercritical_order_grows(self):
         scales = [1, 2, 4, 8, 16, 32]
         ctrl = local_smoothing_family(scales, order=2.0)

@@ -168,6 +168,16 @@ class TestSpecValidation:
             run(validate_spec({"kind": kind, section: {key: []}}), out_dir=tmp_path)
         assert not (tmp_path / kind / "report.json").exists()
 
+    @pytest.mark.parametrize("out", [5, ["a"], "", True, {"dir": "a"}])
+    def test_bad_out_is_one_spec_error(self, out, tmp_path):
+        doc = {"kind": "gwp-parameters", "out": out}
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec(doc)
+        assert len(exc.value.errors) == 1 and "'out'" in exc.value.errors[0]
+        with pytest.raises(SpecValidationError):
+            run(ExperimentSpec(kind="gwp-parameters", out=out))
+        assert validate_spec({"kind": "gwp-parameters", "out": str(tmp_path)}).out == str(tmp_path)
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -316,6 +326,13 @@ class TestCli:
         code = cli_main(["gwp-parameters", "--spec", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "spec error: params.s must be a finite number" in capsys.readouterr().err
+
+    def test_bad_out_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "gwp-parameters", "out": 5}))
+        code = cli_main(["gwp-parameters", "--spec", str(path)])
+        assert code == 2
+        assert "spec error: 'out' must be a non-empty path string" in capsys.readouterr().err
 
     def test_kind_mismatch_rejected(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -224,6 +224,17 @@ class TestModulationNorms:
                 u, -0.5, grid, "width", [1e-4, 2e-4, 4e-4, 8e-4], M=16.0
             )
 
+    @pytest.mark.parametrize("values", [[1.0, "2"], [True, 2.0], [1.0, float("inf")], [1j, 2.0]])
+    def test_bad_sweep_value_rejected_before_any_norm(self, grid, values, monkeypatch):
+        from fournls import illposedness
+
+        def no_norm(*args):
+            raise AssertionError("a norm was computed")
+
+        monkeypatch.setattr(illposedness, "sobolev_norm", no_norm)
+        with pytest.raises(ConfigError):
+            modulation_norm_check(lambda y: np.exp(-(y**2)), -0.5, grid, "amplitude", values)
+
     def test_modulated_profile_values(self, grid):
         u = lambda y: np.exp(-(y**2))
         v = modulated_profile(u, 2.0, 8.0, 3.0, 1.0, grid)

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,26 +433,32 @@ class TestLambdaNSymbolInputs:
     @pytest.mark.parametrize("L, K", [(2 * np.pi, 12), (7.3, 12), (7.3, 5)])
     @pytest.mark.parametrize("collapsed", [False, True], ids=["four-slot", "collapsed"])
     def test_symbol_sees_the_hyperplane_lattice_bitwise(self, L, K, collapsed):
-        # at every k1-slice, in order, the symbol's inputs are 2 pi/L times the
-        # integer lattice (k1, k2, k3, -(k1 + k2 + k3)); xi2 and xi3 are read-only
+        # once per plane k1 + k2 = a, the symbol's inputs are 2 pi/L times the
+        # integer lattice (k1, k2, k3, -(k1 + k2 + k3)) on a block of points,
+        # read-only; the blocks hold every hyperplane point with |k4| <= R once
         g = make_grid(L, 64)
         u = narrow_state(g, np.random.default_rng(3), support=3, n_modes=5)
-        ks = np.arange(-K, K + 1)
-        k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
-        slices = []
+        R = 3 * K if collapsed else K
+        planes, points = [], []
 
         def spy(x1, x2, x3, x4):
-            k1 = ks[len(slices)]
-            lattice = (np.full(k2g.shape, k1), k2g, k3g, -(k1 + k2g + k3g))
-            for got, k in zip((x1, x2, x3, x4), lattice):
+            k1, k2, k3 = (np.rint(x * L / (2 * np.pi)).astype(int) for x in (x1, x2, x3))
+            for got, k in zip((x1, x2, x3, x4), (k1, k2, k3, -(k1 + k2 + k3))):
                 assert got.tobytes() == (2 * np.pi / L * k).tobytes()
-            assert not x2.flags.writeable and not x3.flags.writeable
-            slices.append(k1)
-            return np.ones(k2g.shape, dtype=np.complex128)
+                assert not got.flags.writeable
+            assert len(np.unique(k1 + k2)) == 1
+            assert np.all(k1 == k1[:, :1]) and np.all(k3 == k3[:1])
+            planes.append(int(k1[0, 0] + k2[0, 0]))
+            points.extend(zip(k1.ravel(), k2.ravel(), k3.ravel()))
+            return np.ones(k1.shape, dtype=np.complex128)
 
         symbol = SumLastThree(spy) if collapsed else spy
         res = lambda_n(symbol, [u] * (6 if collapsed else 4), ModeSet(g, K))
-        assert slices == list(ks)
+        assert sorted(planes) == list(range(-2 * K, 2 * K + 1))
+        ks = range(-K, K + 1)
+        lattice = [p for p in itertools.product(ks, ks, ks) if abs(sum(p)) <= R]
+        assert len(points) == len(lattice)
+        assert set(points) == set(lattice)
         assert res.terms == (2 * K + 1) ** 3
         assert np.isfinite(res.value)
 
@@ -490,21 +500,60 @@ class TestSigma4Walk:
         assert res.increments_corrected == {N: float(np.mean(v)) for N, v in inc4.items()}
         assert len(set(res.increments_corrected.values())) == 4
 
+    def test_walk_bits_do_not_depend_on_the_blas_thread_count(self):
+        # the walk's matrix products go through BLAS; at K = 120 the S = 4
+        # marginals and a real and a complex Lambda4 read the same bits on
+        # one and on two OpenBLAS threads, each run in a fresh process
+        code = (
+            "import hashlib, numpy as np\n"
+            "from fournls import imethod, lambda_n, make_grid, ModeSet\n"
+            "g = make_grid(2 * np.pi, 512)\n"
+            "rng = np.random.default_rng(7)\n"
+            "family = [imethod.rough_localized_datum(g, rng) for _ in range(4)]\n"
+            "modes = ModeSet(g, 120)\n"
+            "m = imethod._sigma4_marginals(family, modes)\n"
+            "re = lambda_n(lambda a, b, c, d: np.ones_like(a), [family[0]] * 4, modes)\n"
+            "co = lambda_n(lambda a, b, c, d: (1 + 0.5j) * np.ones_like(a), [family[0]] * 4, modes)\n"
+            "print(hashlib.sha256(m.tobytes()).hexdigest(), repr(re.value), repr(co.value))\n"
+        )
+        src = str(Path(imethod.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("K", [12, 120])
     def test_inv_alpha4_is_the_direct_formula_bitwise(self, K):
+        # on every plane block the walk asks for, in the walk's order and in
+        # rising a (no block then reuses its mirror), 1/alpha4 is the direct
+        # formula, with +0 at the resonances and no weight on the plane a = 0
+        blocks = []
+        zero = np.zeros((1, 2 * K + 1), dtype=np.complex128)
+        imethod._walk_planes(lambda *block: blocks.append(block), zero, zero, zero, zero, K)
+        assert sorted(a for a, _, _ in blocks) == list(range(-2 * K, 2 * K + 1))
         ks = np.arange(-K, K + 1, dtype=np.float64)
-        k2, k3 = np.meshgrid(ks, ks, indexing="ij")
-        weight = imethod._inv_alpha4(K)
-        for i1, k1 in enumerate(ks):
-            k4 = -(k1 + k2 + k3)
-            alpha = (k1 + k2) * (k1 + k4) * (
-                k1**2 + k2**2 + k3**2 + k4**2 + 2 * (k1 + k3) ** 2)
-            want = np.divide(1.0, alpha, out=np.zeros_like(alpha), where=alpha != 0)
-            got = weight(i1, k1)
-            assert got.tobytes() == want.tobytes(), k1
-            resonant = (k2 == -k1) | (k2 + k3 == 0)
-            assert np.array_equal(alpha == 0, resonant)
-            assert np.all(got[resonant] == 0) and not np.any(np.signbit(got[resonant]))
+        for order in (blocks, sorted(blocks, key=lambda block: block[0])):
+            weight = imethod._inv_alpha4(K)
+            for a, rows, cols in order:
+                got = weight(a, rows, cols)
+                if a == 0:
+                    assert got is None
+                    continue
+                k1, k3 = ks[rows, None], ks[cols]
+                k2, k4 = a - k1, -(a + k3)
+                alpha = (k1 + k2) * (k1 + k4) * (
+                    k1**2 + k2**2 + k3**2 + k4**2 + 2 * (k1 + k3) ** 2)
+                want = np.divide(1.0, alpha, out=np.zeros_like(alpha), where=alpha != 0)
+                assert got.tobytes() == want.tobytes(), a
+                resonant = k1 + k4 == 0
+                assert np.array_equal(alpha == 0, resonant)
+                assert np.all(got[resonant] == 0) and not np.any(np.signbit(got[resonant]))
 
 
 class TestDerivativeIdentities:

@@ -2,8 +2,9 @@
 Lambda4(M4) and the collapsed Lambda6 sum against the direct hyperplane sums
 of ``lambda_n``."""
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fournls import IMethodParams, ModeSet, lambda_n, make_grid, to_physical
@@ -50,10 +51,14 @@ def test_marginal_lambda4_matches_direct_sum(case, N):
     # marginals of |coefficients| weighted by |1/alpha4|: Lambda4 itself can
     # cancel to 1e-40 while its terms stay of order one
     K = modes.K
-    a = np.abs(imethod._coefs([f], K))
+    a = np.abs(imethod._coefs([f], K)).astype(np.complex128)
     inv_alpha4 = imethod._inv_alpha4(K)
-    a1, a2 = imethod._walk_slices(lambda i1, k1: np.abs(inv_alpha4(i1, k1)),
-                                  a, a[:, ::-1], a, a[:, ::-1], K)
+
+    def abs_inv_alpha4(*block):
+        w = inv_alpha4(*block)
+        return None if w is None else np.abs(w)
+
+    a1, a2 = imethod._walk_planes(abs_inv_alpha4, a, a[:, ::-1], a, a[:, ::-1], K)
     m2 = imethod._m_values(p, modes.xi_values) ** 2
     terms = np.sum(np.abs(m2 - 1.0) * (a1 + a2).real[0])
     scale = modes.grid.L * terms / (2 * np.pi / modes.grid.L) ** 4
@@ -131,3 +136,97 @@ def test_sum_last_three_evaluates_on_six_arrays():
     sym = SumLastThree(lambda a, b, c, d: a - 2 * b + 3 * c - 5 * d)
     x = np.arange(6.0)[:, None] * np.array([1.0, -2.0])
     assert np.array_equal(sym(*x), x[0] - 2 * x[1] + 3 * x[2] - 5 * (x[3] + x[4] + x[5]))
+
+
+# ---------------------------------------------------------------------------
+# the plane walk against sums in 40-digit arithmetic
+
+EPS = np.finfo(np.float64).eps
+# no shrinking: each example sums (2K+1)^3 terms in 40 digits
+REFERENCE = settings(max_examples=4, deadline=None,
+                     phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+def _bound(n, convolved=False):
+    """Roundings on one term's longest path through a walk of 2K+1 = n: its
+    complex products (under 3 eps each), the k3 sum of a plane row, the sum
+    over the n planes that meet a marginal entry and the sum over the
+    entries, each n terms; with a convolved last slot, its two convolution
+    stages of at most n terms.  First-order worst case: the computed sum
+    lies within this many eps times the sum of its absolute terms."""
+    return 3 * n + 12 + (2 * n + 8 if convolved else 0)
+
+
+def _mp(values):
+    return [mpmath.mpc(complex(v)) for v in values]
+
+
+def _hyperplane(K, R):
+    ks = range(-K, K + 1)
+    return [(k1, k2, k3) for k1 in ks for k2 in ks for k3 in ks if abs(k1 + k2 + k3) <= R]
+
+
+@REFERENCE
+@given(narrow_states())
+def test_plane_walk_marginals_within_the_stated_bound(case):
+    (f,), modes = case
+    K, n = modes.K, 2 * modes.K + 1
+    a = imethod._coefs([f], K)
+    b = np.conj(a[:, ::-1])
+    r1, r2 = imethod._walk_planes(imethod._inv_alpha4(K), a, b, a, b, K)
+    am, bm = _mp(a[0]), _mp(b[0])
+    with mpmath.workdps(40):
+        exact = [[mpmath.mpc(0)] * n for _ in range(2)]
+        scale = np.zeros((2, n))
+        for k1, k2, k3 in _hyperplane(K, K):
+            k4 = -(k1 + k2 + k3)
+            alpha = (k1 + k2) * (k1 + k4) * (k1**2 + k2**2 + k3**2 + k4**2 + 2 * (k1 + k3) ** 2)
+            if alpha == 0:
+                continue
+            t = am[k1 + K] * bm[k2 + K] * am[k3 + K] * bm[k4 + K] * (1.0 / alpha)
+            for j, k in enumerate((k1, k2)):
+                exact[j][k + K] += t
+                scale[j, k + K] += float(abs(t))
+        for walked, ref, sc in zip((r1[0], r2[0]), exact, scale):
+            err = np.array([float(abs(mpmath.mpc(complex(w)) - e)) for w, e in zip(walked, ref)])
+            assert np.all(err <= _bound(n) * EPS * sc)
+
+
+@REFERENCE
+@given(narrow_states(max_K=6), thresholds)
+def test_plane_walk_lambda_forms_within_the_stated_bound(case, N):
+    # Lambda4(1; u) on the four-slot walk and Lambda6(M6) on the collapsed
+    # walk, against the same float symbol values and coefficients summed in
+    # 40 digits, the last three slots convolved exactly
+    (f,), modes = case
+    K, n, L = modes.K, 2 * modes.K + 1, modes.grid.L
+    p = IMethodParams(N=N)
+    ks = np.arange(-K, K + 1)
+    k1, k2, k3 = np.meshgrid(ks, ks, ks, indexing="ij")
+    xi = [2 * np.pi / L * k for k in (k1, k2, k3, -(k1 + k2 + k3))]
+    m6 = imethod._m6(p).core(*xi)
+    slots = [_mp(s) for s in imethod._slot_coefs([f] * 6, K)]
+    with mpmath.workdps(40):
+        lam4, scale4 = mpmath.mpc(0), 0.0
+        for j1, j2, j3 in _hyperplane(K, K):
+            t = slots[0][j1 + K] * slots[1][j2 + K] * slots[2][j3 + K] * slots[3][-(j1 + j2 + j3) + K]
+            lam4 += t
+            scale4 += float(abs(t))
+        v, v_abs = {}, {}
+        for j4, j5, j6 in _hyperplane(K, 3 * K):
+            t = slots[3][j4 + K] * slots[4][j5 + K] * slots[5][j6 + K]
+            j = j4 + j5 + j6
+            v[j] = v.get(j, 0) + t
+            v_abs[j] = v_abs.get(j, 0.0) + float(abs(t))
+        lam6, scale6 = mpmath.mpc(0), 0.0
+        for j1, j2, j3 in _hyperplane(K, 3 * K):
+            w = m6[j1 + K, j2 + K, j3 + K]
+            t = slots[0][j1 + K] * slots[1][j2 + K] * slots[2][j3 + K] * complex(w)
+            lam6 += t * v[-(j1 + j2 + j3)]
+            scale6 += float(abs(t)) * v_abs[-(j1 + j2 + j3)]
+        walked4 = lambda_n(lambda a, b, c, d: np.ones_like(a), [f] * 4, modes).value
+        walked6 = lambda_n(imethod._m6(p), [f] * 6, modes).value
+        err4 = float(abs(mpmath.mpc(walked4) - L * lam4))
+        err6 = float(abs(mpmath.mpc(walked6) - L * lam6))
+    assert err4 <= (_bound(n) + 1) * EPS * L * scale4
+    assert err6 <= (_bound(n, convolved=True) + 1) * EPS * L * scale6
