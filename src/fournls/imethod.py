@@ -145,15 +145,16 @@ def multiplier_m2_derivatives(p: IMethodParams, xi: np.ndarray):
     axi, sgn = np.abs(xi), np.sign(xi)
     m2 = _m_values(p, xi) ** 2
     d1, d2 = np.zeros_like(m2), np.zeros_like(m2)
-    hi = axi >= 2 * p.N
-    d1[hi] = sgn[hi] * 2 * p.s * m2[hi] / axi[hi]
-    d2[hi] = 2 * p.s * (2 * p.s - 1) * m2[hi] / axi[hi] ** 2
-    mid = (axi > p.N) & (axi < 2 * p.N)
-    t = (np.log(axi[mid]) - np.log(p.N)) / np.log(2.0)
-    hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
-    hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
-    d1[mid] = sgn[mid] * m2[mid] * 2 * hp / axi[mid]
-    d2[mid] = m2[mid] * ((2 * hp) ** 2 + 2 * hpp - 2 * hp) / axi[mid] ** 2
+    with np.errstate(over="ignore"):  # |xi|^2 = inf past 1.3e154: d2 reads 0, its limit
+        hi = axi >= 2 * p.N
+        d1[hi] = sgn[hi] * 2 * p.s * m2[hi] / axi[hi]
+        d2[hi] = 2 * p.s * (2 * p.s - 1) * m2[hi] / axi[hi] ** 2
+        mid = (axi > p.N) & (axi < 2 * p.N)
+        t = (np.log(axi[mid]) - np.log(p.N)) / np.log(2.0)
+        hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
+        hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
+        d1[mid] = sgn[mid] * m2[mid] * 2 * hp / axi[mid]
+        d2[mid] = m2[mid] * ((2 * hp) ** 2 + 2 * hpp - 2 * hp) / axi[mid] ** 2
     return m2, d1, d2
 
 
@@ -326,11 +327,12 @@ def _walk_planes(weight, s1, s2, s3, last, K: int):
     columns with |k4| = |a + k3| <= R; about 2/3 of the (2K+1)^3 points at
     R = K.  ``weight(a, rows, cols)`` gets the slices of indices k + K of
     the block's k1 and k3 and returns its weight, or None for a plane that
-    adds nothing.  Since last[k4] depends on k3 alone, a row of s1 gets the
-    block's k3 sums as one matrix product of the weight with s3 * last, a
-    real one on the float view of that vector when the weight is real, so
-    its sums do not depend on the other rows.  Returns the (S, 2K+1) sums
-    over k1 = k and over k2 = k.
+    adds nothing; the walk is done with a weight before it asks for the
+    next, so a weight may be a view of a buffer reused at the next call.
+    Since last[k4] depends on k3 alone, a row of s1 gets the block's k3 sums
+    as one matrix product of the weight with s3 * last, a real one on the
+    float view of that vector when the weight is real, so its sums do not
+    depend on the other rows.  Returns the (S, 2K+1) sums over k1 = k and k2 = k.
     """
     n = 2 * K + 1
     if n**3 > TERM_BUDGET:
@@ -448,28 +450,38 @@ def _inv_alpha4(K: int):
 
     alpha4 = (k1+k2)(k1+k4) Q with k4 = -(k1+k2+k3) and Q = k1^2 + k2^2 +
     k3^2 + k4^2 + 2 (k1+k3)^2.  On the plane, with t = k1 + k4 = k1 - k3 - a,
-    alpha4 = a t Q and Q = 4 (k1^2 + k1 k3 + k3^2) - 2 a t, zero exactly at t
-    = 0.  Every factor is an integer below 2^53 within the term budget, so
-    1/alpha4 is that of the direct formula, bit for bit.  The walk asks for
-    the planes a and -a in turn, whose blocks mirror each other; as
-    alpha4(-a; -k1, -k3) = alpha4(a; k1, k3), the second is the first reversed.
+    alpha4 = a t Q and Q = 4 (k1^2 + k1 k3 + k3^2) - 2 a t, zero exactly on
+    the diagonal t = 0 of the square block (the walk of ``_sigma4_marginals``
+    has R = K); a t is one lag row in k1 - k3, read through a sliding window.
+    Every factor is an integer below 2^53 within the term budget, so 1/alpha4
+    is that of the direct formula, bit for bit.  The walk asks for the planes
+    -a and a in turn; as alpha4(-a; -k1, -k3) = alpha4(a; k1, k3), the second
+    block is the first reversed.  A block is a view of one of two reused
+    buffers, valid until the next call.
     """
     ks = np.arange(-K, K + 1, dtype=np.float64)
-    d = ks[:, None] - ks  # k1 - k3
     base = 4 * (ks[:, None] ** 2 + ks[:, None] * ks + ks**2)  # Q on a = 0
-    built = {}  # the block just built, by its plane; the walk only reads it
+    d, lag = np.arange(-2 * K, 2 * K + 1, dtype=np.float64), np.empty(4 * K + 1)  # k1 - k3, a t
+    at = np.lib.stride_tricks.sliding_window_view(lag, len(ks))[:, ::-1]  # lag[i1 - i3 + 2K]
+    built, mirrored = np.empty((2, len(ks) ** 2))  # C-contiguous blocks for BLAS
+    last = None  # the plane whose block ``built`` holds
 
     def inv_alpha4(a, rows, cols):
-        if -a in built:
-            return built.pop(-a)[::-1, ::-1].copy()
+        nonlocal last
         if a == 0:
             return None
-        at = a * (d[rows, cols] - a)
-        alpha = at * (base[rows, cols] - 2 * at)
-        alpha[alpha == 0] = np.inf  # so that 1/alpha4 reads +0 there
-        built.clear()
-        built[a] = alpha
-        return np.divide(1.0, alpha, out=alpha)
+        m = rows.stop - rows.start  # = cols.stop - cols.start
+        if last == -a:
+            mirrored[:m * m] = built[:m * m][::-1]
+            return mirrored[:m * m].reshape(m, m)
+        np.multiply(a, np.subtract(d, a, out=lag), out=lag)
+        w = built[:m * m].reshape(m, m)
+        np.multiply(2, at[rows, cols], out=w)
+        np.subtract(base[rows, cols], w, out=w)  # Q
+        np.multiply(at[rows, cols], w, out=w)
+        np.fill_diagonal(w, np.inf)  # t = 0, so that 1/alpha4 reads +0 there
+        last = a
+        return np.divide(1.0, w, out=w)
 
     return inv_alpha4
 

@@ -28,6 +28,7 @@ from fournls import (
 )
 from fournls.evolution import (
     MCLACHLAN_A,
+    _galerkin_cubic,
     _rotate,
     _stepper,
     _Trajectory,
@@ -586,6 +587,72 @@ class TestInPlaceStepping:
                     assert np.all(got[..., ~above] != free[..., ~above]), K
                 else:
                     assert np.array_equal(got[0] == 0, np.broadcast_to(above, w.shape)), K
+
+
+def _fresh_ifrk4(c, nl, lam, dt, n_steps):
+    """The states after each of ``n_steps`` IFRK4 steps of c' = nl(c), from
+    ``_ifrk4``'s documented formula evaluated on fresh arrays."""
+    e_half = np.exp(lam * dt / 2)
+    e_full = e_half * e_half
+    states = []
+    for _ in range(n_steps):
+        k1 = nl(c)
+        k2 = nl(e_half * (c + dt / 2 * k1))
+        k3 = nl(e_half * c + dt / 2 * k2)
+        k4 = nl(e_full * c + dt * e_half * k3)
+        c = e_full * c + dt / 6 * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+        states.append(c)
+    return states
+
+
+class TestIfrk4OperandOrder:
+    """IFRK4 forms its stages in per-run scratch; the bits must be those of
+    the RK4 formula on fresh arrays, in its written operand order."""
+
+    @staticmethod
+    def fresh_samples(f, cfg):
+        grid = f.grid
+
+        def nl(w):
+            u = np.fft.ifft(w)
+            v = -1j * cfg.kappa * np.fft.fft((u.real**2 + u.imag**2) * u)
+            if cfg.project_K is not None:
+                v[np.abs(grid.k) > cfg.project_K] = 0
+            return v
+
+        n = int(round(cfg.t_end / cfg.dt))
+        states = _fresh_ifrk4(np.fft.fft(f.values), nl, 1j * cfg.linear_phase_rate(grid.xi),
+                              cfg.dt, n)
+        return [f.values.tobytes()] + [np.fft.ifft(states[i - 1]).tobytes()
+                                       for i in range(1, n + 1)
+                                       if i % cfg.record_stride == 0 or i == n]
+
+    @pytest.mark.parametrize("project_K", [None, 128 // 6], ids=["unset", "M/6"])
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_evolve_records_are_the_fresh_array_formula(self, kappa, project_K):
+        # one (M,) run, and a (B, M) stack whose rows differ in L and in dt;
+        # steps this long keep an ulp moved in a stage visible in the records
+        fields = _family(128, L=30.0) + [make_gaussian(make_grid(27.0, 128), amplitude=0.9,
+                                                       width=1.6)]
+        cfg = EvolutionConfig(kappa=kappa, dt=0.05, t_end=0.5, scheme="ifrk4",
+                              record_stride=3, project_K=project_K)
+        cfgs = [cfg, replace(cfg, dt=0.025, t_end=0.25), cfg, cfg]
+        records = [evolve(fields[0], cfg)] + evolve_many(fields, cfgs)
+        for f, c, rec in zip([fields[0]] + fields, [cfg] + cfgs, records):
+            assert [g.values.tobytes() for g in rec.fields] == self.fresh_samples(f, c)
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_galerkin_evolve_is_the_fresh_array_formula(self, kappa):
+        grid, K = make_grid(2 * np.pi, 64), 9
+        idx = np.arange(-K, K + 1) % 64
+        rng = np.random.default_rng(6)
+        coef = np.zeros(64, dtype=np.complex128)
+        coef[idx] = 0.3 * (rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1))
+        cfg = EvolutionConfig(kappa=kappa)
+        got = galerkin_evolve(Spectrum(grid, coef), cfg, K, t=1.0, n_steps=20).coef
+        want = _fresh_ifrk4(coef[idx], lambda c: _galerkin_cubic(c, K, kappa),
+                            1j * cfg.linear_phase_rate(grid.xi[idx]), 1.0 / 20, 20)[-1]
+        assert got[idx].tobytes() == want.tobytes()
 
 
 class TestGalerkin:

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,6 +102,23 @@ class TestMultiplier:
         assert np.max(np.abs(d1 - m2p)) < 1e-5
         d1p = (multiplier_m2_derivatives(p, xi + h)[1] - multiplier_m2_derivatives(p, xi - h)[1]) / (2 * h)
         assert np.max(np.abs(d2 - d1p)) < 1e-4
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N", [8.0, 1e200])
+    def test_second_derivative_past_the_square_overflow_is_its_limit(self, N):
+        # |xi|^2 overflows above about 1.3e154; d2 is then 0, its limit, with
+        # no warning (N = 1e200 puts the junction there too)
+        p = params(N=N, s=-0.5)
+        xi = np.array([1e155, -1e155, 1.5e200, 1e300, -1e300])
+        m2, d1, d2 = multiplier_m2_derivatives(p, xi)
+        assert np.all(d2 == 0) and not np.any(np.signbit(d2))
+        assert np.all(np.isfinite(m2)) and np.all(np.isfinite(d1))
+
+    def test_second_derivative_below_the_overflow_is_the_closed_form_bitwise(self):
+        p = params(N=8.0, s=-0.5)
+        xi = np.array([24.0, -1e5, 1e150, -1e154])
+        m2, _, d2 = multiplier_m2_derivatives(p, xi)
+        assert d2.tobytes() == (2 * p.s * (2 * p.s - 1) * m2 / np.abs(xi) ** 2).tobytes()
 
 
 class TestApplyI:
@@ -476,6 +494,33 @@ class TestSigma4Walk:
         family = imethod._sigma4_marginals([f for m in members for f in m], modes)
         assert family.shape == (8, 37)
         assert family.tobytes() == alone.tobytes()
+
+    def test_walk_traced_peak_stays_small(self):
+        # the 1/alpha4 blocks live in two reused buffers: four snapshots at
+        # K = 120 keep the traced peak at about 1.5 MB (6 block-sized arrays,
+        # 2.8 MB, before the buffers were reused)
+        g = make_grid(2 * np.pi, 512)
+        rng = np.random.default_rng(8)
+        k = np.arange(-120, 121)
+        fields = []
+        for _ in range(4):
+            coef = np.zeros(512, dtype=np.complex128)
+            coef[k % 512] = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
+            fields.append(to_physical(Spectrum(g, coef)))
+        modes = ModeSet(g, 120)
+        imethod._sigma4_marginals(fields, modes)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            imethod._sigma4_marginals(fields, modes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.0 * 2**20, f"{peak / 2**20:.2f} MB"
 
     def test_sweep_equals_member_by_member_walks(self):
         # the sweep walks every snapshot of the family at once; its increments
