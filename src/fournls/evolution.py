@@ -21,10 +21,10 @@ classical RK4 in the integrating-factor frame.
 
 Every scheme advances plain arrays through one core, ``_stepper``, which
 tabulates its multipliers once per run and projects by zeroing the one
-FFT-order run of modes with ``|k| > project_K``.  A step advances its
-state array in place, with scratch arrays allocated once per run (the split
-steps transform and rotate on it; IFRK4 forms its stages in the scratch), so
-a caller that keeps a state across a step must copy it.
+FFT-order run of modes with ``|k| > project_K``.  A step may advance its
+state array in place (the split steps multiply, transform, rotate and
+transform back on it; IFRK4 forms |u|^2 u and its transform in place on
+fresh arrays), so a caller that keeps a state across a step must copy it.
 The samples read from a state, and so every recorded field, are fresh
 arrays.  The linear flow alone, at any times, has one evaluator of its own,
 ``free_flow``, with the stepper's phase rate; ``linear_propagate_4nls`` and
@@ -228,43 +228,38 @@ def _rotate(u: np.ndarray, theta, buf: np.ndarray, phase: np.ndarray) -> np.ndar
     return u
 
 
-def _ifrk4(nl, lam, dt, shape):
-    """The classical RK4 step of c' = nl(c) in the integrating-factor frame
-    on states of ``shape``, with e_half = exp(lam dt / 2):
+def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt) -> np.ndarray:
+    """One classical RK4 step of c' = nl(c) in the integrating-factor frame:
 
         k1 = nl(c), k2 = nl(e_half (c + dt/2 k1)), k3 = nl(e_half c + dt/2 k2),
         k4 = nl(e_full c + dt e_half k3),
         c <- e_full c + dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4).
 
-    ``dt`` is a scalar or a (B, 1) column.  The tables and the stage scratch
-    are made here, once per run; the step advances ``c`` in place, and
-    ``nl(w, out)`` writes nl(w) into ``out``, which may be ``w``.  Each product
-    keeps the operand order above (a complex product is not bitwise commutative).
+    ``dt`` is a scalar or a (B, 1) column of per-row steps.  The stage sums
+    are formed in place, in two scratch arrays and in the ``k`` arrays, which
+    ``nl`` returns fresh; each product keeps the operand order written above
+    (a complex product is not bitwise commutative).  ``c`` is left as it is.
     """
-    half = np.exp(lam * dt / 2)
-    full, dt_half, two_half, h = half * half, dt * half, 2 * half, dt / 2
-    k1, k2, k3, x, y = np.empty((5, *shape), dtype=np.complex128)
-
-    def step(c):
-        nl(c, k1)
-        np.multiply(h, k1, out=x)
-        np.add(c, x, out=x)
-        nl(np.multiply(half, x, out=x), k2)
-        np.multiply(half, c, out=y)
-        np.multiply(h, k2, out=x)
-        nl(np.add(y, x, out=x), k3)
-        np.multiply(full, c, out=y)  # e_full c, read twice
-        np.multiply(dt_half, k3, out=x)
-        nl(np.add(y, x, out=x), x)  # k4
-        np.add(k2, k3, out=k2)
-        np.multiply(two_half, k2, out=k2)
-        np.multiply(full, k1, out=k1)
-        np.add(k1, k2, out=k1)
-        np.add(k1, x, out=k1)
-        np.multiply(dt / 6, k1, out=k1)
-        return np.add(y, k1, out=c)
-
-    return step
+    h = dt / 2
+    k1 = nl(c)
+    x = np.multiply(h, k1)
+    np.add(c, x, out=x)
+    k2 = nl(np.multiply(e_half, x, out=x))
+    y = np.multiply(e_half, c)
+    np.multiply(h, k2, out=x)
+    k3 = nl(np.add(y, x, out=x))
+    np.multiply(e_full, c, out=y)  # e_full c, read twice
+    np.multiply(dt, e_half, out=x)
+    np.multiply(x, k3, out=x)
+    k4 = nl(np.add(y, x, out=x))
+    np.add(k2, k3, out=k2)
+    np.multiply(2, e_half, out=x)
+    np.multiply(x, k2, out=k2)
+    np.multiply(e_full, k1, out=k1)
+    np.add(k1, k2, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(dt / 6, k1, out=k1)
+    return np.add(y, k1, out=k1)
 
 
 def _stepper(grid, cfg):
@@ -275,7 +270,7 @@ def _stepper(grid, cfg):
     samples of a state that has taken at least one step, in the shape
     ``start`` received, as a fresh array.  Spectral states hold raw FFT
     coefficients (module docstring); every multiplier is tabulated here,
-    once; ``start`` allocates a run's scratch, and a step works in place.
+    once.  A split step overwrites its state's array in place.
 
     ``grid`` and ``cfg`` are each one object, shared by every row, or a list
     with one per row of a (B, M) stack.  The rows must share M, k0 and every
@@ -299,22 +294,20 @@ def _stepper(grid, cfg):
         return w
 
     if cfg.scheme == "ifrk4":
-        gain, sq, rk4 = -1j * cfg.kappa, None, None
+        half = np.exp(lam * dt / 2)
+        full = half * half
+        gain = -1j * cfg.kappa
 
-        def start(v):
-            nonlocal sq, rk4
-            sq, rk4 = np.empty((2, *v.shape)), _ifrk4(nl, lam, dt, v.shape)
-            return np.fft.fft(v)
+        def nl(w):
+            # project(-1j * kappa * fft(|u|^2 u)) on the fresh ifft output, keeping
+            # the operand order of that expression (a complex product is not
+            # bitwise commutative)
+            u = np.fft.ifft(w)
+            np.multiply(u.real**2 + u.imag**2, u, out=u)
+            np.fft.fft(u, out=u)
+            return project(np.multiply(gain, u, out=u))
 
-        def nl(w, out):
-            # project(-1j * kappa * fft((u.real**2 + u.imag**2) * u)), u = ifft(w), in ``out``
-            # and ``sq``, in that operand order (a complex product is not bitwise commutative)
-            u = np.fft.ifft(w, out=out)
-            np.add(np.square(u.real, out=sq[0]), np.square(u.imag, out=sq[1]), out=sq[0])
-            np.fft.fft(np.multiply(sq[0], u, out=u), out=u)
-            project(np.multiply(gain, u, out=u))
-
-        return start, (lambda w: rk4(w)), np.fft.ifft
+        return np.fft.fft, (lambda w: _ifrk4(w, nl, half, full, dt)), np.fft.ifft
 
     # split steps L(a) N(1/stages) [L(1-2a) N(1/stages)] L(a): Strang is
     # the one-stage case a = 1/2, McLachlan the two-stage one.  The state
@@ -564,10 +557,16 @@ def galerkin_evolve(s0: Spectrum, cfg: EvolutionConfig, K: int, t: float,
     ground truth for the derivative identities and increment experiments.
     """
     idx, xi, c = _galerkin_band(s0, K)
-    step = _ifrk4(lambda coef, out: np.copyto(out, _galerkin_cubic(coef, K, cfg.kappa)),
-                  1j * cfg.linear_phase_rate(xi), t / n_steps, c.shape)
+    lam = 1j * cfg.linear_phase_rate(xi)
+    dt = t / n_steps
+    e_half = np.exp(lam * dt / 2)
+    e_full = e_half * e_half
+
+    def nl(coef):
+        return _galerkin_cubic(coef, K, cfg.kappa)
+
     for _ in range(n_steps):
-        step(c)
+        c = _ifrk4(c, nl, e_half, e_full, dt)
     return _galerkin_spectrum(s0.grid, idx, c)
 
 

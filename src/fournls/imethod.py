@@ -145,16 +145,17 @@ def multiplier_m2_derivatives(p: IMethodParams, xi: np.ndarray):
     axi, sgn = np.abs(xi), np.sign(xi)
     m2 = _m_values(p, xi) ** 2
     d1, d2 = np.zeros_like(m2), np.zeros_like(m2)
-    with np.errstate(over="ignore"):  # |xi|^2 = inf past 1.3e154: d2 reads 0, its limit
-        hi = axi >= 2 * p.N
-        d1[hi] = sgn[hi] * 2 * p.s * m2[hi] / axi[hi]
-        d2[hi] = 2 * p.s * (2 * p.s - 1) * m2[hi] / axi[hi] ** 2
-        mid = (axi > p.N) & (axi < 2 * p.N)
-        t = (np.log(axi[mid]) - np.log(p.N)) / np.log(2.0)
-        hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
-        hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
-        d1[mid] = sgn[mid] * m2[mid] * 2 * hp / axi[mid]
-        d2[mid] = m2[mid] * ((2 * hp) ** 2 + 2 * hpp - 2 * hp) / axi[mid] ** 2
+    with np.errstate(over="ignore"):  # inf past |xi| = 1.3e154, where d2 reads 0, its limit
+        axi2 = axi**2
+    hi = axi >= 2 * p.N
+    d1[hi] = sgn[hi] * 2 * p.s * m2[hi] / axi[hi]
+    d2[hi] = 2 * p.s * (2 * p.s - 1) * m2[hi] / axi2[hi]
+    mid = (axi > p.N) & (axi < 2 * p.N)
+    t = (np.log(axi[mid]) - np.log(p.N)) / np.log(2.0)
+    hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
+    hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
+    d1[mid] = sgn[mid] * m2[mid] * 2 * hp / axi[mid]
+    d2[mid] = m2[mid] * ((2 * hp) ** 2 + 2 * hpp - 2 * hp) / axi2[mid]
     return m2, d1, d2
 
 
@@ -475,11 +476,11 @@ def _inv_alpha4(K: int):
             mirrored[:m * m] = built[:m * m][::-1]
             return mirrored[:m * m].reshape(m, m)
         np.multiply(a, np.subtract(d, a, out=lag), out=lag)
-        w = built[:m * m].reshape(m, m)
-        np.multiply(2, at[rows, cols], out=w)
+        w, v = built[:m * m].reshape(m, m), at[rows, cols]
+        np.multiply(2, v, out=w)
         np.subtract(base[rows, cols], w, out=w)  # Q
-        np.multiply(at[rows, cols], w, out=w)
-        np.fill_diagonal(w, np.inf)  # t = 0, so that 1/alpha4 reads +0 there
+        np.multiply(v, w, out=w)
+        built[:m * m:m + 1] = np.inf  # t = 0, so that 1/alpha4 reads +0 there
         last = a
         return np.divide(1.0, w, out=w)
 

@@ -606,8 +606,8 @@ def _fresh_ifrk4(c, nl, lam, dt, n_steps):
 
 
 class TestIfrk4OperandOrder:
-    """IFRK4 forms its stages in per-run scratch; the bits must be those of
-    the RK4 formula on fresh arrays, in its written operand order."""
+    """IFRK4 forms its stage sums in place; the bits must be those of the
+    RK4 formula on fresh arrays, in its written operand order."""
 
     @staticmethod
     def fresh_samples(f, cfg):
