@@ -47,7 +47,6 @@ from .spectral import (
     make_gaussian,
     make_grid,
     mass,
-    project_band,
     sobolev_norm,
     to_physical,
     to_spectrum,

@@ -10,7 +10,7 @@ the linear flow is exact: for the quartic equation coefficients rotate by
 ``exp(+i * orientation * xi^2 * t)``.  The nonlinear substep is the exact
 phase rotation ``u -> u * exp(-i kappa |u|^2 dt)``, a real cos/sin rotation
 into a reused buffer, which conserves |u| pointwise, so both splitting schemes
-below conserve mass to round-off (when ``project_K`` is unset).
+below conserve mass to round-off.
 
 The default scheme ``"mclachlan2"`` is the symmetric second-order
 composition ``L(a dt) N(dt/2) L((1 - 2a) dt) N(dt/2) L(a dt)`` with
@@ -20,15 +20,19 @@ of such two-stage methods (R. I. McLachlan, SIAM J. Sci. Comput. 16 (1995)
 classical RK4 in the integrating-factor frame.
 
 Every scheme advances plain arrays through one core, ``_stepper``, which
-tabulates its multipliers once per run and projects by zeroing the one
-FFT-order run of modes with ``|k| > project_K``.  A step may advance its
-state array in place (the split steps multiply, transform, rotate and
-transform back on it; IFRK4 forms |u|^2 u and its transform in place on
-fresh arrays), so a caller that keeps a state across a step must copy it.
-The samples read from a state, and so every recorded field, are fresh
-arrays.  The linear flow alone, at any times, has one evaluator of its own,
-``free_flow``, with the stepper's phase rate; ``linear_propagate_4nls`` and
-the dispersive estimates call it.
+tabulates its multipliers once per run.  IFRK4's nonlinearity,
+``_cubic_term``, zeroes the one FFT-order run of modes with ``|k| >
+project_K`` when that is set; the split schemes reject ``project_K``.  The
+Galerkin system on ``|k| <= K`` (``galerkin_evolve``, ``galerkin_rhs``) is IFRK4
+with ``project_K = K`` on a grid with ``M > 4K``, where the cubic term's
+aliases cannot reach those modes.  A step may advance its state array in
+place (the split steps multiply, transform, rotate and transform back on it;
+IFRK4 forms |u|^2 u and its transform in place on fresh arrays), so a caller
+that keeps a state across a step must copy it.  The samples read from a
+state, and so every recorded field, are fresh arrays.  The linear flow
+alone, at any times, has one evaluator of its own, ``free_flow``, with the
+stepper's phase rate; ``linear_propagate_4nls`` and the dispersive estimates
+call it.
 
 The stepper's spectral states are raw FFT coefficients ``np.fft.fft(u)``,
 not the coefficients ``c_k`` of :mod:`fournls.spectral`: the two differ by
@@ -77,7 +81,7 @@ from .spectral import (
     _tail_mask,
     _weighted_norm,
     check_resolved,
-    cubic_convolution,
+    make_grid,
     mass,
     to_spectrum,
 )
@@ -120,14 +124,12 @@ class EvolutionConfig:
     start_tail_tol: float = 1e-8
     run_tail_tol: float = 1e-6
     require_localized: bool = True
-    # with project_K set, every nonlinear evaluation is truncated to
-    # |k| <= project_K.  On a grid with M > 4*project_K the cubic aliases
-    # cannot reach the band, so "ifrk4" integrates the Galerkin ODE system
-    # exactly (up to its RK4 error).  The split schemes project after the
-    # exact pointwise nonlinear flow, which differs from the flow of the
-    # projected field at O(dt^2) per step: they are only first order against
-    # that system (McLachlan, M=64, K=4: error 6.1e-7 at 50 steps, 7.7e-8 at
-    # 400 steps)
+    # with project_K set, "ifrk4" truncates every nonlinear evaluation to
+    # |k| <= project_K; on a grid with M > 4*project_K, where the cubic
+    # aliases cannot reach the band, it integrates the Galerkin ODE system up
+    # to its RK4 error.  The split schemes reject it: projected after their
+    # exact pointwise nonlinear flow, they are only first order against that
+    # system (McLachlan, M=64, K=4: error 6.1e-7 at 50 steps, 7.7e-8 at 400)
     project_K: Optional[int] = None
 
     def __post_init__(self):
@@ -145,6 +147,8 @@ class EvolutionConfig:
         check_integer("record_stride", self.record_stride, 1)
         if self.project_K is not None:
             check_integer("project_K", self.project_K, 0)
+            if self.scheme != "ifrk4":
+                raise ConfigError(f"project_K needs the scheme 'ifrk4', not '{self.scheme}'")
         for s in self.sobolev_orders:
             check_real("a Sobolev order", s)
 
@@ -228,6 +232,20 @@ def _rotate(u: np.ndarray, theta, buf: np.ndarray, phase: np.ndarray) -> np.ndar
     return u
 
 
+def _cubic_term(w: np.ndarray, gain, K) -> np.ndarray:
+    """IFRK4's nonlinearity ``gain * fft(|u|^2 u)``, ``u = ifft(w)``, with
+    ``gain = -i kappa``, as a fresh array in that operand order (a complex
+    product is not bitwise commutative), zeroed at |k| > K unless K is None:
+    the FFT-order run k = K+1 .. M/2-1, -M/2 .. -(K+1), empty for K >= M/2."""
+    u = np.fft.ifft(w)
+    np.multiply(u.real**2 + u.imag**2, u, out=u)
+    np.fft.fft(u, out=u)
+    np.multiply(gain, u, out=u)
+    if K is not None:
+        u[..., K + 1:u.shape[-1] - K] = 0.0
+    return u
+
+
 def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt) -> np.ndarray:
     """One classical RK4 step of c' = nl(c) in the integrating-factor frame:
 
@@ -278,20 +296,12 @@ def _stepper(grid, cfg):
     """
     grids = grid if isinstance(grid, list) else [grid]
     cfgs = cfg if isinstance(cfg, list) else [cfg]
-    cfg, M = cfgs[0], grids[0].M
+    cfg = cfgs[0]
     # a value every row shares is an (M,) table or a scalar, which broadcasts
     # over the rows; one that differs is a (B, M) table or a (B, 1) column
     xi = grids[0].xi if all(g == grids[0] for g in grids) else np.stack([g.xi for g in grids])
     dt = cfg.dt if all(c.dt == cfg.dt for c in cfgs) else np.array([[c.dt] for c in cfgs])
     lam = 1j * cfg.linear_phase_rate(xi)
-    K = cfg.project_K
-
-    def project(w):
-        # |k| > K is one run of FFT order, k = K+1 .. M/2-1, -M/2 .. -(K+1);
-        # empty for K >= M/2
-        if K is not None:
-            w[..., K + 1:M - K] = 0.0
-        return w
 
     if cfg.scheme == "ifrk4":
         half = np.exp(lam * dt / 2)
@@ -299,13 +309,7 @@ def _stepper(grid, cfg):
         gain = -1j * cfg.kappa
 
         def nl(w):
-            # project(-1j * kappa * fft(|u|^2 u)) on the fresh ifft output, keeping
-            # the operand order of that expression (a complex product is not
-            # bitwise commutative)
-            u = np.fft.ifft(w)
-            np.multiply(u.real**2 + u.imag**2, u, out=u)
-            np.fft.fft(u, out=u)
-            return project(np.multiply(gain, u, out=u))
+            return _cubic_term(w, gain, cfg.project_K)
 
         return np.fft.fft, (lambda w: _ifrk4(w, nl, half, full, dt)), np.fft.ifft
 
@@ -334,7 +338,6 @@ def _stepper(grid, cfg):
         np.fft.ifft(w, out=w)
         _rotate(w, theta, buf, phase)
         np.fft.fft(w, out=w)
-        project(w)
 
     def step(state):
         w, lead = state
@@ -498,76 +501,74 @@ def _n_steps(cfg: EvolutionConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# brute-force Galerkin oracle
+# the Galerkin system on |k| <= K, on the stepper's IFRK4
 
 
-def _galerkin_band(s: Spectrum, K: int):
-    """The FFT positions, frequencies and coefficients of the modes k = -K..K
-    of ``s``, after checking that K fits the grid and that ``s`` has no support above it."""
-    grid = s.grid
-    if K < 1 or K > grid.M // 2 - 1:
+def _galerkin_run(s: Spectrum, K):
+    """``(grid, w, finish)``: the modes k = -K..K of ``s`` as a raw-FFT state
+    ``w = M (-1)^k c_k`` of ``_stepper`` on ``grid``, and ``finish``, which reads
+    such a state back as a spectrum on ``s.grid`` that is zero above K.
+
+    ``grid`` has the L and k0 of ``s.grid`` and the smallest power of two
+    above 4K as its M: the cubic term's aliases cannot reach |k| <= K, the
+    factor M is exact, and a wide ``s.grid`` costs no larger transforms.
+    """
+    check_integer("mode cutoff K", K, 1)
+    if K > s.grid.M // 2 - 1:
         raise ConfigError(f"mode cutoff K={K} outside grid resolution")
     peak = np.max(np.abs(s.coef))
-    if peak > 0 and np.any(np.abs(s.coef[np.abs(grid.k) > K]) > 1e-12 * peak):
+    if peak > 0 and np.any(np.abs(s.coef[np.abs(s.grid.k) > K]) > 1e-12 * peak):
         raise ConfigError("spectrum has support above the Galerkin cutoff")
-    idx = np.arange(-K, K + 1) % grid.M
-    return idx, grid.xi[idx], s.coef[idx]
+    grid = make_grid(s.grid.L, 2 ** int(4 * K).bit_length(), s.grid.k0)
+    ks = np.arange(-K, K + 1)
+    scale = grid.M * grid._centering_phase[ks]
+    w = np.zeros(grid.M, dtype=np.complex128)
+    w[ks] = s.coef[ks] * scale
 
+    def finish(v):
+        coef = np.zeros(s.grid.M, dtype=np.complex128)
+        coef[ks] = v[ks] / scale
+        return Spectrum(s.grid, coef)
 
-def _galerkin_spectrum(grid, idx: np.ndarray, c: np.ndarray) -> Spectrum:
-    full = np.zeros(grid.M, dtype=np.complex128)
-    full[idx] = c
-    return Spectrum(grid, full)
+    return grid, w, finish
 
 
 def galerkin_rhs(s: Spectrum, cfg: EvolutionConfig, K: int) -> Spectrum:
-    """Exact RHS of the Fourier-truncated equation on modes |k| <= K.
-
-    The cubic term is the direct convolution
-    ``sum_{k-l+m=n} c_k conj(c_l) c_m`` restricted to |k|,|l|,|m|,|n| <= K,
-    summed as two exact 1-D convolutions in O(K^2) time and O(K) memory.
-    On a band grid the modes are k0 + k: only the linear symbol reads k0,
-    since the cubic sum is invariant under a common index shift.
+    """RHS of the Fourier-truncated equation on modes |k| <= K: the linear
+    symbol plus IFRK4's cubic term with ``project_K = K`` on the grid of
+    ``_galerkin_run``, where it is the convolution ``-i kappa sum_{k-l+m=n}
+    c_k conj(c_l) c_m`` over |k|,|l|,|m|,|n| <= K.  On a band grid the modes
+    are k0 + k: only the linear symbol reads k0, since the cubic sum is
+    invariant under a common index shift.
     """
-    idx, xi, c = _galerkin_band(s, K)
-    out = _galerkin_cubic(c, K, cfg.kappa) + 1j * cfg.linear_phase_rate(xi) * c
-    return _galerkin_spectrum(s.grid, idx, out)
-
-
-def _galerkin_cubic(coef: np.ndarray, K: int, kappa: int) -> np.ndarray:
-    """-i kappa * truncated convolution of |u|^2 u on centered indices.
-
-    conj(c_l) at index -l is conj(coef) reversed, so the sum over
-    k - l + m = n is the lattice convolution of coef, conj(coef)[::-1] and
-    coef, read at |n| <= K.
-    """
-    if kappa == 0:
-        return np.zeros(2 * K + 1, dtype=np.complex128)
-    full = cubic_convolution(coef, np.conj(coef[::-1]), coef)
-    return -1j * kappa * full[2 * K:4 * K + 1]
+    grid, w, finish = _galerkin_run(s, K)
+    return finish(1j * cfg.linear_phase_rate(grid.xi) * w + _cubic_term(w, -1j * cfg.kappa, K))
 
 
 def galerkin_evolve(s0: Spectrum, cfg: EvolutionConfig, K: int, t: float,
                     n_steps: int = 200) -> Spectrum:
-    """Integrating-factor RK4 for the truncated ODE system.
+    """``n_steps`` steps of the stepper's IFRK4 with ``project_K = K`` over time
+    t: the Galerkin system on |k| <= K, with no transform at the start or end.
 
-    The linear rotation is applied exactly (an explicit treatment of the
-    xi^4 phases would dissipate the top modes long before the RK4 step
-    limit), so the only error is the RK4 error of the slow nonlinear part;
-    ground truth for the derivative identities and increment experiments.
+    The linear rotation is exact (an explicit treatment of the xi^4 phases
+    would dissipate the top modes long before the RK4 step limit), so the
+    only error is the RK4 error of the slow nonlinear part.  A negative t
+    runs forward with ``orientation`` and ``kappa`` negated: the same IEEE
+    arithmetic as a step of t / n_steps, which ``EvolutionConfig`` rejects.
     """
-    idx, xi, c = _galerkin_band(s0, K)
-    lam = 1j * cfg.linear_phase_rate(xi)
-    dt = t / n_steps
-    e_half = np.exp(lam * dt / 2)
-    e_full = e_half * e_half
-
-    def nl(coef):
-        return _galerkin_cubic(coef, K, cfg.kappa)
-
+    check_integer("n_steps", n_steps, 1)
+    check_real("t", t)
+    if t == 0:
+        raise ConfigError(f"t must be a nonzero finite number, got {t!r}")
+    grid, w, finish = _galerkin_run(s0, K)
+    sign = 1 if t > 0 else -1
+    dt = abs(t) / n_steps
+    _, step, _ = _stepper(grid, replace(cfg, orientation=sign * cfg.orientation,
+                                        kappa=sign * cfg.kappa, scheme="ifrk4", dt=dt,
+                                        t_end=dt, project_K=K))
     for _ in range(n_steps):
-        c = _ifrk4(c, nl, e_half, e_full, dt)
-    return _galerkin_spectrum(s0.grid, idx, c)
+        w = step(w)
+    return finish(w)
 
 
 # ---------------------------------------------------------------------------

@@ -590,7 +590,7 @@ def sigma4_bound_constant(p: IMethodParams, rng: np.random.Generator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# derivative identities on the Galerkin oracle
+# derivative identities on the Galerkin system
 
 
 @dataclass
@@ -618,8 +618,9 @@ def derivative_identity_check(
 ) -> IdentityCheck:
     """Compare finite-difference dE2/dt and dE4/dt with the multilinear forms.
 
-    The state is evolved with the truncated Galerkin system; since the
-    energy gradients reach three times the state's support, exactness
+    The state is evolved with the truncated Galerkin system on |k| <= K,
+    ``galerkin_evolve``: the stepper's IFRK4 with ``project_K = K``.  Since
+    the energy gradients reach three times the state's support, exactness
     requires 3 * support <= K, which is enforced.  Time derivatives use the
     five-point fourth-order stencil with step 1e-5 (the resonance
     phases reach ~K^4, so a second-order stencil would not meet 1e-6).

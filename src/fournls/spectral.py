@@ -26,8 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, NumericDomainError, ResolutionError, check_integer,
-                     check_real, is_real)
+from .errors import ConfigError, NumericDomainError, ResolutionError, check_integer, check_real
 
 __all__ = [
     "Grid",
@@ -42,7 +41,6 @@ __all__ = [
     "fractional_derivative",
     "sobolev_norm",
     "lebesgue_norm",
-    "project_band",
     "make_gaussian",
     "spectral_tail_fraction",
     "boundary_tail_fraction",
@@ -225,47 +223,6 @@ def lebesgue_norm(f: Field, p: float) -> float:
     if not p >= 1:
         raise ConfigError(f"Lebesgue exponent must be >= 1, got p={p}")
     return float((f.grid.dx * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-
-
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
-
-
-def _bump(r: np.ndarray) -> np.ndarray:
-    """Even cutoff: 1 on [-1, 1], 0 outside (-2, 2), smooth in between."""
-    return _smooth_step(2.0 - np.abs(r))
-
-
-def _dyadic_exponent(N: float) -> int:
-    """j with N = 2^j, j >= 0; :class:`ConfigError` for any other N."""
-    if is_real(N) and N >= 1:
-        j = int(round(np.log2(N)))
-        if 2.0**j == N:
-            return j
-    raise ConfigError(f"band parameter must be dyadic (1, 2, 4, ...), got {N}")
-
-
-def _band(xi: np.ndarray, N: float) -> np.ndarray:
-    """Littlewood-Paley bump for the band |xi| ~ N (N dyadic >= 1) at ``xi``."""
-    _dyadic_exponent(N)
-    if N == 1:
-        return _bump(xi)
-    return _bump(xi / N) - _bump(2.0 * xi / N)
-
-
-def project_band(f: Field, N: float) -> Field:
-    """Project onto the dyadic frequency band |xi| ~ N.
-
-    The bumps telescope: summing the projections over N = 1, 2, 4, ... up to
-    the first dyadic level >= the grid's Nyquist frequency reproduces the
-    field exactly on resolved frequencies.
-    """
-    return to_physical(apply_symbol(to_spectrum(f), _band(f.grid.xi, N)))
 
 
 def make_gaussian(

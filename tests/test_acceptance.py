@@ -182,9 +182,9 @@ class TestCriterion05AlmostConservation:
         separated = slope4 <= slope2 - 1.5
         sep_note = (
             "ok" if separated else
-            "NOT MET: on this fixed data the variation of Re Lambda4(sigma4) "
-            "is 1e-2..4e-5 of the E2 increment and decays like N^-5.35, so both "
-            "series are the same six-linear drift; see CHANGES.md"
+            "NOT MET: both increments are quartic in the amplitude, so they are "
+            "IFRK4's time-step error at 2K^4*dt ~ 2e5 rad per step, not the "
+            "flow's sextic drift; see ROADMAP item 6"
         )
         report(5, "almost conservation N-sweep", in_band and separated,
                f"corrected slope {slope4:.3f} (target -3 +/- 1: "
@@ -192,9 +192,9 @@ class TestCriterion05AlmostConservation:
                f"separation {slope2 - slope4:.3f} (>= 1.5 required: {sep_note})")
         assert in_band
         assert separated, (
-            "slope separation not realizable on fixed Cauchy data: the sigma4 "
-            "boundary term is too small to move the E4 slope; measurements in "
-            "CHANGES.md"
+            "slope separation not measurable at this step: both increments are "
+            "IFRK4's time-step error at 2K^4*dt ~ 2e5 rad per step, not the "
+            "flow's drift; measurements in ROADMAP item 6"
         )
 
 

@@ -1,9 +1,5 @@
-import warnings
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fournls import (
     ConfigError,
@@ -15,7 +11,6 @@ from fournls import (
     lebesgue_norm,
     make_gaussian,
     make_grid,
-    project_band,
     sobolev_norm,
     to_physical,
     to_spectrum,
@@ -207,53 +202,6 @@ class TestNorms:
             packet = Field(g, env.values * np.exp(1j * N * g.x))
             ratio = sobolev_norm(packet, -0.5) * np.sqrt(N) / l2
             assert abs(ratio - 1.0) < 0.02
-
-
-class TestProjections:
-    def test_low_mode_unchanged(self):
-        g = make_grid(4 * np.pi, 64)  # xi spacing 1/2
-        u = Field(g, np.exp(1j * 0.5 * g.x))
-        out = project_band(u, 1.0)
-        assert np.max(np.abs(out.values - u.values)) < 1e-12
-
-    def test_disjoint_band_killed(self):
-        g = make_grid(2 * np.pi, 64)
-        u = Field(g, np.exp(16j * g.x))
-        assert np.max(np.abs(project_band(u, 4.0).values)) < 1e-14
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(0.5, 200.0), st.integers(4, 256).map(lambda h: 2 * h),
-           st.integers(0, 2**32 - 1))
-    def test_partition_of_unity(self, L, M, seed):
-        # the bands telescope to bump(xi/N): summing up to the first dyadic
-        # N >= xi_max, the bound project_band states, reproduces every mode
-        g = make_grid(L, M)
-        u = random_field(g, np.random.default_rng(seed), decay=1.0)
-        total = np.zeros(g.M, dtype=complex)
-        N = 1.0
-        while True:
-            total += project_band(u, N).values
-            if N >= g.xi_max:
-                break
-            N *= 2
-        assert np.max(np.abs(total - u.values)) < 1e-10 * np.max(np.abs(u.values))
-
-    def test_disjoint_projectors_annihilate(self):
-        rng = np.random.default_rng(6)
-        g = make_grid(18.0, 256)
-        u = random_field(g, rng, decay=1.0)
-        out = project_band(project_band(u, 16.0), 2.0)
-        assert np.max(np.abs(out.values)) < 1e-13
-
-    @pytest.mark.parametrize("N", [3.0, 0.0, -2.0, np.inf, np.nan, 0.5])
-    def test_non_dyadic_rejected(self, N):
-        # checked before log2, so no RuntimeWarning and no bare OverflowError
-        # or ValueError; 0.5 is dyadic but below the first band N = 1
-        g = make_grid(10.0, 64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="dyadic"):
-                project_band(Field(g, np.ones(64, complex)), N)
 
 
 class TestGaussian:
