@@ -32,7 +32,6 @@ from .imethod import (
     gwp_parameters,
     i_multiplier,
     lambda_n,
-    symbol_alpha4,
     symbol_m4,
     symbol_m6,
     symbol_sigma4,

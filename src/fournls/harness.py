@@ -352,7 +352,7 @@ def _run_illposed_separation(p, tol, rng, out):
         profile_modes=p["profile_modes"], profile_length=p["profile_length"],
     )
     payload = {
-        "eps": rep.eps, "delta": rep.initial_distance, "initial_distance": rep.initial_distance,
+        "eps": rep.eps, "delta": rep.initial_distance,
         "sup_distance": rep.sup_distance, "time_of_max": rep.time_of_max,
         "lambda": rep.lam, "triangle_lower_bound": rep.triangle_lower_bound,
     }

@@ -43,7 +43,7 @@ from .symmetries import scale_transform
 
 __all__ = [
     "UapSetup", "SolitonProfile", "plan_uap_discretization",
-    "change_coords", "build_uap", "residual_fields", "ResidualFields",
+    "build_uap", "residual_fields", "ResidualFields",
     "modulated_profile", "modulation_norm_check", "error_decay_experiment",
     "ErrorDecayResult", "separation_experiment", "SeparationReport",
 ]
@@ -147,13 +147,6 @@ def _next_5smooth(n: int) -> int:
         if rest == 1:
             return n
         n += 1
-
-
-def change_coords(N: float, t, x):
-    """The comoving frame map (t, x) -> (s, y) = (t, (x + 4 N^3 t)/(sqrt(6) N))."""
-    t = np.asarray(t, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    return t, (x + 4.0 * N**3 * t) / (SQRT6 * N)
 
 
 def _placed(setup: UapSetup, spec_v: Spectrum, t: float, grid: Grid, phase=1.0) -> Field:

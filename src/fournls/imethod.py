@@ -26,7 +26,9 @@ quadrilinear increment exactly for g = +1, the normalization adopted here.
 Evaluation.  Lambda4(sigma4) and Lambda4(M4) are not summed symbol by
 symbol: each reads one table of m^2 on the lattice.  One walk of the
 hyperplane, ``_walk_planes`` (the planes k1 + k2 = a, one BLAS matrix
-product each), serves Lambda4(sigma4), Lambda6(M6) and the generic Lambda4:
+product each), serves Lambda4(sigma4), Lambda6(M6) and the generic Lambda4;
+it is the one summation path of ``lambda_n``, which takes four fields with
+a four-slot symbol, or six under :class:`SumLastThree`:
 
 * Lambda4(sigma4).  With W = u(xi1) conj(u(-xi2)) u(xi3) conj(u(-xi4)) and
   the N-free weight alpha4 = (xi1+xi2)(xi1+xi4) Q of the factorized
@@ -88,7 +90,6 @@ __all__ = [
     "multiplier_m2_derivatives",
     "apply_I",
     "energy2",
-    "symbol_alpha4",
     "symbol_m4",
     "symbol_sigma4",
     "symbol_m6",
@@ -179,21 +180,10 @@ def _check_hyperplane(*xis):
         raise ConfigError("frequencies do not satisfy the zero-sum constraint")
 
 
-def symbol_alpha4(xi1, xi2, xi3, xi4):
-    """Quartic resonance phase i (xi1^4 - xi2^4 + xi3^4 - xi4^4) on the hyperplane."""
-    _check_hyperplane(xi1, xi2, xi3, xi4)
-    x1, x2, x3, x4 = (np.asarray(x, dtype=np.float64) for x in (xi1, xi2, xi3, xi4))
-    return 1j * (x1**4 - x2**4 + x3**4 - x4**4)
-
-
 def symbol_m4(xi1, xi2, xi3, xi4, p: IMethodParams):
     """Symmetrized m^2 difference (m2(xi1) - m2(xi2) + m2(xi3) - m2(xi4)) / 2."""
     _check_hyperplane(xi1, xi2, xi3, xi4)
-    return _m4_on_hyperplane(xi1, xi2, xi3, xi4, p)
-
-
-def _m4_on_hyperplane(x1, x2, x3, x4, p):
-    return _m4_of_slots(np.array(np.broadcast_arrays(x1, x2, x3, x4), dtype=np.float64), p)
+    return _m4_of_slots(np.array(np.broadcast_arrays(xi1, xi2, xi3, xi4), dtype=np.float64), p)
 
 
 def _m4_of_slots(x, p):
@@ -289,16 +279,16 @@ class ModeSet:
 @dataclass
 class MultilinearResult:
     value: complex
-    terms: int  # lattice points summed over: (2K+1)^(n-1), or (2K+1)^3 when collapsed
+    terms: int  # (2K+1)^3: the (k1, k2, k3) cube the walk covers, for either form
 
 
 @dataclass(frozen=True)
 class SumLastThree:
     """Six-slot symbol ``core(xi1, xi2, xi3, xi4 + xi5 + xi6)``.
 
-    Evaluates like any six-slot symbol; :func:`lambda_n` recognises it and
-    folds the last three slots into one lattice convolution, summing
-    (2K+1)^3 terms instead of (2K+1)^5.
+    Evaluates like any six-slot symbol; :func:`lambda_n` sums six fields
+    only under this type, folding the last three slots into one lattice
+    convolution: (2K+1)^3 terms instead of (2K+1)^5.
     """
 
     core: Callable
@@ -364,84 +354,63 @@ def _walk_planes(weight, s1, s2, s3, last, K: int):
 
 
 def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
-    """Direct sum of a multilinear form over the truncated hyperplane.
+    """The multilinear form of ``symbol`` over the truncated hyperplane, on one walk.
 
-    ``symbol`` receives n frequency arrays; slots alternate u, conj pattern:
-    odd slots contribute hat(u_j)(xi), even slots conj(hat(u_j)(-xi)).  The
-    hyperplane measure is calibrated so Lambda4(1; u) = int |u|^4 dx for
-    band-limited u (one overall factor L).  A six-slot :class:`SumLastThree`
-    symbol is summed as sum_{k1,k2,k3} core * u1 u2 u3 V(-(k1+k2+k3)) with
-    V the exact lattice convolution of the last three slots (|k'| <= 3K).
+    Slots alternate u, conj: odd slots contribute hat(u_j)(xi), even slots
+    conj(hat(u_j)(-xi)).  The hyperplane measure is calibrated so
+    Lambda4(1; u) = int |u|^4 dx for band-limited u (one overall factor L).
+    Two forms are summed, each on one walk of ``_walk_planes``: four fields
+    with a four-slot symbol, and six fields with a :class:`SumLastThree`
+    symbol, summed as sum_{k1,k2,k3} core * u1 u2 u3 V(-(k1+k2+k3)) with V
+    the exact lattice convolution of the last three slots (|k'| <= 3K).
+    Any other form raises ``ConfigError`` before any work.
 
-    On the four-slot and collapsed walks the symbol is called once per plane
-    k1 + k2 = a on its block of points (``_walk_planes``).  Its inputs are
-    read-only broadcast views, of the block's shape, of 2 pi/L times the
-    integers k1, a - k1, k3 and -(a + k3); it returns an array of that shape.
+    The symbol is called once per plane k1 + k2 = a on its block of points.
+    Its inputs are read-only broadcast views, of the block's shape, of
+    2 pi/L times the integers k1, a - k1, k3 and -(a + k3); it returns an
+    array of that shape.
     """
     n = len(fields)
-    if n not in (2, 4, 6):
-        raise ConfigError(f"multilinear order must be 2, 4 or 6, got {n}")
-    K = modes.K
-    collapsed = n == 6 and isinstance(symbol, SumLastThree)
-    terms = (2 * K + 1) ** (3 if collapsed else n - 1)
-    if n == 6 and not collapsed and terms > TERM_BUDGET:
-        raise TermBudgetError(
-            f"{terms:.3g} lattice terms exceed the {TERM_BUDGET:.0g} term budget"
+    collapsed = isinstance(symbol, SumLastThree)
+    if n != (6 if collapsed else 4):
+        raise ConfigError(
+            f"lambda_n sums 4 fields, or 6 with a SumLastThree symbol; got {n} fields "
+            f"and a {type(symbol).__name__}"
         )
+    K = modes.K
     grid = fields[0].grid
     for f in fields:
         if f.grid != grid:
             raise ConfigError("all fields must share one grid")
     slots = _slot_coefs(fields, K)
-    ks = np.arange(-K, K + 1)
     two_pi_over_L = 2 * np.pi / grid.L
+    core = symbol.core if collapsed else symbol
+    last = cubic_convolution(*slots[3:]) if collapsed else slots[3]
 
-    if n == 2:
-        val = symbol(two_pi_over_L * ks, two_pi_over_L * -ks)
-        total = np.sum(np.asarray(val) * slots[0] * slots[1][::-1])
-    elif n == 4 or collapsed:
-        core = symbol.core if collapsed else symbol
-        last = cubic_convolution(*slots[3:]) if collapsed else slots[3]
+    # 2 pi/L times -R..R rising and falling, broadcast down the rows and
+    # along the columns: with i = k + K, k1 and k3 sit at i + o of the
+    # rising sheets, a - k1 at i + o - a and -(a + k3) at i + o + a of
+    # the falling ones
+    R, o = len(last) // 2, len(last) // 2 - K
+    rising = two_pi_over_L * np.arange(-R, R + 1)
+    rows_up, rows_down = (np.broadcast_to(x[:, None], (2 * R + 1, 2 * K + 1))
+                          for x in (rising, rising[::-1]))
+    cols_up, cols_down = (np.broadcast_to(x, (2 * K + 1, 2 * R + 1))
+                          for x in (rising, rising[::-1]))
 
-        # 2 pi/L times -R..R rising and falling, broadcast down the rows and
-        # along the columns: with i = k + K, k1 and k3 sit at i + o of the
-        # rising sheets, a - k1 at i + o - a and -(a + k3) at i + o + a of
-        # the falling ones
-        R, o = len(last) // 2, len(last) // 2 - K
-        rising = two_pi_over_L * np.arange(-R, R + 1)
-        rows_up, rows_down = (np.broadcast_to(x[:, None], (2 * R + 1, 2 * K + 1))
-                              for x in (rising, rising[::-1]))
-        cols_up, cols_down = (np.broadcast_to(x, (2 * K + 1, 2 * R + 1))
-                              for x in (rising, rising[::-1]))
+    def weight(a, rows, cols):
+        nr, nc = rows.stop - rows.start, cols.stop - cols.start
+        return np.asarray(core(rows_up[rows.start + o:rows.stop + o, :nc],
+                               rows_down[rows.start + o - a:rows.stop + o - a, :nc],
+                               cols_up[:nr, cols.start + o:cols.stop + o],
+                               cols_down[:nr, cols.start + o + a:cols.stop + o + a]))
 
-        def weight(a, rows, cols):
-            nr, nc = rows.stop - rows.start, cols.stop - cols.start
-            return np.asarray(core(rows_up[rows.start + o:rows.stop + o, :nc],
-                                   rows_down[rows.start + o - a:rows.stop + o - a, :nc],
-                                   cols_up[:nr, cols.start + o:cols.stop + o],
-                                   cols_down[:nr, cols.start + o + a:cols.stop + o + a]))
-
-        with np.errstate(all="ignore"):  # a non-finite symbol is refused below
-            by_k1, _ = _walk_planes(weight, *(s[None, :] for s in (*slots[:3], last)), K)
-            total = by_k1.sum()
-        if not np.isfinite(total):
-            raise NumericDomainError(f"the {n}-linear form is not finite: {total}")
-    else:
-        total = 0.0 + 0.0j
-        k2g, k3g, k4g, k5g = np.meshgrid(ks, ks, ks, ks, indexing="ij")
-        for k1 in ks:
-            k6 = -(k1 + k2g + k3g + k4g + k5g)
-            valid = np.abs(k6) <= K
-            if not np.any(valid):
-                continue
-            v2, v3, v4, v5, v6 = (a[valid] for a in (k2g, k3g, k4g, k5g, k6))
-            v1 = np.full(v2.shape, k1)
-            val = symbol(*(two_pi_over_L * v for v in (v1, v2, v3, v4, v5, v6)))
-            prod = np.asarray(val)
-            for slot, v in zip(slots, (v1, v2, v3, v4, v5, v6)):
-                prod = prod * slot[v + K]
-            total += np.sum(prod)
-    return MultilinearResult(value=complex(grid.L * total), terms=terms)
+    with np.errstate(all="ignore"):  # a non-finite symbol is refused below
+        by_k1, _ = _walk_planes(weight, *(s[None, :] for s in (*slots[:3], last)), K)
+        total = by_k1.sum()
+    if not np.isfinite(total):
+        raise NumericDomainError(f"the {n}-linear form is not finite: {total}")
+    return MultilinearResult(value=complex(grid.L * total), terms=(2 * K + 1) ** 3)
 
 
 def _inv_alpha4(K: int):
@@ -721,7 +690,8 @@ def almost_conservation_experiment(
     N_values,
     cfg: EvolutionConfig,
     s: float = -0.5,
-    support_K: int | None = None,
+    *,
+    support_K: int,
 ) -> AlmostConservationResult:
     """Sweep the threshold N and fit the modified-mass increment decay.
 
@@ -730,8 +700,9 @@ def almost_conservation_experiment(
     snapshots and their Lambda4(sigma4) marginals (one walk of the whole
     family serves every N), with increments sup_t |E(t) - E(0)| averaged
     over the family (single random-phase realizations carry an O(0.5) slope
-    scatter).  The corrected slope is predicted near -3; the uncorrected E2
-    series is fitted for comparison.
+    scatter).  The multilinear forms run on the mode set |k| <= ``support_K``.
+    The corrected slope is predicted near -3; the uncorrected E2 series is
+    fitted for comparison.
     """
     family = [data] if isinstance(data, Field) else list(data)
     floor = 1e-13  # increments below it are round-off
@@ -742,7 +713,7 @@ def almost_conservation_experiment(
     inc4 = {N: [] for N in N_values}
     inc2 = {N: [] for N in N_values}
     records = evolve_many(family, cfg)
-    K = support_K or _support_radius(to_spectrum(family[0]))
+    K = support_K
     modes = ModeSet(family[0].grid, K)
     # one walk over every snapshot of every member; members share their times
     walked = _sigma4_marginals([f for rec in records for f in rec.fields], modes)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, check_integer, check_real
 from .evolution import EvolutionConfig, free_flow
 from .fitting import FitResult, fit_loglog
-from .imethod import IMethodParams, _check_hyperplane, _m_values, multiplier_m2_derivatives
+from .imethod import IMethodParams, _m_values, multiplier_m2_derivatives
 from .spectral import Field, Spectrum, make_grid, sobolev_norm, to_physical
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "resonance_lhs",
     "resonance_product_signed",
     "resonance_product_abs",
-    "factorization_residual",
     "mean_value_bound_check",
     "MeanValueReport",
     "trilinear_counterexample",
@@ -69,17 +68,6 @@ def resonance_product_abs(x1, x2, x3, x4):
     """|(xi1+xi2)(xi2+xi3)| * quadratic factor; matches |lhs| only."""
     x1, x2, x3, x4 = (np.asarray(x, dtype=np.float64) for x in (x1, x2, x3, x4))
     return np.abs((x1 + x2) * (x2 + x3)) * _quadratic_factor(x1, x2, x3, x4)
-
-
-def factorization_residual(xi1, xi2, xi3, xi4) -> float:
-    """|lhs - signed product| for a zero-sum tuple."""
-    _check_hyperplane(xi1, xi2, xi3, xi4)
-    return float(
-        np.abs(
-            resonance_lhs(xi1, xi2, xi3, xi4)
-            - resonance_product_signed(xi1, xi2, xi3, xi4)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

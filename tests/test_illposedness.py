@@ -9,7 +9,6 @@ from fournls.illposedness import (
     _solver_config,
     _uap_on,
     build_uap,
-    change_coords,
     error_decay_experiment,
     modulated_profile,
     modulation_norm_check,
@@ -54,26 +53,6 @@ class TestPlanUapDiscretization:
     def test_non_number_carrier_rejected(self, N):
         with pytest.raises(ConfigError, match="carrier frequency N must be"):
             small_setup(N)
-
-
-class TestChangeCoords:
-    def test_zero_time(self):
-        N = 8.0
-        s, y = change_coords(N, 0.0, 3.0)
-        assert s == 0.0
-        assert abs(y - 3.0 / (np.sqrt(6) * N)) < 1e-15
-
-    def test_comoving_center(self):
-        N, t = 8.0, 0.3
-        s, y = change_coords(N, t, -4.0 * N**3 * t)
-        assert abs(y) < 1e-12
-
-    def test_linearity(self):
-        N = 16.0
-        _, y1 = change_coords(N, 0.2, 1.0)
-        _, y2 = change_coords(N, 0.2, 2.0)
-        _, y3 = change_coords(N, 0.2, 3.0)
-        assert abs((y3 - y2) - (y2 - y1)) < 1e-14
 
 
 class TestSolitonProfile:

@@ -29,12 +29,10 @@ from fournls import (
     make_grid,
     mass,
     sobolev_norm,
-    symbol_alpha4,
     symbol_m4,
     symbol_m6,
     symbol_sigma4,
     to_physical,
-    to_spectrum,
 )
 from fournls import imethod
 from fournls.imethod import (
@@ -44,6 +42,7 @@ from fournls.imethod import (
     multiplier_m2_derivatives,
 )
 from fournls.spectral import Spectrum
+from oracle import brute_force, direct_sum
 
 
 def params(N=2.0, s=-0.5):
@@ -178,22 +177,19 @@ class TestEnergy2:
         u = narrow_state(g, rng, support=8, n_modes=7)
         p = params(N=2.0)
         m = i_multiplier(p)
-        res = lambda_n(lambda a, b: m(a) * m(b), [u, u], ModeSet(g, 10))
-        assert abs(res.value.imag) < 1e-12
-        assert abs(res.value.real - energy2(u, p)) < 1e-12 * abs(res.value.real)
+        value = direct_sum(lambda a, b: m(a) * m(b), [u, u], 10)
+        assert abs(value.imag) < 1e-12
+        assert abs(value.real - energy2(u, p)) < 1e-12 * abs(value.real)
 
 
 class TestSymbols:
-    def test_alpha4_arithmetic(self):
-        val = symbol_alpha4(1.0, 1.0, 0.0, -2.0)
-        assert val == 1j * (1 - 1 + 0 - 16)
-        assert val == -16j
-
     def test_off_hyperplane_rejected(self):
         with pytest.raises(ConfigError):
-            symbol_alpha4(1.0, 2.0, 3.0, 4.0)
+            symbol_m4(1.0, 2.0, 3.0, 4.0, params())
         with pytest.raises(ConfigError):
             symbol_sigma4(1.0, 2.0, 3.0, 4.0, params())
+        with pytest.raises(ConfigError):
+            symbol_m6(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, params())
 
     def test_pair_pattern_vanishes(self):
         p = params(N=2.0)
@@ -344,11 +340,20 @@ class TestLambdaN:
         w = lambda_n(sym_bar_swapped, [u] * 4, modes).value
         assert abs(w - np.conj(v)) < 1e-12 * max(abs(v), 1.0)
 
-    def test_budget_guard(self):
+    @pytest.mark.parametrize("n, symbol", [
+        (2, lambda a, b: np.ones_like(a)),
+        (3, lambda a, b, c: np.ones_like(a)),
+        (6, lambda a, b, c, d, e, f: np.ones_like(a)),
+        (4, SumLastThree(lambda a, b, c, d: np.ones_like(a))),
+    ], ids=["two-fields", "three-fields", "plain-six-slot", "sum-last-three-on-four"])
+    def test_other_forms_refused_before_any_work(self, n, symbol, monkeypatch):
+        # only four fields, or six under SumLastThree, are walked; K = 232 is
+        # over the term budget, so any work done first would raise that instead
         g = make_grid(2 * np.pi, 512)
         u = Field(g, np.ones(512, complex))
-        with pytest.raises(TermBudgetError):
-            lambda_n(lambda *a: np.ones_like(a[0]), [u] * 6, ModeSet(g, 100))
+        monkeypatch.setattr(imethod, "_slot_coefs", lambda *a: pytest.fail("coefficients formed"))
+        with pytest.raises(ConfigError, match="SumLastThree"):
+            lambda_n(symbol, [u] * n, ModeSet(g, 232))
 
     def test_budget_guard_counts_collapsed_terms(self):
         # the collapsed Lambda6 sums (2K+1)^3 terms: 465^3 > 1e8 is refused
@@ -362,25 +367,6 @@ class TestLambdaN:
         with pytest.raises(TermBudgetError):
             energy4(u, params(), ModeSet(g, 232))
 
-    @staticmethod
-    def brute_force(symbol, fields, K):
-        """L * sum of symbol * slots over k1 + ... + kn = 0, |kj| <= K, one point at a time."""
-        g = fields[0].grid
-        scale = 2 * np.pi / g.L
-        coefs = [to_spectrum(f).coef for f in fields]
-        slot = lambda j, k: coefs[j][k % g.M] if j % 2 == 0 else np.conj(coefs[j][-k % g.M])
-        total = 0j
-        for ks in itertools.product(range(-K, K + 1), repeat=len(fields) - 1):
-            last = -sum(ks)
-            if abs(last) > K:
-                continue
-            ks = (*ks, last)
-            term = complex(symbol(*(scale * k for k in ks)))
-            for j, k in enumerate(ks):
-                term *= slot(j, k)
-            total += term
-        return g.L * total
-
     def test_matches_brute_force_sum(self):
         # four different fields and a symbol with no slot symmetry, on a
         # lattice off 2 pi (L = 5)
@@ -390,13 +376,27 @@ class TestLambdaN:
         sym = lambda a, b, c, d: 1.0 + 0.3j * a - 0.2 * b**2 + 0.1j * c * d + 0.05 * a**3
         for K in (1, 4):
             got = lambda_n(sym, fields[:4], ModeSet(g, K)).value
-            ref = self.brute_force(sym, fields[:4], K)
+            ref = brute_force(sym, fields[:4], K)
             assert abs(got - ref) <= 1e-12 * abs(ref)
         # the collapsed six-slot form reads its last slot over |k4| <= 3K
         m6 = SumLastThree(sym)
         got = lambda_n(m6, fields, ModeSet(g, 2)).value
-        ref = self.brute_force(m6, fields, 2)
+        ref = brute_force(m6, fields, 2)
         assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_direct_sum_oracle_matches_brute_force(self, n, K):
+        # the oracle of the six-slot and order-2 checks, pinned point by point
+        # on a lattice off 2 pi; the symbol takes slot j to the power j, so
+        # reading every index reflected (k -> -k) would change the sum
+        g = make_grid(5.0, 32)
+        rng = np.random.default_rng(20)
+        fields = [narrow_state(g, rng, support=2, n_modes=4, scale=0.8) for _ in range(n)]
+        weights = 1.0 + 0.1j * np.arange(1, n + 1)
+        sym = lambda *x: 1.0 + sum(w * xi**j for j, (w, xi) in enumerate(zip(weights, x), 1))
+        ref = brute_force(sym, fields, K)
+        assert abs(direct_sum(sym, fields, K) - ref) <= 1e-12 * abs(ref)
 
     def test_non_finite_symbol_refused(self):
         # 1 / (xi1 + xi2) is infinite on k2 = -k1
@@ -407,12 +407,6 @@ class TestLambdaN:
             lambda_n(sym, [u] * 4, ModeSet(g, 6))
         with pytest.raises(NumericDomainError, match="not finite"):
             lambda_n(SumLastThree(sym), [u] * 6, ModeSet(g, 3))
-
-    def test_odd_order_rejected(self):
-        g = self.grid()
-        u = Field(g, np.ones(64, complex))
-        with pytest.raises(ConfigError):
-            lambda_n(lambda *a: 1.0, [u] * 3, ModeSet(g, 4))
 
 
 class TestEnergy4:

@@ -1,16 +1,17 @@
-"""Property tests: the marginal Lambda4(sigma4) pass, the convolution form of
-Lambda4(M4) and the collapsed Lambda6 sum against the direct hyperplane sums
-of ``lambda_n``."""
+"""Property tests: the marginal Lambda4(sigma4) pass and the convolution form
+of Lambda4(M4) against the four-slot walk of ``lambda_n``, and the collapsed
+Lambda6 walk against the six-fold direct sum of ``oracle.direct_sum``."""
 
 import mpmath
 import numpy as np
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from fournls import IMethodParams, ModeSet, lambda_n, make_grid, to_physical
+from fournls import IMethodParams, ModeSet, lambda_n, make_grid, symbol_m4, to_physical
 from fournls import imethod
-from fournls.imethod import SumLastThree, _m4_on_hyperplane, _sigma4_on_hyperplane
+from fournls.imethod import SumLastThree, _sigma4_on_hyperplane
 from fournls.spectral import Spectrum, cubic_convolution
+from oracle import direct_sum
 
 PROPS = settings(max_examples=25, deadline=None)
 
@@ -71,7 +72,7 @@ def test_convolution_lambda4_m4_matches_direct_sum(case, N):
     (f,), modes = case
     p = IMethodParams(N=N)
     direct = lambda_n(
-        lambda a, b, c, d: _m4_on_hyperplane(a, b, c, d, p) + 0j, [f] * 4, modes
+        lambda a, b, c, d: symbol_m4(a, b, c, d, p) + 0j, [f] * 4, modes
     ).value
     convolved = imethod._lambda4_m4(f, p, modes)
     # round-off is relative to the absolute terms of the convolution form,
@@ -108,11 +109,10 @@ def test_collapsed_lambda6_matches_six_fold_sum(case, N):
         # xi4 + xi5 + xi6 is added in floating point, off the lattice when L != 2 pi
         return 1j * _sigma4_on_hyperplane(a, b, c, d + e + f6, p)
 
-    generic = lambda_n(m6, [f] * 6, modes)
+    generic = direct_sum(m6, [f] * 6, modes.K)
     collapsed = lambda_n(imethod._m6(p), [f] * 6, modes)
-    assert generic.terms == (2 * modes.K + 1) ** 5
     assert collapsed.terms == (2 * modes.K + 1) ** 3
-    assert abs(collapsed.value - generic.value) <= 1e-12 * abs(generic.value)
+    assert abs(collapsed.value - generic) <= 1e-12 * abs(generic)
 
 
 def test_plain_m6_keeps_the_resonant_zero_off_the_2pi_lattice():
@@ -126,10 +126,10 @@ def test_plain_m6_keeps_the_resonant_zero_off_the_2pi_lattice():
     f = to_physical(Spectrum(grid, 0.3 * coef))
     p = IMethodParams(N=2.0)
     modes = ModeSet(grid, 12)
-    plain = lambda_n(lambda a, b, c, d, e, f6: 1j * _sigma4_on_hyperplane(a, b, c, d + e + f6, p),
-                     [f] * 6, modes)
+    plain = direct_sum(lambda a, b, c, d, e, f6: 1j * _sigma4_on_hyperplane(a, b, c, d + e + f6, p),
+                       [f] * 6, modes.K)
     collapsed = lambda_n(imethod._m6(p), [f] * 6, modes)
-    assert abs(collapsed.value - plain.value) <= 1e-12 * abs(collapsed.value)
+    assert abs(collapsed.value - plain) <= 1e-12 * abs(collapsed.value)
 
 
 def test_sum_last_three_evaluates_on_six_arrays():

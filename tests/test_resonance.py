@@ -1,15 +1,13 @@
 import numpy as np
-import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fournls import ConfigError, IMethodParams
+from fournls import IMethodParams
 from fournls.resonance import (
     MODES_PER_BAND,
     MeanValueReport,
     _band_ratio,
-    factorization_residual,
     mean_value_bound_check,
     resonance_lhs,
     resonance_product_abs,
@@ -33,11 +31,10 @@ class TestFactorization:
         # (1,2,3,-6): both sides -1230
         assert resonance_lhs(1, 2, 3, -6) == -1230
         assert resonance_product_signed(1, 2, 3, -6) == -1230
-        assert factorization_residual(1, 2, 3, -6) == 0.0
 
     def test_pair_pattern_vanishes(self):
         assert resonance_lhs(5, 5, 2, 2 - 14 + 0) != 0  # not a hyperplane tuple
-        assert factorization_residual(3, -3, 7, -7) == 0.0
+        assert resonance_product_signed(3, -3, 7, -7) == 0.0
         assert resonance_lhs(3, -3, 7, -7) == 0.0
 
     def test_abs_form_matches_magnitude_only(self):
@@ -58,10 +55,6 @@ class TestFactorization:
                        - resonance_product_signed(x1, x2, x3, x4))
         scale = np.maximum.reduce([np.abs(v) for v in (x1, x2, x3, x4)]) ** 4
         assert float(np.max(resid / scale)) < 1e-6
-
-    def test_off_hyperplane_rejected(self):
-        with pytest.raises(ConfigError):
-            factorization_residual(1.0, 2.0, 3.0, 4.0)
 
 
 # |k| <= 2048 keeps |k4| <= 6144 and every term and partial product of both
