@@ -93,7 +93,8 @@ def kernel_K(t: float, x: float, alpha: float) -> complex:
         if x != 0:
             g *= np.cos(x * xs)
         phase = t * (xs * xs) ** 2
-        val += complex(np.vdot(g, np.cos(phase)), np.vdot(g, np.sin(phase)))
+        # numpy's pairwise sums, not a BLAS dot: their order does not depend on the thread count
+        val += complex(np.sum(g * np.cos(phase)), np.sum(g * np.sin(phase)))
 
     # boundary corrections: two integration-by-parts terms at each endpoint
     def tail_correction(xi_e: float, sign: float) -> complex:
@@ -230,8 +231,10 @@ def bilinear_fit(n1: float, n2_values) -> FitResult:
     Requires the separation hypothesis n1 <= n2/8 throughout the sweep;
     the predicted slope is -3/2.
     """
+    check_real("low frequency n1", n1)
     pts = []
     for n2 in n2_values:
+        check_real("high frequency n2", n2)
         if n1 > float(n2) / 8:
             raise ConfigError("sweep requires n1 <= n2/8")
         pts.append((float(n2), bilinear_interaction_norm(n1, n2)))

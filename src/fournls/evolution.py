@@ -188,6 +188,8 @@ def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
     phases, the centering phase and one batched inverse transform in place,
     whose rows become the fields.
     """
+    if not all(is_real(t) for t in np.ravel(times)):
+        raise ConfigError(f"flow times must be finite numbers, got {times!r}")
     grid = f.grid
     coef = to_spectrum(f).coef * weight
     rate = cfg.linear_phase_rate(grid.xi)

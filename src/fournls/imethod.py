@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ConfigError, InconclusiveFitError, NumericDomainError, TermBudgetError,
-                     check_real, is_real)
+                     check_integer, check_real, is_real)
 from .evolution import EvolutionConfig, evolve_many, galerkin_evolve
 from .fitting import FitResult, fit_loglog
 from .spectral import (
@@ -87,7 +87,6 @@ __all__ = [
     "MultilinearResult",
     "SumLastThree",
     "i_multiplier",
-    "multiplier_m2_derivatives",
     "apply_I",
     "energy2",
     "symbol_m4",
@@ -137,27 +136,6 @@ def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
 def i_multiplier(p: IMethodParams) -> Callable[[np.ndarray], np.ndarray]:
     """The smoothing multiplier m as a function of xi."""
     return lambda xi: _m_values(p, xi)
-
-
-def multiplier_m2_derivatives(p: IMethodParams, xi: np.ndarray):
-    """(m^2, (m^2)', (m^2)'') evaluated branch-wise in closed form, for the
-    mean-value bound checks."""
-    xi = np.asarray(xi, dtype=np.float64)
-    axi, sgn = np.abs(xi), np.sign(xi)
-    m2 = _m_values(p, xi) ** 2
-    d1, d2 = np.zeros_like(m2), np.zeros_like(m2)
-    with np.errstate(over="ignore"):  # inf past |xi| = 1.3e154, where d2 reads 0, its limit
-        axi2 = axi**2
-    hi = axi >= 2 * p.N
-    d1[hi] = sgn[hi] * 2 * p.s * m2[hi] / axi[hi]
-    d2[hi] = 2 * p.s * (2 * p.s - 1) * m2[hi] / axi2[hi]
-    mid = (axi > p.N) & (axi < 2 * p.N)
-    t = (np.log(axi[mid]) - np.log(p.N)) / np.log(2.0)
-    hp = p.s * (4 * t - 3 * t * t)          # dh/du, u = log|xi|
-    hpp = p.s * (4 - 6 * t) / np.log(2.0)   # d2h/du2
-    d1[mid] = sgn[mid] * m2[mid] * 2 * hp / axi[mid]
-    d2[mid] = m2[mid] * ((2 * hp) ** 2 + 2 * hpp - 2 * hp) / axi2[mid]
-    return m2, d1, d2
 
 
 def apply_I(f: Field, p: IMethodParams) -> Field:
@@ -260,9 +238,10 @@ class ModeSet:
     K: int
 
     def __post_init__(self):
+        check_integer("mode cutoff K", self.K, 1)
         if self.grid.k0:
             raise ConfigError(f"mode sets need a k0 = 0 grid, got k0={self.grid.k0}")
-        if self.K < 1 or self.K > self.grid.M // 2 - 1:
+        if self.K > self.grid.M // 2 - 1:
             raise ConfigError(
                 f"cutoff K={self.K} not symmetric-resolvable on M={self.grid.M}"
             )
@@ -524,38 +503,6 @@ def energy4(f: Field, p: IMethodParams, modes: ModeSet) -> float:
     the state leaked outside the mode set.
     """
     return _energies([f], _sigma4_marginals([f], modes), p, modes)[1][0]
-
-
-def sigma4_bound_constant(p: IMethodParams, rng: np.random.Generator) -> float:
-    """Largest observed |sigma4| / [m^2(min|xi_i|) / prod(N + |xi_i|)].
-
-    Half the tuples are broad log-uniform draws; the other half sit on the
-    near-pair ridge (xi2 ~ -xi1) at magnitudes scaled to the threshold,
-    where the ratio is extremal.  With the ridge samples the estimate is
-    threshold-independent, which is the content of the multiplier bound.
-    """
-    n_half = 50_000  # 100 000 tuples in all
-    x1, x2, x3 = 2.0 ** rng.uniform(0, np.log2(p.N) + 4, size=(3, n_half)) * rng.choice(
-        [-1.0, 1.0], size=(3, n_half)
-    )
-    a = 2.0 ** rng.uniform(np.log2(p.N) - 2, np.log2(p.N) + 4, n_half) * rng.choice(
-        [-1.0, 1.0], n_half
-    )
-    b = 2.0 ** rng.uniform(np.log2(p.N) - 2, np.log2(p.N) + 4, n_half) * rng.choice(
-        [-1.0, 1.0], n_half
-    )
-    d = a * 2.0 ** rng.uniform(-20, 0, n_half) * rng.choice([-1.0, 1.0], n_half)
-    x1 = np.concatenate([x1, a])
-    x2 = np.concatenate([x2, -a + d])
-    x3 = np.concatenate([x3, b])
-    x4 = -(x1 + x2 + x3)
-    vals = np.abs(_sigma4_on_hyperplane(x1, x2, x3, x4, p))
-    mins = np.minimum.reduce([np.abs(v) for v in (x1, x2, x3, x4)])
-    bound = _m_values(p, mins) ** 2
-    for v in (x1, x2, x3, x4):
-        bound = bound / (p.N + np.abs(v))
-    ok = bound > 0
-    return float(np.max(vals[ok] / bound[ok]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericDomainError, ResolutionError, check_integer, check_real
+from .errors import (ConfigError, NumericDomainError, ResolutionError, check_integer, check_real,
+                     is_real)
 
 __all__ = [
     "Grid",
@@ -182,6 +183,7 @@ def cubic_convolution(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray
 
 def fractional_derivative(f: Field, alpha: float) -> Field:
     """Apply |xi|^alpha.  alpha = 0 is the identity; constants map to zero for alpha > 0."""
+    check_real("derivative order alpha", alpha)
     if alpha < 0:
         raise ConfigError("negative-order derivatives are not supported")
     if alpha == 0:
@@ -220,8 +222,8 @@ def lebesgue_norm(f: Field, p: float) -> float:
     """L^p norm by grid quadrature; ``p = inf`` returns the max modulus."""
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
-    if not p >= 1:
-        raise ConfigError(f"Lebesgue exponent must be >= 1, got p={p}")
+    if not (is_real(p) and p >= 1):
+        raise ConfigError(f"Lebesgue exponent must be inf or a finite number >= 1, got p={p!r}")
     return float((f.grid.dx * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
@@ -238,6 +240,8 @@ def make_gaussian(
     spectral mass at the Nyquist mode above 1e-12 of the peak coefficient.
     """
     check_real("gaussian width", width, positive=True)
+    check_real("gaussian carrier", carrier)
+    check_real("gaussian center", center)
     if abs(carrier) >= grid.xi_max:
         raise ConfigError(
             f"carrier {carrier} is at or above the Nyquist frequency {grid.xi_max}"

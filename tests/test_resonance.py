@@ -3,14 +3,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fournls import IMethodParams
 from fournls.resonance import (
     MODES_PER_BAND,
-    MeanValueReport,
     _band_ratio,
-    mean_value_bound_check,
     resonance_lhs,
-    resonance_product_abs,
     resonance_product_signed,
     sample_hyperplane,
     trilinear_counterexample,
@@ -39,14 +35,17 @@ class TestFactorization:
 
     def test_abs_form_matches_magnitude_only(self):
         # (1, 1, 0, -2): signed product -16 = lhs, but the commonly quoted
-        # (xi2+xi3) pairing gives +16
+        # (xi2+xi3) pairing, |(xi1+xi2)(xi2+xi3)| Q, gives +16
+        def abs_form(x1, x2, x3, x4):
+            quad = x1**2 + x2**2 + x3**2 + x4**2 + 2 * (x1 + x3) ** 2
+            return np.abs((x1 + x2) * (x2 + x3)) * quad
+
         assert resonance_lhs(1, 1, 0, -2) == -16
         assert resonance_product_signed(1, 1, 0, -2) == -16
-        assert resonance_product_abs(1, 1, 0, -2) == 16
+        assert abs_form(1, 1, 0, -2) == 16
         x = sample_hyperplane(np.random.default_rng(0), 5000)
         lhs = resonance_lhs(*x)
-        assert np.allclose(np.abs(lhs), resonance_product_abs(*x),
-                           rtol=1e-9, atol=1e-6)
+        assert np.allclose(np.abs(lhs), abs_form(*x), rtol=1e-9, atol=1e-6)
 
     def test_million_random_tuples(self):
         rng = np.random.default_rng(1)
@@ -76,37 +75,6 @@ class TestFactorizationProperties:
         x = [k.astype(np.float64) for k in (k1, k2, k3, k4)]
         assert np.array_equal(resonance_product_signed(*x), exact.astype(np.float64))
         assert np.array_equal(resonance_lhs(*x), exact.astype(np.float64))
-
-
-class TestMeanValueBounds:
-    def params(self, N=32.0):
-        return IMethodParams(N=N, s=-0.5)
-
-    def test_constant_region_vanishes(self):
-        rep = mean_value_bound_check(
-            self.params(N=1024.0), np.random.default_rng(2), region="constant"
-        )
-        assert rep.first_order_const == 0.0
-        assert rep.second_order_const == 0.0
-
-    def test_power_region_constants(self):
-        # against the closed-form derivatives of |xi|^{-1}: near-1 constants
-        rep = mean_value_bound_check(
-            self.params(), np.random.default_rng(3), n_samples=4000, region="power"
-        )
-        assert 0.9 <= rep.first_order_const <= 1.0 + 1e-9
-        assert 0.9 <= rep.second_order_const <= 1.0 + 1e-9
-
-    def test_junction_region_bounded(self):
-        power = mean_value_bound_check(
-            self.params(), np.random.default_rng(4), n_samples=4000, region="power"
-        )
-        junction = mean_value_bound_check(
-            self.params(), np.random.default_rng(5), n_samples=4000, region="junction"
-        )
-        assert np.isfinite(junction.first_order_const)
-        assert junction.first_order_const < 10 * power.first_order_const
-        assert junction.second_order_const < 10 * power.second_order_const
 
 
 def _band_grid(N: float):

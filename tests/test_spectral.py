@@ -177,11 +177,12 @@ class TestNorms:
             lebesgue_norm(u, 0.5)
 
     @pytest.mark.parametrize("norm, order", [(sobolev_norm, np.nan), (sobolev_norm, np.inf),
-                                             (sobolev_norm, -np.inf), (lebesgue_norm, np.nan)],
+                                             (sobolev_norm, -np.inf), (lebesgue_norm, np.nan),
+                                             (lebesgue_norm, "x"), (fractional_derivative, "x")],
                              ids=["sobolev-nan", "sobolev-inf", "sobolev-minus-inf",
-                                  "lebesgue-nan"])
+                                  "lebesgue-nan", "lebesgue-str", "derivative-str"])
     def test_non_finite_order_rejected(self, norm, order):
-        # each used to return nan
+        # the nan cases used to return nan, the strings raised a bare TypeError
         u = Field(make_grid(2 * np.pi, 32), np.ones(32, complex))
         with pytest.raises(ConfigError):
             norm(u, order)
@@ -224,6 +225,12 @@ class TestGaussian:
         g = make_grid(10.0, 64)
         with pytest.raises(ConfigError):
             make_gaussian(g, carrier=100.0)
+
+    @pytest.mark.parametrize("bad", [dict(center=np.inf), dict(center="x"), dict(carrier=np.nan)])
+    def test_non_finite_center_or_carrier_rejected(self, bad):
+        # center = inf used to return an all-zero field, carrier = nan a nan one
+        with pytest.raises(ConfigError):
+            make_gaussian(make_grid(10.0, 64), **bad)
 
     def test_underresolved_width_rejected(self):
         g = make_grid(10.0, 16)

@@ -1,6 +1,6 @@
 """Bitwise fingerprints of fournls outputs, to compare two source trees.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<tree>/src python tools/parity.py manifest OUT.json
+    PYTHONPATH=<tree>/src python tools/parity.py manifest OUT.json
     python tools/parity.py diff A.json B.json
 
 ``manifest`` runs the ``fournls`` found on the path and writes one JSON object,
@@ -11,6 +11,10 @@ key -> fingerprint, for:
 * ``lambda_n`` (a real and a complex four-slot symbol, and Lambda6(M6) on the
   collapsed walk), ``energy4``, ``derivative_identity_check`` and every
   ``imethod.symbol_*`` function, at L = 2 pi and L = 7.3;
+* each part of the ``evolve`` record, and of the two records of a
+  two-member ``evolve_many``, for each scheme at kappa = 1, -1 and 0, on a
+  k0 = 0 grid (M = 256) and a band grid (M = 250, k0 = 37), and for "ifrk4"
+  also with ``project_K`` = M // 6;
 * the result of every call of a function in a ``fournls`` module's
   ``__all__`` made while the criteria 01-13 of ``tests/test_acceptance.py``
   (the copy next to this script) run, keyed by test, function and call
@@ -20,9 +24,10 @@ A number's fingerprint is its ``repr``; anything else is the sha256 of its raw
 bytes.  A result with parts (a dataclass, list, tuple or dict) is the sha256
 of its parts' fingerprints; a generator is left unconsumed.  ``diff`` prints
 each key that differs or is on one side only and exits 1 if there is any.
-Run both trees at ``OPENBLAS_NUM_THREADS=1``: threaded BLAS reductions
-(``dispersive.kernel_K``) give other bits at other thread counts.  The
-setting is itself a key, so a mismatch shows in the diff.
+Manifests of one tree taken at one and at two OpenBLAS threads differ only in
+the key ``env/OPENBLAS_NUM_THREADS``, which records the setting.  A tree whose
+``dispersive.kernel_K`` still sums with BLAS dots gives other kernel bits at
+other thread counts; compare it with both sides at ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -195,12 +200,42 @@ def _imethod_keys(out: dict):
                 out[f"{name}/L={name_L}/N={N}"] = fingerprint(fn(*xi, IMethodParams(N=N)))
 
 
+def _packet(grid, rng):
+    """A Gaussian of width 2 on the grid's local modes, at a random amplitude and center."""
+    from fournls import Spectrum, to_physical
+
+    xi = 2 * np.pi / grid.L * grid.k
+    amp = (rng.normal() + 1j * rng.normal()) * 2 * np.sqrt(np.pi) / grid.L
+    coef = amp * np.exp(-xi**2 - 1j * rng.uniform(-3.0, 3.0) * xi)
+    return to_physical(Spectrum(grid, coef))
+
+
+def _evolve_keys(out: dict):
+    from fournls import EvolutionConfig, evolve, evolve_many, make_grid
+
+    for tag, grid in (("k0=0", make_grid(40.0, 256)), ("band", make_grid(40.0, 250, 37))):
+        rng = np.random.default_rng(0)
+        pair = [_packet(grid, rng) for _ in range(2)]
+        for scheme, K in (("strang", None), ("mclachlan2", None), ("ifrk4", None),
+                          ("ifrk4", grid.M // 6)):
+            for kappa in (1, -1, 0):
+                cfg = EvolutionConfig(kappa=kappa, dt=1e-3, t_end=0.01, scheme=scheme,
+                                      record_stride=5, sobolev_orders=(-0.5,), project_K=K)
+                runs = {"evolve": evolve(pair[0], cfg)}
+                runs.update((f"evolve_many[{i}]", r) for i, r in enumerate(evolve_many(pair, cfg)))
+                for name, rec in runs.items():
+                    for part in dataclasses.fields(rec):
+                        key = f"evolve/{tag}/{scheme}/K={K}/kappa={kappa}/{name}/{part.name}"
+                        out[key] = _result_fingerprint(getattr(rec, part.name))
+
+
 def manifest(path: str):
     import fournls
 
     print(f"fournls from {Path(fournls.__file__).parent}", file=sys.stderr)
     out = {"env/OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
     _imethod_keys(out)
+    _evolve_keys(out)
     _harness_keys(out)
     _criteria_keys(out)
     Path(path).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
