@@ -76,8 +76,10 @@ from .errors import AbortedRunError, ConfigError, check_integer, check_real, is_
 from .spectral import (
     Field,
     Spectrum,
+    _check_cutoff,
     _mass_fraction,
     _sobolev_weight,
+    _support_radius,
     _tail_mask,
     _weighted_norm,
     check_resolved,
@@ -515,12 +517,9 @@ def _galerkin_run(s: Spectrum, K):
     above 4K as its M: the cubic term's aliases cannot reach |k| <= K, the
     factor M is exact, and a wide ``s.grid`` costs no larger transforms.
     """
-    check_integer("mode cutoff K", K, 1)
-    if K > s.grid.M // 2 - 1:
-        raise ConfigError(f"mode cutoff K={K} outside grid resolution")
-    peak = np.max(np.abs(s.coef))
-    if peak > 0 and np.any(np.abs(s.coef[np.abs(s.grid.k) > K]) > 1e-12 * peak):
-        raise ConfigError("spectrum has support above the Galerkin cutoff")
+    _check_cutoff(s.grid, K)
+    if _support_radius(s) > K:
+        raise ConfigError(f"spectrum has support above the Galerkin cutoff K={K}")
     grid = make_grid(s.grid.L, 2 ** int(4 * K).bit_length(), s.grid.k0)
     ks = np.arange(-K, K + 1)
     scale = grid.M * grid._centering_phase[ks]

@@ -67,13 +67,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ConfigError, InconclusiveFitError, NumericDomainError, TermBudgetError,
-                     check_integer, check_real, is_real)
+                     check_real, is_real)
 from .evolution import EvolutionConfig, evolve_many, galerkin_evolve
 from .fitting import FitResult, fit_loglog
 from .spectral import (
     Field,
     Grid,
     Spectrum,
+    _check_cutoff,
+    _support_radius,
     apply_symbol,
     cubic_convolution,
     mass,
@@ -228,23 +230,23 @@ def _m6(p: IMethodParams) -> SumLastThree:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Symmetric truncation {xi_k : |k| <= K} of a grid's frequency lattice.
-
-    Only on k0 = 0 grids: the zero-sum hyperplanes of the multilinear forms
-    are sums of the indices k, which a band grid shifts by k0.
-    """
+    """Symmetric truncation {xi_k : |k| <= K}, 1 <= K <= M/2 - 1, of a grid's lattice,
+    and its one owner: the forms read L, the index wrap and their fields'
+    coefficients from ``grid`` alone (``check``).  Only on k0 = 0 grids: the zero-sum
+    hyperplanes of the forms are sums of the indices k, which a band grid shifts by k0."""
 
     grid: Grid
     K: int
 
     def __post_init__(self):
-        check_integer("mode cutoff K", self.K, 1)
+        _check_cutoff(self.grid, self.K)
         if self.grid.k0:
             raise ConfigError(f"mode sets need a k0 = 0 grid, got k0={self.grid.k0}")
-        if self.K > self.grid.M // 2 - 1:
-            raise ConfigError(
-                f"cutoff K={self.K} not symmetric-resolvable on M={self.grid.M}"
-            )
+
+    def check(self, fields) -> None:
+        for i, f in enumerate(fields):
+            if f.grid != self.grid:
+                raise ConfigError(f"field {i} lies on {f.grid}, not on the mode set's {self.grid}")
 
     @property
     def k_values(self) -> np.ndarray:
@@ -276,15 +278,16 @@ class SumLastThree:
         return self.core(xi1, xi2, xi3, np.asarray(xi4, dtype=np.float64) + xi5 + xi6)
 
 
-def _coefs(fields, K: int) -> np.ndarray:
-    """(len(fields), 2K+1) coefficients hat u_j(xi_k), k = -K..K (centred order)."""
-    return np.array([to_spectrum(f).coef[np.arange(-K, K + 1) % f.grid.M] for f in fields])
+def _coefs(fields, modes: ModeSet) -> np.ndarray:
+    """(len(fields), 2K+1) coefficients hat u_j(xi_k), k = -K..K, of fields on ``modes.grid``."""
+    modes.check(fields)
+    return np.array([to_spectrum(f).coef[modes.k_values % modes.grid.M] for f in fields])
 
 
-def _slot_coefs(fields, K: int) -> list:
+def _slot_coefs(fields, modes: ModeSet) -> list:
     """Per-slot coefficients on k = -K..K: hat u_j(xi_k) in odd slots (1-based)
     and conj(hat u_j(-xi_k)) in even slots."""
-    coefs = _coefs(fields, K)
+    coefs = _coefs(fields, modes)
     return [c if j % 2 == 0 else np.conj(c[::-1]) for j, c in enumerate(coefs)]
 
 
@@ -356,13 +359,8 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
             f"lambda_n sums 4 fields, or 6 with a SumLastThree symbol; got {n} fields "
             f"and a {type(symbol).__name__}"
         )
-    K = modes.K
-    grid = fields[0].grid
-    for f in fields:
-        if f.grid != grid:
-            raise ConfigError("all fields must share one grid")
-    slots = _slot_coefs(fields, K)
-    two_pi_over_L = 2 * np.pi / grid.L
+    K, L = modes.K, modes.grid.L
+    slots = _slot_coefs(fields, modes)
     core = symbol.core if collapsed else symbol
     last = cubic_convolution(*slots[3:]) if collapsed else slots[3]
 
@@ -371,7 +369,7 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
     # rising sheets, a - k1 at i + o - a and -(a + k3) at i + o + a of
     # the falling ones
     R, o = len(last) // 2, len(last) // 2 - K
-    rising = two_pi_over_L * np.arange(-R, R + 1)
+    rising = 2 * np.pi / L * np.arange(-R, R + 1)
     rows_up, rows_down = (np.broadcast_to(x[:, None], (2 * R + 1, 2 * K + 1))
                           for x in (rising, rising[::-1]))
     cols_up, cols_down = (np.broadcast_to(x, (2 * K + 1, 2 * R + 1))
@@ -389,7 +387,7 @@ def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
         total = by_k1.sum()
     if not np.isfinite(total):
         raise NumericDomainError(f"the {n}-linear form is not finite: {total}")
-    return MultilinearResult(value=complex(grid.L * total), terms=(2 * K + 1) ** 3)
+    return MultilinearResult(value=complex(L * total), terms=(2 * K + 1) ** 3)
 
 
 def _inv_alpha4(K: int):
@@ -448,10 +446,9 @@ def _sigma4_marginals(fields, modes: ModeSet) -> np.ndarray:
     ``fields`` is walked once, whatever it holds (every snapshot of a whole
     family, say), so each plane's weight is built once for all of them.
     """
-    K = modes.K
-    a = _coefs(fields, K)
+    a = _coefs(fields, modes)
     b = np.conj(a[:, ::-1])
-    r1, r2 = _walk_planes(_inv_alpha4(K), a, b, a, b, K)
+    r1, r2 = _walk_planes(_inv_alpha4(modes.K), a, b, a, b, modes.K)
     return (r1 - r2) / (2 * np.pi / modes.grid.L) ** 4
 
 
@@ -480,7 +477,7 @@ def _lambda4_sigma4(marginals: np.ndarray, p: IMethodParams, modes: ModeSet) -> 
 def _lambda4_m4(f: Field, p: IMethodParams, modes: ModeSet) -> complex:
     """Lambda4(M4) of one field from two lattice convolutions (module docstring)."""
     K = modes.K
-    a = _coefs([f], K)[0]
+    a = _coefs([f], modes)[0]
     b = np.conj(a[::-1])
     # entry n of a (6K+1) convolution sits at 3K + n; n = -k for k = -K..K
     c1 = cubic_convolution(b, a, b)[2 * K:4 * K + 1][::-1]
@@ -520,15 +517,6 @@ class IdentityCheck:
     c_estimate: float
 
 
-def _support_radius(spec: Spectrum) -> int:
-    mags = np.abs(spec.coef)
-    peak = np.max(mags)
-    if peak == 0:
-        return 0
-    occupied = mags > 1e-13 * peak
-    return int(np.max(np.abs(spec.grid.k[occupied])))
-
-
 def derivative_identity_check(
     f: Field, p: IMethodParams, cfg: EvolutionConfig, modes: ModeSet
 ) -> IdentityCheck:
@@ -541,12 +529,11 @@ def derivative_identity_check(
     five-point fourth-order stencil with step 1e-5 (the resonance
     phases reach ~K^4, so a second-order stencil would not meet 1e-6).
     """
+    modes.check([f])
     spec0 = to_spectrum(f)
     support = _support_radius(spec0)
     if 3 * support > modes.K:
-        raise ConfigError(
-            f"state support {support} too wide: need 3*support <= K = {modes.K}"
-        )
+        raise ConfigError(f"state support {support} too wide: need 3*support <= K = {modes.K}")
     g = cfg.kappa
     if cfg.equation != "quartic" or cfg.orientation != 1:
         raise ConfigError("identity check is defined for i u_t = +u_xxxx + kappa|u|^2 u")
@@ -659,12 +646,12 @@ def almost_conservation_experiment(
         raise ConfigError("sweep requires recorded fields")
     inc4 = {N: [] for N in N_values}
     inc2 = {N: [] for N in N_values}
+    modes = ModeSet(family[0].grid, support_K)
+    modes.check(family)
     records = evolve_many(family, cfg)
-    K = support_K
-    modes = ModeSet(family[0].grid, K)
     # one walk over every snapshot of every member; members share their times
     walked = _sigma4_marginals([f for rec in records for f in rec.fields], modes)
-    for rec, marginals in zip(records, walked.reshape(len(records), -1, 2 * K + 1)):
+    for rec, marginals in zip(records, walked.reshape(len(records), -1, 2 * modes.K + 1)):
         for N in N_values:
             e2, e4 = _energies(rec.fields, marginals, IMethodParams(N=float(N), s=s), modes)
             inc4[N].append(float(np.max(np.abs(e4 - e4[0]))))

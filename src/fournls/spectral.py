@@ -134,6 +134,19 @@ class Spectrum:
             )
 
 
+def _check_cutoff(grid: Grid, K) -> None:
+    """:class:`ConfigError` unless the mode cutoff K is an integer, 1 <= K <= M/2 - 1."""
+    check_integer("mode cutoff K", K, 1)
+    if K > grid.M // 2 - 1:
+        raise ConfigError(f"mode cutoff K={K} needs K <= M/2 - 1 on a grid of M={grid.M}")
+
+
+def _support_radius(s: Spectrum) -> int:
+    """The largest local |k| with |c_k| above 1e-13 of the peak; 0 for a zero spectrum."""
+    mags = np.abs(s.coef)
+    return int(np.max(np.abs(s.grid.k[mags > 1e-13 * np.max(mags)]), initial=0))
+
+
 def make_grid(L: float, M: int, k0: int = 0) -> Grid:
     """Build a periodic grid of length ``L`` with ``M`` (even, >= 8) modes,
     centred on the carrier index ``k0``."""

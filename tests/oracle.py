@@ -18,14 +18,14 @@ import itertools
 import numpy as np
 
 from fournls import to_spectrum
-from fournls.imethod import _m_values, _sigma4_on_hyperplane, _slot_coefs
+from fournls.imethod import ModeSet, _m_values, _sigma4_on_hyperplane, _slot_coefs
 
 
 def direct_sum(symbol, fields, K: int) -> complex:
     """The form of any even order n = len(fields); ``symbol`` gets n arrays of frequencies."""
     n = len(fields)
     grid = fields[0].grid
-    slots = _slot_coefs(fields, K)
+    slots = _slot_coefs(fields, ModeSet(grid, K))
     ks = np.arange(-K, K + 1)
     two_pi_over_L = 2 * np.pi / grid.L
     # k2 .. k(n-1) on every point of their cube, in meshgrid "ij" order

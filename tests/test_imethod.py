@@ -662,6 +662,91 @@ class TestDerivativeIdentities:
             derivative_identity_check(u, self.p, self.cfg(), self.modes)
 
 
+def criterion04_first_state():
+    """The first of criterion 04's ten states: five modes in |k| <= 4 on L = 2 pi, M = 64."""
+    grid = make_grid(2 * np.pi, 64)
+    rng = np.random.default_rng(123)
+    coef = np.zeros(64, dtype=np.complex128)
+    for k in rng.choice(np.arange(-4, 5), size=5, replace=False):
+        coef[int(k) % 64] = 0.3 * (rng.normal() + 1j * rng.normal())
+    return to_physical(Spectrum(grid, coef))
+
+
+class TestModeSetOwnsTheLattice:
+    """A field meets the truncated lattice only through its ``ModeSet``: a form,
+    an identity check or a sweep on a field off ``modes.grid`` is refused,
+    naming the field, before any work.  Without that check the walk read
+    8.4304 for int |u|^4 = 0.44311 below, the identity check c = -9613.3 for
+    4, and a sweep scaled an L = 3 pi member by member 0's L = 2 pi."""
+
+    def ones(self):
+        return lambda a, b, c, d: np.ones_like(a)
+
+    def mismatched(self):
+        u = make_gaussian(make_grid(2 * np.pi, 64), width=0.5)
+        return [(u, ModeSet(make_grid(2 * np.pi, 512), 120)),
+                (criterion04_first_state(), ModeSet(make_grid(7.3, 64), 12))]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["M=64-field-M=512-modes", "L=7.3-modes"])
+    def test_forms_refuse_a_field_off_the_mode_set_grid(self, case):
+        u, modes = self.mismatched()[case]
+        with pytest.raises(ConfigError, match=r"field 0 lies on Grid\(L=6.28"):
+            lambda_n(self.ones(), [u] * 4, modes)
+        with pytest.raises(ConfigError, match="field 0 lies on"):
+            energy4(u, params(), modes)
+        other = Field(modes.grid, np.zeros(modes.grid.M))
+        with pytest.raises(ConfigError, match="field 2 lies on"):
+            lambda_n(self.ones(), [other, other, u, other], modes)
+
+    def test_forms_read_L_from_the_mode_set(self):
+        # a field on an equal grid, built apart, is on the lattice: int |u|^4
+        u = make_gaussian(make_grid(2 * np.pi, 64), width=0.5)
+        got = lambda_n(self.ones(), [u] * 4, ModeSet(make_grid(2 * np.pi, 64), 20)).value
+        assert abs(got - u.grid.dx * np.sum(np.abs(u.values) ** 4)) < 1e-12
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["M=64-field-M=512-modes", "L=7.3-modes"])
+    def test_identity_check_refuses_before_any_galerkin_step(self, case, monkeypatch):
+        u, modes = self.mismatched()[case]
+        monkeypatch.setattr(imethod, "galerkin_evolve", lambda *a, **k: pytest.fail("evolved"))
+        cfg = EvolutionConfig(kappa=1, dt=1e-5, t_end=1e-4)
+        with pytest.raises(ConfigError, match="field 0 lies on"):
+            derivative_identity_check(u, params(), cfg, modes)
+
+    def test_sweep_refuses_a_mixed_length_family_before_evolving(self, monkeypatch):
+        family = [criterion04_first_state()]
+        family.append(Field(make_grid(3 * np.pi, 64), family[0].values))
+        monkeypatch.setattr(imethod, "evolve_many", lambda *a: pytest.fail("evolved"))
+        cfg = EvolutionConfig(kappa=1, dt=1e-3, t_end=1e-2, scheme="ifrk4",
+                              require_localized=False, project_K=12)
+        with pytest.raises(ConfigError, match=r"field 1 lies on Grid\(L=9.42"):
+            imethod.almost_conservation_experiment(family, [1, 2, 3, 4], cfg, support_K=12)
+
+    @pytest.mark.parametrize("K", [32, 40])
+    def test_one_cutoff_rule_for_mode_sets_and_galerkin_runs(self, K):
+        g = make_grid(2 * np.pi, 64)
+        with pytest.raises(ConfigError) as by_modes:
+            ModeSet(g, K)
+        with pytest.raises(ConfigError) as by_galerkin:
+            imethod.galerkin_evolve(Spectrum(g, np.zeros(64)), EvolutionConfig(), K, 0.1)
+        assert str(by_modes.value) == str(by_galerkin.value)
+        assert f"K={K} needs K <= M/2 - 1" in str(by_modes.value)
+        assert ModeSet(g, 31).K == 31
+
+    def test_one_support_threshold_for_identity_checks_and_galerkin_runs(self):
+        # a mode 5e-13 of the peak counts as support for both readers; the
+        # Galerkin cutoff used to read at 1e-12 and drop it without a word
+        g = make_grid(2 * np.pi, 64)
+        coef = np.zeros(64, dtype=np.complex128)
+        coef[1], coef[5] = 1.0, 5e-13
+        with pytest.raises(ConfigError, match="support above the Galerkin cutoff K=4"):
+            imethod.galerkin_evolve(Spectrum(g, coef), EvolutionConfig(), 4, 0.1)
+        with pytest.raises(ConfigError, match="state support 5 too wide"):
+            derivative_identity_check(to_physical(Spectrum(g, coef)), params(),
+                                      EvolutionConfig(), ModeSet(g, 12))
+        coef[5] = 5e-14  # below 1e-13 of the peak: round-off, not support
+        assert imethod.galerkin_evolve(Spectrum(g, coef), EvolutionConfig(), 4, 0.1).coef[5] == 0
+
+
 class TestGwpParameters:
     def test_half_regularity(self):
         res = gwp_parameters(Fraction(-1, 2), T=100.0, u0_norm=1.0, eps0=1.0)

@@ -52,7 +52,7 @@ def test_marginal_lambda4_matches_direct_sum(case, N):
     # marginals of |coefficients| weighted by |1/alpha4|: Lambda4 itself can
     # cancel to 1e-40 while its terms stay of order one
     K = modes.K
-    a = np.abs(imethod._coefs([f], K)).astype(np.complex128)
+    a = np.abs(imethod._coefs([f], modes)).astype(np.complex128)
     inv_alpha4 = imethod._inv_alpha4(K)
 
     def abs_inv_alpha4(*block):
@@ -79,7 +79,7 @@ def test_convolution_lambda4_m4_matches_direct_sum(case, N):
     # L sum_k |m^2_k - 1| (|a_k| |C1|(-k) + |b_k| |C2|(-k)), with |C1| and
     # |C2| the same convolutions of |a|; Lambda4(M4) itself may cancel
     K = modes.K
-    a = np.abs(imethod._coefs([f], K)[0])
+    a = np.abs(imethod._coefs([f], modes)[0])
     b = a[::-1]
     c1 = cubic_convolution(b, a, b)[2 * K:4 * K + 1][::-1]
     c2 = cubic_convolution(a, a, b)[2 * K:4 * K + 1][::-1]
@@ -171,7 +171,7 @@ def _hyperplane(K, R):
 def test_plane_walk_marginals_within_the_stated_bound(case):
     (f,), modes = case
     K, n = modes.K, 2 * modes.K + 1
-    a = imethod._coefs([f], K)
+    a = imethod._coefs([f], modes)
     b = np.conj(a[:, ::-1])
     r1, r2 = imethod._walk_planes(imethod._inv_alpha4(K), a, b, a, b, K)
     am, bm = _mp(a[0]), _mp(b[0])
@@ -205,7 +205,7 @@ def test_plane_walk_lambda_forms_within_the_stated_bound(case, N):
     k1, k2, k3 = np.meshgrid(ks, ks, ks, indexing="ij")
     xi = [2 * np.pi / L * k for k in (k1, k2, k3, -(k1 + k2 + k3))]
     m6 = imethod._m6(p).core(*xi)
-    slots = [_mp(s) for s in imethod._slot_coefs([f] * 6, K)]
+    slots = [_mp(s) for s in imethod._slot_coefs([f] * 6, modes)]
     with mpmath.workdps(40):
         lam4, scale4 = mpmath.mpc(0), 0.0
         for j1, j2, j3 in _hyperplane(K, K):
