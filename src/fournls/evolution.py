@@ -183,8 +183,9 @@ _FLOW_BLOCK_BYTES = 8 * 2**20  # times evaluated at once: one complex (chunk, M)
 
 
 def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
-    """Yield, for each t in ``times``, the field of coefficients
-    ``weight * exp(i * cfg.linear_phase_rate(xi) * t) * c_k``.
+    """An iterator over the fields of coefficients ``weight * exp(i *
+    cfg.linear_phase_rate(xi) * t) * c_k``, one per t in ``times``; the
+    times are checked at the call, and the work starts at the first field.
 
     The times run in chunks, each one (chunk, M) array of its own: cos/sin
     phases, the centering phase and one batched inverse transform in place,
@@ -192,6 +193,11 @@ def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
     """
     if not all(is_real(t) for t in np.ravel(times)):
         raise ConfigError(f"flow times must be finite numbers, got {times!r}")
+    return _flow(f, times, cfg, weight)
+
+
+def _flow(f: Field, times, cfg: EvolutionConfig, weight):
+    """The fields of ``free_flow``, streamed."""
     grid = f.grid
     coef = to_spectrum(f).coef * weight
     rate = cfg.linear_phase_rate(grid.xi)

@@ -23,6 +23,12 @@ sigma4 = M4 / (xi1^4 - xi2^4 + xi3^4 - xi4^4)  (real-valued), and
 M6 = i sigma4(xi1, xi2, xi3, xi4+xi5+xi6).  The correction term cancels the
 quadrilinear increment exactly for g = +1, the normalization adopted here.
 
+The lattice.  Every form sums over the truncation |k| <= K of one
+:class:`ModeSet`, its one owner: the forms take L, the index wrap and their
+fields' coefficients from its grid and refuse a field on any other.  The
+cutoff rule and the support reader it shares with the Galerkin runs are
+written once, in :mod:`fournls.spectral`.
+
 Evaluation.  Lambda4(sigma4) and Lambda4(M4) are not summed symbol by
 symbol: each reads one table of m^2 on the lattice.  One walk of the
 hyperplane, ``_walk_planes`` (the planes k1 + k2 = a, one BLAS matrix
@@ -336,11 +342,13 @@ def _walk_planes(weight, s1, s2, s3, last, K: int):
 
 
 def lambda_n(symbol, fields, modes: ModeSet) -> MultilinearResult:
-    """The multilinear form of ``symbol`` over the truncated hyperplane, on one walk.
+    """The multilinear form of ``symbol`` over the hyperplane truncated to ``modes``.
 
-    Slots alternate u, conj: odd slots contribute hat(u_j)(xi), even slots
-    conj(hat(u_j)(-xi)).  The hyperplane measure is calibrated so
-    Lambda4(1; u) = int |u|^4 dx for band-limited u (one overall factor L).
+    The fields lie on ``modes.grid`` (``ModeSet.check``), whose L scales the
+    frequencies and the measure.  Slots alternate u, conj: odd slots
+    contribute hat(u_j)(xi), even slots conj(hat(u_j)(-xi)).  The hyperplane
+    measure is calibrated so Lambda4(1; u) = int |u|^4 dx for band-limited u
+    (one overall factor L).
     Two forms are summed, each on one walk of ``_walk_planes``: four fields
     with a four-slot symbol, and six fields with a :class:`SumLastThree`
     symbol, summed as sum_{k1,k2,k3} core * u1 u2 u3 V(-(k1+k2+k3)) with V
@@ -545,7 +553,7 @@ def derivative_identity_check(
     fd2, fd4 = (e[:, 0] - 8 * e[:, 1] + 8 * e[:, 2] - e[:, 3]) / (12 * h)
     lam4 = _lambda4_m4(f, p, modes)
     pred2 = (1j * g * lam4).real
-    if 2 * np.pi / f.grid.L * support <= p.N:
+    if 2 * np.pi / modes.grid.L * support <= p.N:
         # m = 1 on every occupied mode: M4 vanishes term by term, pred2 is 0
         # and fd2 is stencil error, so measure both against E2 itself
         defect2 = abs(fd2 - pred2) / energy2(f, p)
@@ -706,8 +714,11 @@ def gwp_parameters(s, T: float, u0_norm: float, eps0: float) -> GwpParameters:
         N = 1.0
         lam = 1.0
     else:
-        N = float(T) ** float(1 / t_exp)
-        lam = (N ** float(-s) * u0_norm / eps0) ** float(2 / three_plus)
+        try:
+            N = float(T) ** float(1 / t_exp)
+            lam = (N ** float(-s) * u0_norm / eps0) ** float(2 / three_plus)
+        except OverflowError:  # float powers raise it where products give inf
+            N = lam = float("inf")
         if not np.isfinite(lam) or not np.isfinite(N):
             raise ConfigError("lambda or N overflowed; s is too close to -3/2")
     return GwpParameters(

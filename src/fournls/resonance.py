@@ -107,8 +107,8 @@ def trilinear_counterexample(N_values, s: float) -> TrilinearResult:
     below.
     """
     check_real("s", s)
-    if s >= 0.5:
-        raise ConfigError("counterexample targets s <= 0 (rough data)")
+    if s > 0:
+        raise ConfigError(f"counterexample targets s <= 0 (rough data), got s={s!r}")
     for N in N_values:
         check_real("band frequency N", N, positive=True)
     lhs, rhs = {}, {}

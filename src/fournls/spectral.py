@@ -252,6 +252,10 @@ def make_gaussian(
     Fails with :class:`ResolutionError` when the carrier or width leaves
     spectral mass at the Nyquist mode above 1e-12 of the peak coefficient.
     """
+    parts = ((amplitude.real, amplitude.imag) if isinstance(amplitude, (complex, np.complexfloating))
+             else (amplitude,))
+    if not all(is_real(v) for v in parts):
+        raise ConfigError(f"gaussian amplitude must be a finite number, got {amplitude!r}")
     check_real("gaussian width", width, positive=True)
     check_real("gaussian carrier", carrier)
     check_real("gaussian center", center)

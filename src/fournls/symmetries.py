@@ -35,10 +35,10 @@ def check_scaling_covariance(
     """L^2 defect between scaling and evolving in either order.
 
     Run A evolves ``f0`` to time lam^4 t and then applies the scaling map;
-    run B evolves the scaled data to time t (with its own step, by default
-    the same dt as run A so the comparison probes genuine discretization
-    error; passing ``dt_scaled = cfg.dt / lam^4`` makes the two runs
-    commute to round-off).
+    run B evolves the scaled data to time t with its own step ``dt_scaled``:
+    None, the default, takes the same dt as run A, so the comparison probes
+    genuine discretization error; ``dt_scaled = cfg.dt / lam^4`` makes the
+    two runs commute to round-off.
 
     When the two runs take equal numbers of steps (lam = 1, or the commuting
     choice of ``dt_scaled``), they are stepped as one ``evolve_many`` stack,
@@ -49,7 +49,8 @@ def check_scaling_covariance(
         raise ConfigError("scaling covariance is a quartic-equation property")
     scaled0 = scale_transform(f0, lam)
     cfg_a = replace(cfg, t_end=lam**4 * t, record_fields=True)
-    cfg_b = replace(cfg, t_end=t, dt=dt_scaled or cfg.dt, record_fields=True)
+    dt_b = cfg.dt if dt_scaled is None else dt_scaled
+    cfg_b = replace(cfg, t_end=t, dt=dt_b, record_fields=True)
     if _n_steps(cfg_a) == _n_steps(cfg_b):
         rec_a, rec_b = evolve_many([f0, scaled0], [cfg_a, cfg_b])
     else:

@@ -144,6 +144,22 @@ class TestLinearPropagators:
         with pytest.raises(ConfigError, match="flow times"):
             next(free_flow(smooth_datum(), times, EvolutionConfig()))
 
+    def test_free_flow_checks_its_times_at_the_call_and_streams_the_rows(self):
+        # the times were checked only at the first next(); the rows still
+        # come one at a time, a chunk transformed only when it is reached
+        with pytest.raises(ConfigError, match="flow times"):
+            free_flow(smooth_datum(), ["x"], EvolutionConfig())
+        u = smooth_datum(M=2**16)
+        rows = free_flow(u, np.linspace(0.0, 0.01, 11), EvolutionConfig())
+        assert iter(rows) is rows
+        calls = []
+        real_ifft = np.fft.ifft
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or real_ifft(*a, **k))
+            next(rows)
+            assert len(calls) == 1  # the first of two chunks
+            assert sum(1 for _ in rows) == 10 and len(calls) == 2
+
 
 class TestNonlinearSubstep:
     # the split steps' nonlinear substep over dt is _rotate at theta = -kappa dt

@@ -767,6 +767,13 @@ class TestGwpParameters:
         with pytest.raises(ConfigError):
             gwp_parameters(-1.4, T=10.0, u0_norm=1.0, eps0=1.0)
 
+    @pytest.mark.parametrize("s, T", [(-0.6428, 100.0), (-0.642857, 2.0)])
+    def test_overflow_near_the_time_exponent_zero_is_a_config_error(self, s, T):
+        # 14 s + 9 -> 0+ sends N = T^(1/t_exp) past every float, which Python's
+        # float power raised as a bare OverflowError
+        with pytest.raises(ConfigError, match="overflowed"):
+            gwp_parameters(s, T=T, u0_norm=1.0, eps0=0.1)
+
     @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
     def test_non_finite_regularity_rejected(self, s):
         # Fraction(s) used to raise a bare ValueError or OverflowError

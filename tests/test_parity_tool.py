@@ -27,11 +27,23 @@ def test_diff_names_each_differing_key(tmp_path, capsys):
     assert lines == [
         "differs:   array: " + a["array"] + " -> " + b["array"],
         "only in A: gone",
-        "differs:   moved: 0.1 -> 0.10000000000000002",
+        "differs:   moved: 0.1 -> 0.10000000000000002 (relative 1.39e-16)",
         "only in B: new",
         "5 keys, 4 differ",
     ]
     assert parity.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "a.json")]) == 0
+
+
+def test_relative_difference_only_between_two_numbers():
+    parity = _parity()
+    rel = parity.relative_difference
+    assert rel("3", "4") == 0.25
+    assert rel("(1+2j)", "(1+2j)") == 0.0 and rel("0.0", "-0.0") == 0.0
+    assert rel("-2.0", "2.0") == 2.0
+    assert abs(rel("(3+4j)", "(3-4j)") - 1.6) < 1e-15
+    for a, b in (("True", "False"), ("None", "1.0"), ("'x'", "'y'"),
+                 ("sha256:ab", "sha256:cd"), ("1.0", "sha256:cd")):
+        assert rel(a, b) is None
 
 
 def test_fingerprint_is_repr_for_numbers_and_bytes_otherwise():
@@ -55,3 +67,13 @@ def test_evolve_records_are_keyed_by_grid_scheme_coupling_and_member():
     assert out[f"{at}/evolve/fields"] != out["evolve/band/ifrk4/K=41/kappa=0/evolve/fields"]
     assert out[f"{at}/evolve/fields"] != out["evolve/band/ifrk4/K=None/kappa=-1/evolve/fields"]
     assert out[f"{at}/evolve/aborted"] == "False"
+
+
+def test_galerkin_records_are_keyed_by_grid_coupling_and_time_sign():
+    parity = _parity()
+    out = {}
+    parity._galerkin_keys(out)
+    at = [f"{tag}/kappa={kappa}" for tag in ("k0=0", "band") for kappa in (1, -1, 0)]
+    assert set(out) == ({f"galerkin_rhs/{a}" for a in at}
+                        | {f"galerkin_evolve/{a}/t={t}" for a in at for t in (0.01, -0.01)})
+    assert len(set(out.values())) == len(out)  # every record its own

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fournls.errors import ConfigError
 from fournls.resonance import (
     MODES_PER_BAND,
     _band_ratio,
@@ -127,6 +129,12 @@ class TestTrilinearCounterexample:
         res = trilinear_counterexample([16, 32, 64, 128, 256, 512], 0.0)
         assert abs(res.fit.slope + 1.0) < 0.15
         assert not res.diverges
+
+    @pytest.mark.parametrize("s", [0.25, 1e-9, 0.5])
+    def test_positive_regularity_rejected(self, s):
+        # the counterexample targets s <= 0; s = 0.25 used to run and fit -1.499
+        with pytest.raises(ConfigError, match="s <= 0"):
+            trilinear_counterexample([16, 32, 64, 128], s)
 
     def test_exponent_law_across_s(self):
         for s in (0.0, -0.25, -0.5, -0.75, -1.0):

@@ -232,6 +232,20 @@ class TestGaussian:
         with pytest.raises(ConfigError):
             make_gaussian(make_grid(10.0, 64), **bad)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitude", [np.inf, "x", np.nan, complex(1, np.nan), True, None])
+    def test_amplitude_that_is_not_a_finite_number_rejected(self, amplitude):
+        # inf used to raise a RuntimeWarning, "x" a bare UFuncTypeError and
+        # nan a NumericDomainError
+        with pytest.raises(ConfigError, match="gaussian amplitude"):
+            make_gaussian(make_grid(10.0, 64), amplitude=amplitude)
+
+    @pytest.mark.parametrize("amplitude", [1 + 1j, np.complex64(2j), np.int64(2), 0.0])
+    def test_finite_complex_and_integer_amplitudes_accepted(self, amplitude):
+        g = make_grid(10.0, 64)
+        u = make_gaussian(g, amplitude=amplitude)
+        assert np.array_equal(u.values, complex(amplitude) * make_gaussian(g).values)
+
     def test_underresolved_width_rejected(self):
         g = make_grid(10.0, 16)
         with pytest.raises(ResolutionError):

@@ -145,6 +145,14 @@ class TestScalingCovariance:
                                           dt_scaled=1e-3 / lam**4)
         assert defect < 1e-11
 
+    @pytest.mark.parametrize("dt_scaled", [0.0, False, -1e-3])
+    def test_a_step_that_is_not_positive_is_rejected(self, dt_scaled):
+        # 0.0 and False used to run with cfg.dt without a word
+        u = make_gaussian(make_grid(60.0, 256), width=2.0)
+        cfg = EvolutionConfig(dt=1e-3, t_end=1.0, record_stride=50)
+        with pytest.raises(ConfigError, match="dt"):
+            check_scaling_covariance(u, 2.0, cfg, t=0.02, dt_scaled=dt_scaled)
+
     def test_defect_below_measured_discretization_error(self):
         u = make_gaussian(make_grid(60.0, 256), amplitude=1.5, width=2.0)
         lam, t, dt = 2.0, 0.02, 1e-3

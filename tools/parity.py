@@ -15,6 +15,8 @@ key -> fingerprint, for:
   two-member ``evolve_many``, for each scheme at kappa = 1, -1 and 0, on a
   k0 = 0 grid (M = 256) and a band grid (M = 250, k0 = 37), and for "ifrk4"
   also with ``project_K`` = M // 6;
+* ``galerkin_rhs``, and ``galerkin_evolve`` forward and backward in time, at
+  kappa = 1, -1 and 0, on a k0 = 0 grid and a band grid (M = 64, K = 8);
 * the result of every call of a function in a ``fournls`` module's
   ``__all__`` made while the criteria 01-13 of ``tests/test_acceptance.py``
   (the copy next to this script) run, keyed by test, function and call
@@ -23,7 +25,9 @@ key -> fingerprint, for:
 A number's fingerprint is its ``repr``; anything else is the sha256 of its raw
 bytes.  A result with parts (a dataclass, list, tuple or dict) is the sha256
 of its parts' fingerprints; a generator is left unconsumed.  ``diff`` prints
-each key that differs or is on one side only and exits 1 if there is any.
+each key that differs or is on one side only and exits 1 if there is any;
+where both sides of a differing key are numbers it also prints their
+relative difference |a - b| / max(|a|, |b|).
 Manifests of one tree taken at one and at two OpenBLAS threads differ only in
 the key ``env/OPENBLAS_NUM_THREADS``, which records the setting.  A tree whose
 ``dispersive.kernel_K`` still sums with BLAS dots gives other kernel bits at
@@ -229,6 +233,24 @@ def _evolve_keys(out: dict):
                         out[key] = _result_fingerprint(getattr(rec, part.name))
 
 
+def _galerkin_keys(out: dict):
+    from fournls import EvolutionConfig, Spectrum, galerkin_evolve, galerkin_rhs, make_grid
+
+    K = 8
+    ks = np.arange(-K, K + 1)
+    for tag, grid in (("k0=0", make_grid(2 * np.pi, 64)), ("band", make_grid(9.0, 64, 23))):
+        rng = np.random.default_rng(0)
+        coef = np.zeros(grid.M, dtype=np.complex128)
+        coef[ks] = 0.3 * (rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size))
+        s = Spectrum(grid, coef)
+        for kappa in (1, -1, 0):
+            cfg = EvolutionConfig(kappa=kappa)
+            out[f"galerkin_rhs/{tag}/kappa={kappa}"] = fingerprint(galerkin_rhs(s, cfg, K).coef)
+            for t in (0.01, -0.01):
+                end = galerkin_evolve(s, cfg, K, t, n_steps=20)
+                out[f"galerkin_evolve/{tag}/kappa={kappa}/t={t}"] = fingerprint(end.coef)
+
+
 def manifest(path: str):
     import fournls
 
@@ -236,10 +258,28 @@ def manifest(path: str):
     out = {"env/OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
     _imethod_keys(out)
     _evolve_keys(out)
+    _galerkin_keys(out)
     _harness_keys(out)
     _criteria_keys(out)
     Path(path).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"{len(out)} keys written to {path}", file=sys.stderr)
+
+
+def _number(fp: str):
+    """The number a fingerprint is the repr of, or None for any other fingerprint."""
+    try:
+        return complex(fp)
+    except ValueError:
+        return None
+
+
+def relative_difference(fp_a: str, fp_b: str):
+    """|a - b| / max(|a|, |b|) of two number fingerprints (0 for two zeros), else None."""
+    a, b = _number(fp_a), _number(fp_b)
+    if a is None or b is None:
+        return None
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -252,7 +292,9 @@ def diff(path_a: str, path_b: str) -> int:
         elif key not in a:
             print(f"only in B: {key}")
         elif a[key] != b[key]:
-            print(f"differs:   {key}: {a[key]} -> {b[key]}")
+            rel = relative_difference(a[key], b[key])
+            print(f"differs:   {key}: {a[key]} -> {b[key]}"
+                  + ("" if rel is None else f" (relative {rel:.3g})"))
         else:
             continue
         bad += 1
