@@ -30,7 +30,6 @@ from .imethod import (
     energy2,
     energy4,
     gwp_parameters,
-    i_multiplier,
     lambda_n,
     symbol_m4,
     symbol_m6,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ConfigError, QuadratureError, ResolutionError, check_integer,
                      check_real, is_integer, is_real)
-from .evolution import EvolutionConfig, free_flow, linear_propagate_4nls
+from .evolution import EvolutionConfig, free_flow
 from .fitting import FitResult, fit_loglog
 from .spectral import (
     Field,
@@ -136,14 +136,14 @@ def flat_spectrum_datum(grid, sigma: float = 1.2) -> Field:
 def decay_fit(alpha: float, datum: Field, times) -> FitResult:
     """Fit ||D^alpha exp(it d_x^4) u0||_inf against t; predicted slope -(1+alpha)/4.
 
-    Times in the pre-decay plateau (sup norm above 80% of the datum's) are
-    excluded automatically; wrap-around is guarded via the boundary-tail
-    mass of each snapshot.
+    The sorted times stream through one ``free_flow``.  Times in the pre-decay
+    plateau (sup norm above 80% of the datum's) are excluded automatically;
+    wrap-around is guarded via the boundary-tail mass of each snapshot.
     """
     base = lebesgue_norm(fractional_derivative(datum, alpha), np.inf)
     pts = []
-    for t in sorted(times):
-        u = linear_propagate_4nls(datum, float(t), orientation=-1)
+    times = sorted(times)
+    for t, u in zip(times, free_flow(datum, times, EvolutionConfig())):
         if boundary_tail_fraction(u) > 1e-6:
             raise ResolutionError(f"wrap-around at t={t:g}: boundary mass too high")
         val = lebesgue_norm(fractional_derivative(u, alpha), np.inf)

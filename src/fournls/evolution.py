@@ -31,8 +31,8 @@ IFRK4 forms |u|^2 u and its transform in place on fresh arrays), so a caller
 that keeps a state across a step must copy it.  The samples read from a
 state, and so every recorded field, are fresh arrays.  The linear flow
 alone, at any times, has one evaluator of its own, ``free_flow``, with the
-stepper's phase rate; ``linear_propagate_4nls`` and the dispersive estimates
-call it.
+stepper's phase rate; ``linear_propagate_4nls`` and every flow of the
+dispersive estimates call it.
 
 The stepper's spectral states are raw FFT coefficients ``np.fft.fft(u)``,
 not the coefficients ``c_k`` of :mod:`fournls.spectral`: the two differ by
@@ -179,7 +179,7 @@ class TrajectoryRecord:
         return self.fields[-1]
 
 
-_FLOW_BLOCK_BYTES = 8 * 2**20  # times evaluated at once: one complex (chunk, M) array
+_FLOW_BLOCK_BYTES = 2**18  # times formed at once: a complex (chunk, M) array, a row at M = 16384
 
 
 def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
@@ -267,6 +267,8 @@ def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt) -> np.
     are formed in place, in two scratch arrays and in the ``k`` arrays, which
     ``nl`` returns fresh; each product keeps the operand order written above
     (a complex product is not bitwise commutative).  ``c`` is left as it is.
+    The plain formula gives the same bits but took gwp-imethod's median round
+    0.269 -> 0.276 s, slower in 37 of 60 alternating rounds (one process).
     """
     h = dt / 2
     k1 = nl(c)
@@ -453,12 +455,11 @@ def evolve_many(fields, cfg) -> list[TrajectoryRecord]:
     carrying its partial record.  Each record is bitwise equal to that of
     ``evolve`` on the member alone.
 
-    A single field is stepped as an (M,) array, not as a stack of one.  The
-    records are bitwise equal either way, but (M,) is faster at the band
-    grids' sizes: a McLachlan step at M = 512 took a median 98.8 us as (M,)
-    against 102-107 us as (1, M), faster in 8 of 10 alternating sets of
-    2000 steps in each of two runs; at M = 4096 the gap is about 2 %
-    (shared 2-core VM, numpy.fft, one thread).
+    A single field is stepped as an (M,) array, not as a stack of one: the
+    records are bitwise equal and a step at M = 512 is 3-8 % faster, which
+    no workload resolves end to end (as (1, M), lwp-flow's median round read
+    4.08 -> 3.80 s and illposed-decoherence's 0.103 -> 0.103 s, slower in 4
+    of 12 and 22 of 40 alternating rounds in one process).
     """
     fields = list(fields)
     if not fields:
@@ -606,15 +607,8 @@ def run_manifest(f0: Field, cfg: EvolutionConfig) -> dict:
         grid["k0"] = f0.grid.k0
     d = {
         "grid": grid,
-        "config": {
-            "equation": cfg.equation,
-            "orientation": cfg.orientation,
-            "kappa": cfg.kappa,
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
-            "scheme": cfg.scheme,
-            "record_stride": cfg.record_stride,
-        },
+        "config": {k: getattr(cfg, k) for k in ("equation", "orientation", "kappa", "dt",
+                                                 "t_end", "scheme", "record_stride")},
         "initial_data_sha256": h,
     }
     return json.loads(json.dumps(d))  # force plain JSON types

@@ -76,6 +76,7 @@ from .errors import (ConfigError, InconclusiveFitError, NumericDomainError, Term
                      check_real, is_real)
 from .evolution import EvolutionConfig, evolve_many, galerkin_evolve
 from .fitting import FitResult, fit_loglog
+from .resonance import _alpha4_factors
 from .spectral import (
     Field,
     Grid,
@@ -94,7 +95,6 @@ __all__ = [
     "ModeSet",
     "MultilinearResult",
     "SumLastThree",
-    "i_multiplier",
     "apply_I",
     "energy2",
     "symbol_m4",
@@ -141,11 +141,6 @@ def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def i_multiplier(p: IMethodParams) -> Callable[[np.ndarray], np.ndarray]:
-    """The smoothing multiplier m as a function of xi."""
-    return lambda xi: _m_values(p, xi)
-
-
 def apply_I(f: Field, p: IMethodParams) -> Field:
     return to_physical(apply_symbol(to_spectrum(f), _m_values(p, f.grid.xi)))
 
@@ -179,11 +174,10 @@ def _m4_of_slots(x, p):
 
 
 def _sigma4_on_hyperplane(x1, x2, x3, x4, p):
-    x1, x2, x3, x4 = x = np.array(np.broadcast_arrays(x1, x2, x3, x4), dtype=np.float64)
+    x = np.array(np.broadcast_arrays(x1, x2, x3, x4), dtype=np.float64)
     # factorized resonance denominator; exact on the zero-sum lattice and
     # free of the catastrophic cancellation of the raw fourth-power form
-    s12, s14 = x1 + x2, x1 + x4
-    quad = (x**2).sum(axis=0) + 2 * (x1 + x3) ** 2  # rows added in turn
+    s12, s14, quad = _alpha4_factors(*x)
     denom = s12 * s14 * quad
     num = _m4_of_slots(x, p)
     out = np.zeros(num.shape)
@@ -288,6 +282,17 @@ def _coefs(fields, modes: ModeSet) -> np.ndarray:
     """(len(fields), 2K+1) coefficients hat u_j(xi_k), k = -K..K, of fields on ``modes.grid``."""
     modes.check(fields)
     return np.array([to_spectrum(f).coef[modes.k_values % modes.grid.M] for f in fields])
+
+
+def _supported_spectra(fields, modes: ModeSet) -> list:
+    """The spectra of fields on ``modes.grid``; :class:`ConfigError`, naming it, for
+    a field with a mode above K (``_support_radius``), which the walk would drop."""
+    modes.check(fields)
+    spectra = [to_spectrum(f) for f in fields]
+    for i, s in enumerate(spectra):
+        if (support := _support_radius(s)) > modes.K:
+            raise ConfigError(f"field {i} has support {support} above the mode cutoff K={modes.K}")
+    return spectra
 
 
 def _slot_coefs(fields, modes: ModeSet) -> list:
@@ -452,9 +457,10 @@ def _sigma4_marginals(fields, modes: ModeSet) -> np.ndarray:
     (2 pi / L)^4 at the end.
 
     ``fields`` is walked once, whatever it holds (every snapshot of a whole
-    family, say), so each plane's weight is built once for all of them.
+    family, say), so each plane's weight is built once for all of them.  A
+    field with a mode above K is refused (``_supported_spectra``).
     """
-    a = _coefs(fields, modes)
+    a = np.array([s.coef[modes.k_values % modes.grid.M] for s in _supported_spectra(fields, modes)])
     b = np.conj(a[:, ::-1])
     r1, r2 = _walk_planes(_inv_alpha4(modes.K), a, b, a, b, modes.K)
     return (r1 - r2) / (2 * np.pi / modes.grid.L) ** 4
@@ -642,9 +648,10 @@ def almost_conservation_experiment(
     snapshots and their Lambda4(sigma4) marginals (one walk of the whole
     family serves every N), with increments sup_t |E(t) - E(0)| averaged
     over the family (single random-phase realizations carry an O(0.5) slope
-    scatter).  The multilinear forms run on the mode set |k| <= ``support_K``.
-    The corrected slope is predicted near -3; the uncorrected E2 series is
-    fitted for comparison.
+    scatter).  The multilinear forms run on the mode set |k| <= ``support_K``;
+    the thresholds and the family's grid and support are checked before the
+    run.  The corrected slope is predicted near -3; the uncorrected E2 series
+    is fitted for comparison.
     """
     family = [data] if isinstance(data, Field) else list(data)
     floor = 1e-13  # increments below it are round-off
@@ -652,16 +659,17 @@ def almost_conservation_experiment(
         raise ConfigError("need at least 4 threshold values for the sweep")
     if not cfg.record_fields:
         raise ConfigError("sweep requires recorded fields")
+    thresholds = [(N, IMethodParams(N=N, s=s)) for N in N_values]
     inc4 = {N: [] for N in N_values}
     inc2 = {N: [] for N in N_values}
     modes = ModeSet(family[0].grid, support_K)
-    modes.check(family)
+    _supported_spectra(family, modes)
     records = evolve_many(family, cfg)
     # one walk over every snapshot of every member; members share their times
     walked = _sigma4_marginals([f for rec in records for f in rec.fields], modes)
     for rec, marginals in zip(records, walked.reshape(len(records), -1, 2 * modes.K + 1)):
-        for N in N_values:
-            e2, e4 = _energies(rec.fields, marginals, IMethodParams(N=float(N), s=s), modes)
+        for N, p in thresholds:
+            e2, e4 = _energies(rec.fields, marginals, p, modes)
             inc4[N].append(float(np.max(np.abs(e4 - e4[0]))))
             inc2[N].append(float(np.max(np.abs(e2 - e2[0]))))
     mean4 = {N: float(np.mean(v)) for N, v in inc4.items()}

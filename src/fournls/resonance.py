@@ -50,10 +50,15 @@ def resonance_lhs(x1, x2, x3, x4):
     return x1**4 - x2**4 + x3**4 - x4**4
 
 
+def _alpha4_factors(x1, x2, x3, x4):
+    """The factors (xi1 + xi2, xi1 + xi4, Q) above, Q the quadratic one, of float64 arrays."""
+    return x1 + x2, x1 + x4, x1**2 + x2**2 + x3**2 + x4**2 + 2 * (x1 + x3) ** 2
+
+
 def resonance_product_signed(x1, x2, x3, x4):
     """(xi1+xi2)(xi1+xi4) * quadratic factor; equals the lhs identically."""
-    x1, x2, x3, x4 = (np.asarray(x, dtype=np.float64) for x in (x1, x2, x3, x4))
-    return (x1 + x2) * (x1 + x4) * (x1**2 + x2**2 + x3**2 + x4**2 + 2 * (x1 + x3) ** 2)
+    s12, s14, quad = _alpha4_factors(*(np.asarray(x, dtype=np.float64) for x in (x1, x2, x3, x4)))
+    return s12 * s14 * quad
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from fournls import (
     to_spectrum,
 )
 from fournls.evolution import (
+    _FLOW_BLOCK_BYTES,
     MCLACHLAN_A,
     _rotate,
     _stepper,
@@ -149,7 +150,8 @@ class TestLinearPropagators:
         # come one at a time, a chunk transformed only when it is reached
         with pytest.raises(ConfigError, match="flow times"):
             free_flow(smooth_datum(), ["x"], EvolutionConfig())
-        u = smooth_datum(M=2**16)
+        u = smooth_datum(M=2**12)
+        assert _FLOW_BLOCK_BYTES // (16 * 2**12) == 4  # rows per chunk
         rows = free_flow(u, np.linspace(0.0, 0.01, 11), EvolutionConfig())
         assert iter(rows) is rows
         calls = []
@@ -157,8 +159,8 @@ class TestLinearPropagators:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or real_ifft(*a, **k))
             next(rows)
-            assert len(calls) == 1  # the first of two chunks
-            assert sum(1 for _ in rows) == 10 and len(calls) == 2
+            assert len(calls) == 1  # the first of three chunks
+            assert sum(1 for _ in rows) == 10 and len(calls) == 3
 
 
 class TestNonlinearSubstep:

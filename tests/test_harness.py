@@ -300,6 +300,38 @@ class TestRun:
         assert report.results["lambda_exponent"] == "1/2"
 
 
+# a spec per kind that runs in well under a second (local-smoothing about 1 s)
+SMALL_PARAMS = {
+    "evolve": {"L": 60.0, "M": 256, "dt": 1e-3, "t_end": 0.02, "record_stride": 10},
+    "imethod-almost": {"M": 64, "support": 10, "family": 2, "dt": 1e-3, "window": 4e-3,
+                       "record_stride": 2, "n_values": [1, 2, 3, 4]},
+    "derivative-identity": {"n_states": 2},
+    "resonance-check": {"samples": 1000},
+    "trilinear-counterexample": {"n_values": [16, 32, 64, 128]},
+    "dispersive-decay": {"L": 1200.0, "M": 4096, "t_min": 1.0, "t_max": 8.0, "n_times": 8},
+    "bilinear-fit": {"n2_values": [16, 32, 64, 128]},
+    "local-smoothing": {"scales": [1]},
+    "modulation-check": {"L": 50.0, "M": 4096},
+    "illposed-error": {"window": 0.05, "profile_modes": 128},
+    "illposed-separation": {"profile_modes": 128, "dt": 1e-2},
+    "gwp-parameters": {},
+}
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    def test_runs_to_its_report_and_reruns_byte_identical(self, kind, tmp_path):
+        spec = validate_spec({"kind": kind, "params": SMALL_PARAMS[kind], "seed": 0})
+        report = run(spec, out_dir=tmp_path / "a")
+        run(spec, out_dir=tmp_path / "b")
+        first, second = (tmp_path / side / kind for side in ("a", "b"))
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(report.files + ["report.json"])
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 class TestCli:
     def test_pass_exit_code(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,6 @@ from fournls import (
     energy4,
     evolve,
     gwp_parameters,
-    i_multiplier,
     lambda_n,
     make_gaussian,
     make_grid,
@@ -45,6 +45,11 @@ def params(N=2.0, s=-0.5):
     return IMethodParams(N=N, s=s)
 
 
+def multiplier(p):
+    """The smoothing multiplier m of ``p`` as a function of xi."""
+    return lambda xi: imethod._m_values(p, xi)
+
+
 def narrow_state(grid, rng, support=4, n_modes=5, scale=0.3):
     coef = np.zeros(grid.M, dtype=np.complex128)
     ks = rng.choice(np.arange(-support, support + 1), size=n_modes, replace=False)
@@ -55,16 +60,16 @@ def narrow_state(grid, rng, support=4, n_modes=5, scale=0.3):
 
 class TestMultiplier:
     def test_unit_below_threshold(self):
-        m = i_multiplier(params(N=8.0))
+        m = multiplier(params(N=8.0))
         assert m(np.array([0.0]))[0] == 1.0
         assert np.all(m(np.linspace(-7.9, 7.9, 101)) == 1.0)
 
     def test_power_branch_value(self):
-        m = i_multiplier(params(N=4.0, s=-0.5))
+        m = multiplier(params(N=4.0, s=-0.5))
         assert abs(m(np.array([16.0]))[0] - 0.5) < 1e-14  # (4N/N)^(-1/2)
 
     def test_monotone_dense_sweep(self):
-        m = i_multiplier(params(N=16.0, s=-0.75))
+        m = multiplier(params(N=16.0, s=-0.75))
         xi = np.linspace(0.0, 400.0, 10_000)
         vals = m(xi)
         assert np.all(np.diff(vals) <= 1e-15)
@@ -72,7 +77,7 @@ class TestMultiplier:
 
     def test_c1_junctions(self):
         p = params(N=8.0, s=-0.5)
-        m = i_multiplier(p)
+        m = multiplier(p)
         for xi0 in (8.0, 16.0):
             h = 1e-6
             left = (m(np.array([xi0])) - m(np.array([xi0 - h])))[0] / h
@@ -134,7 +139,7 @@ class TestApplyI:
         p = params(N=2.0)
         twice = apply_I(apply_I(u, p), p)
         from fournls import apply_symbol, to_spectrum
-        direct = to_physical(apply_symbol(to_spectrum(u), i_multiplier(p)(g.xi) ** 2))
+        direct = to_physical(apply_symbol(to_spectrum(u), multiplier(p)(g.xi) ** 2))
         assert np.max(np.abs(twice.values - direct.values)) < 1e-13
 
     def test_norm_sandwich_uniform_over_sweep(self):
@@ -175,7 +180,7 @@ class TestEnergy2:
         rng = np.random.default_rng(3)
         u = narrow_state(g, rng, support=8, n_modes=7)
         p = params(N=2.0)
-        m = i_multiplier(p)
+        m = multiplier(p)
         value = direct_sum(lambda a, b: m(a) * m(b), [u, u], 10)
         assert abs(value.imag) < 1e-12
         assert abs(value.real - energy2(u, p)) < 1e-12 * abs(value.real)
@@ -246,7 +251,7 @@ class TestSymbols:
     def test_m6_magnitude_bound(self):
         # |M6| <= C m^2(min(N_i, N_456)) / prod (N + N_i); C finite, stable
         rng = np.random.default_rng(5)
-        m2 = lambda p, x: i_multiplier(p)(np.atleast_1d(np.abs(x))) ** 2
+        m2 = lambda p, x: multiplier(p)(np.atleast_1d(np.abs(x))) ** 2
         consts = []
         for N in (8.0, 16.0, 32.0):
             p = params(N=N)
@@ -745,6 +750,77 @@ class TestModeSetOwnsTheLattice:
                                       EvolutionConfig(), ModeSet(g, 12))
         coef[5] = 5e-14  # below 1e-13 of the peak: round-off, not support
         assert imethod.galerkin_evolve(Spectrum(g, coef), EvolutionConfig(), 4, 0.1).coef[5] == 0
+
+
+class TestSigma4FormsSeeTheWholeState:
+    """The sigma4 walk reads a state's modes on |k| <= K only.  A state with a
+    mode above K is refused, naming it, by ``energy4``, the identity check's
+    stencil and the sweep; it used to be truncated without a word (``energy4``
+    at N = 2 read 4.79517 at K = 3 against 4.79582 at K = 10 on a state like
+    the one below).  ``lambda_n`` keeps its documented truncation."""
+
+    def wide_state(self):
+        # 21 random modes on |k| <= 10
+        g = make_grid(2 * np.pi, 64)
+        rng = np.random.default_rng(0)
+        ks = np.arange(-10, 11)
+        coef = np.zeros(64, dtype=np.complex128)
+        coef[ks % 64] = 0.3 * (rng.normal(size=21) + 1j * rng.normal(size=21))
+        return to_physical(Spectrum(g, coef))
+
+    @pytest.mark.parametrize("K", [3, 9])
+    def test_a_state_wider_than_K_is_refused(self, K):
+        u = self.wide_state()
+        modes = ModeSet(u.grid, K)
+        with pytest.raises(ConfigError, match=f"field 0 has support 10 above the mode cutoff "
+                                              f"K={K}"):
+            energy4(u, params(), modes)
+        narrow = narrow_state(u.grid, np.random.default_rng(1), support=1, n_modes=2)
+        with pytest.raises(ConfigError, match="field 2 has support 10"):
+            imethod._sigma4_marginals([narrow, narrow, u], modes)
+
+    def test_sweep_refuses_a_wide_family_before_evolving(self, monkeypatch):
+        monkeypatch.setattr(imethod, "evolve_many", lambda *a: pytest.fail("evolved"))
+        cfg = EvolutionConfig(dt=1e-3, t_end=2e-3, scheme="ifrk4", require_localized=False,
+                              project_K=9)
+        with pytest.raises(ConfigError, match="field 0 has support 10"):
+            imethod.almost_conservation_experiment([self.wide_state()], [1, 2, 3, 4], cfg,
+                                                   support_K=9)
+
+    @pytest.mark.parametrize("K", [10, 20, 30])
+    def test_the_value_at_K_at_or_above_the_support_is_unchanged(self, K):
+        u = self.wide_state()
+        modes = ModeSet(u.grid, K)
+        # the walk as it ran before the refusal, on the lattice coefficients alone
+        a = imethod._coefs([u], modes)
+        b = np.conj(a[:, ::-1])
+        r1, r2 = imethod._walk_planes(imethod._inv_alpha4(K), a, b, a, b, K)
+        ungated = (r1 - r2) / (2 * np.pi / modes.grid.L) ** 4
+        assert imethod._sigma4_marginals([u], modes).tobytes() == ungated.tobytes()
+        at_support = energy4(u, params(), ModeSet(u.grid, 10))
+        assert abs(energy4(u, params(), modes) - at_support) <= 1e-12 * abs(at_support)
+
+    def test_lambda_n_keeps_its_truncation(self):
+        u = self.wide_state()
+        ones = lambda a, b, c, d: np.ones_like(a)
+        full = lambda_n(ones, [u] * 4, ModeSet(u.grid, 10)).value
+        assert abs(full - u.grid.dx * np.sum(np.abs(u.values) ** 4)) <= 1e-12 * abs(full)
+        assert abs(lambda_n(ones, [u] * 4, ModeSet(u.grid, 3)).value) < 0.5 * abs(full)
+
+
+class TestSweepThresholds:
+    @pytest.mark.parametrize("bad", [0.5, True, "x", None, []])
+    def test_a_bad_threshold_is_refused_before_evolving(self, bad, monkeypatch):
+        # N = 0.5 used to be refused only inside the sweep, after evolve_many
+        # and the sigma4 walk had run; True was read as N = 1, "x" and None
+        # raised bare exceptions from float() and [] from the increments dict
+        monkeypatch.setattr(imethod, "evolve_many", lambda *a: pytest.fail("evolved"))
+        u = criterion04_first_state()
+        cfg = EvolutionConfig(dt=1e-3, t_end=2e-3, scheme="ifrk4", require_localized=False,
+                              project_K=12)
+        with pytest.raises(ConfigError, match="threshold N must be a finite number >= 1, "
+                                              + re.escape(f"got {bad!r}")):
+            imethod.almost_conservation_experiment([u], [2, 3, 4, bad], cfg, support_K=12)
 
 
 class TestGwpParameters:

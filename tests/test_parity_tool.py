@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 
 def _parity():
@@ -77,3 +78,41 @@ def test_galerkin_records_are_keyed_by_grid_coupling_and_time_sign():
     assert set(out) == ({f"galerkin_rhs/{a}" for a in at}
                         | {f"galerkin_evolve/{a}/t={t}" for a in at for t in (0.01, -0.01)})
     assert len(set(out.values())) == len(out)  # every record its own
+
+
+def test_diff_of_a_revision_builds_both_manifests_at_paths_of_one_length(monkeypatch, capsys):
+    parity = _parity()
+    calls = []
+
+    def extract(rev, dest):
+        calls.append(rev)
+        (dest / "src").mkdir()
+
+    def build(tree, tool, out):
+        calls.append((tree, tool))
+        out.write_text(json.dumps({"same": "1", "tree": "2" if tree.name == "cur" else "1"}))
+
+    monkeypatch.setattr(parity, "_extract", extract)
+    monkeypatch.setattr(parity, "_build_manifest", build)
+    assert parity.main(["diff", "abc123"]) == 1
+    (rev_tree, rev_tool), (work_tree, work_tool) = calls[1:]
+    assert calls[0] == "abc123"
+    assert len(str(rev_tree)) == len(str(work_tree)) and rev_tree != work_tree
+    assert rev_tool == work_tool == work_tree / "tools" / "parity.py"
+    assert capsys.readouterr().out.splitlines() == ["differs:   tree: 1 -> 2 (relative 0.5)",
+                                                     "2 keys, 1 differ"]
+
+
+def test_diff_of_an_unknown_revision_exits_two_before_any_manifest(monkeypatch, capsys):
+    parity = _parity()
+    monkeypatch.setattr(parity, "_build_manifest", lambda *a: pytest.fail("manifest built"))
+    assert parity.main(["diff", "no-such-revision-0123"]) == 2
+    assert "git archive no-such-revision-0123" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["diff"], ["diff", "a", "b", "c"], ["manifest"],
+                                  ["compare", "a", "b"]])
+def test_other_arguments_print_the_usage_and_exit_two(argv, capsys):
+    assert _parity().main(argv) == 2
+    usage = capsys.readouterr().err
+    assert "diff A.json B.json" in usage and "diff REV" in usage

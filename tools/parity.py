@@ -2,6 +2,7 @@
 
     PYTHONPATH=<tree>/src python tools/parity.py manifest OUT.json
     python tools/parity.py diff A.json B.json
+    python tools/parity.py diff REV
 
 ``manifest`` runs the ``fournls`` found on the path and writes one JSON object,
 key -> fingerprint, for:
@@ -28,6 +29,14 @@ of its parts' fingerprints; a generator is left unconsumed.  ``diff`` prints
 each key that differs or is on one side only and exits 1 if there is any;
 where both sides of a differing key are numbers it also prints their
 relative difference |a - b| / max(|a|, |b|).
+
+``diff REV`` compares the git revision REV (A) with the working tree (B).  It
+extracts REV with ``git archive`` and copies the working tree's ``src``,
+``tests``, ``tools`` and ``pyproject.toml`` into two sibling directories of a
+temporary directory, so both trees sit at paths of the same length.  It then
+builds the two manifests one process at a time, each with the working tree's
+copy of this script and its ``tests/test_acceptance.py``, and diffs them.  An
+unknown REV exits 2 before any manifest is built.
 Manifests of one tree taken at one and at two OpenBLAS threads differ only in
 the key ``env/OPENBLAS_NUM_THREADS``, which records the setting.  A tree whose
 ``dispersive.kernel_K`` still sums with BLAS dots gives other kernel bits at
@@ -44,7 +53,10 @@ import inspect
 import json
 import numbers
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -302,6 +314,57 @@ def diff(path_a: str, path_b: str) -> int:
     return bad
 
 
+ROOT = Path(__file__).resolve().parents[1]
+WORKING_TREE = ("src", "tests", "tools", "pyproject.toml")
+
+
+def _extract(rev: str, dest: Path) -> None:
+    """Write the files of git revision ``rev`` of this checkout under ``dest``."""
+    archive = dest.with_suffix(".tar")
+    with open(archive, "wb") as fh:
+        done = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                              stdout=fh, stderr=subprocess.PIPE)
+    if done.returncode:
+        raise ValueError(f"git archive {rev}: {done.stderr.decode().strip()}")
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _copy_working_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in WORKING_TREE:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def _build_manifest(tree: Path, tool: Path, out: Path) -> None:
+    """Run ``tool manifest out`` in a fresh process on the ``fournls`` of ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    subprocess.run([sys.executable, str(tool), "manifest", str(out)], env=env, cwd=tree,
+                   check=True)
+
+
+def diff_rev(rev: str) -> int:
+    """``diff`` of the manifests of revision ``rev`` (A) and of the working tree (B);
+    the exit code: 1 if any key differs, 2 for a revision git cannot archive."""
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        rev_tree, work_tree = Path(tmp) / "rev", Path(tmp) / "cur"  # names of one length
+        rev_tree.mkdir()
+        try:
+            _extract(rev, rev_tree)
+        except ValueError as e:
+            print(e, file=sys.stderr)
+            return 2
+        _copy_working_tree(work_tree)
+        tool = work_tree / "tools" / "parity.py"
+        for tree in (rev_tree, work_tree):
+            _build_manifest(tree, tool, tree.with_suffix(".json"))
+        a, b = (str(tree.with_suffix(".json")) for tree in (rev_tree, work_tree))
+        return 1 if diff(a, b) else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 2 and argv[0] == "manifest":
@@ -309,6 +372,8 @@ def main(argv=None) -> int:
         return 0
     if len(argv) == 3 and argv[0] == "diff":
         return 1 if diff(argv[1], argv[2]) else 0
+    if len(argv) == 2 and argv[0] == "diff":
+        return diff_rev(argv[1])
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2
 
