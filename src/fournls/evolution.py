@@ -454,12 +454,6 @@ def evolve_many(fields, cfg) -> list[TrajectoryRecord]:
     member that trips the guard raises :class:`AbortedRunError` naming it and
     carrying its partial record.  Each record is bitwise equal to that of
     ``evolve`` on the member alone.
-
-    A single field is stepped as an (M,) array, not as a stack of one: the
-    records are bitwise equal and a step at M = 512 is 3-8 % faster, which
-    no workload resolves end to end (as (1, M), lwp-flow's median round read
-    4.08 -> 3.80 s and illposed-decoherence's 0.103 -> 0.103 s, slower in 4
-    of 12 and 22 of 40 alternating rounds in one process).
     """
     fields = list(fields)
     if not fields:
@@ -485,7 +479,7 @@ def evolve_many(fields, cfg) -> list[TrajectoryRecord]:
     for run, f in zip(runs, fields):
         run.record(0.0, f.values)
     start, step, values = _stepper([f.grid for f in fields], cfgs)
-    state = start(fields[0].values if len(fields) == 1 else np.stack([f.values for f in fields]))
+    state = start(np.stack([f.values for f in fields]))
     for n in range(1, n_steps + 1):
         state = step(state)
         if n % first.record_stride == 0 or n == n_steps:
@@ -607,8 +601,15 @@ def run_manifest(f0: Field, cfg: EvolutionConfig) -> dict:
         grid["k0"] = f0.grid.k0
     d = {
         "grid": grid,
-        "config": {k: getattr(cfg, k) for k in ("equation", "orientation", "kappa", "dt",
-                                                 "t_end", "scheme", "record_stride")},
+        "config": {
+            "equation": cfg.equation,
+            "orientation": cfg.orientation,
+            "kappa": cfg.kappa,
+            "dt": cfg.dt,
+            "t_end": cfg.t_end,
+            "scheme": cfg.scheme,
+            "record_stride": cfg.record_stride,
+        },
         "initial_data_sha256": h,
     }
     return json.loads(json.dumps(d))  # force plain JSON types

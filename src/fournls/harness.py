@@ -300,10 +300,17 @@ def _run_modulation(p, tol, rng, out):
     grid = make_grid(p["L"], p["M"])
     u = lambda y: np.exp(-(y**2))
     s = p["s"]
-    # the carrier sweep replaces the base carrier, so every sweep can be given it
-    fits = {sweep: illposedness.modulation_norm_check(u, s, grid, sweep, p[sweep + "s"],
-                                                      M=p["base_carrier"])
-            for sweep in ("carrier", "width", "amplitude")}
+    fits = {
+        "carrier": illposedness.modulation_norm_check(
+            u, s, grid, "carrier", p["carriers"]
+        ),
+        "width": illposedness.modulation_norm_check(
+            u, s, grid, "width", p["widths"], M=p["base_carrier"],
+        ),
+        "amplitude": illposedness.modulation_norm_check(
+            u, s, grid, "amplitude", p["amplitudes"], M=p["base_carrier"],
+        ),
+    }
     payload = {k: _fit_payload(v) for k, v in fits.items()}
     rows = [(k, v.slope) for k, v in fits.items()]
     _write_csv(out / "modulation.csv", ["sweep", "slope"], rows)

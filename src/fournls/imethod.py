@@ -131,13 +131,14 @@ class IMethodParams:
 
 
 def _m_values(p: IMethodParams, xi: np.ndarray) -> np.ndarray:
+    N, s = float(p.N), float(p.s)  # any real type, read as a float64
     axi = np.abs(np.asarray(xi, dtype=np.float64))
     out = np.ones_like(axi)
-    hi = axi >= 2 * p.N
-    out[hi] = (axi[hi] / p.N) ** p.s
-    mid = (axi > p.N) & (axi < 2 * p.N)
-    t = (np.log(axi[mid]) - np.log(p.N)) / np.log(2.0)
-    out[mid] = np.exp(p.s * np.log(2.0) * t * t * (2.0 - t))
+    hi = axi >= 2 * N
+    out[hi] = (axi[hi] / N) ** s
+    mid = (axi > N) & (axi < 2 * N)
+    t = (np.log(axi[mid]) - np.log(N)) / np.log(2.0)
+    out[mid] = np.exp(s * np.log(2.0) * t * t * (2.0 - t))
     return out
 
 
@@ -648,10 +649,11 @@ def almost_conservation_experiment(
     snapshots and their Lambda4(sigma4) marginals (one walk of the whole
     family serves every N), with increments sup_t |E(t) - E(0)| averaged
     over the family (single random-phase realizations carry an O(0.5) slope
-    scatter).  The multilinear forms run on the mode set |k| <= ``support_K``;
-    the thresholds and the family's grid and support are checked before the
-    run.  The corrected slope is predicted near -3; the uncorrected E2 series
-    is fitted for comparison.
+    scatter).  The multilinear forms run on the mode set |k| <= ``support_K``,
+    so the flow must keep its modes there (``cfg.project_K <= support_K``);
+    that, the thresholds and the family's grid and support are checked before
+    the run.  The corrected slope is predicted near -3; the uncorrected E2
+    series is fitted for comparison.
     """
     family = [data] if isinstance(data, Field) else list(data)
     floor = 1e-13  # increments below it are round-off
@@ -659,6 +661,9 @@ def almost_conservation_experiment(
         raise ConfigError("need at least 4 threshold values for the sweep")
     if not cfg.record_fields:
         raise ConfigError("sweep requires recorded fields")
+    if cfg.project_K is None or cfg.project_K > support_K:
+        raise ConfigError(f"the sweep's flow must keep its modes in |k| <= support_K="
+                          f"{support_K}, got project_K={cfg.project_K}")
     thresholds = [(N, IMethodParams(N=N, s=s)) for N in N_values]
     inc4 = {N: [] for N in N_values}
     inc2 = {N: [] for N in N_values}

@@ -652,7 +652,7 @@ class TestIfrk4OperandOrder:
     @pytest.mark.parametrize("project_K", [None, 128 // 6], ids=["unset", "M/6"])
     @pytest.mark.parametrize("kappa", [-1, 0, 1])
     def test_evolve_records_are_the_fresh_array_formula(self, kappa, project_K):
-        # one (M,) run, and a (B, M) stack whose rows differ in L and in dt;
+        # a lone field, and a (B, M) stack whose rows differ in L and in dt;
         # steps this long keep an ulp moved in a stage visible in the records
         fields = _family(128, L=30.0) + [make_gaussian(make_grid(27.0, 128), amplitude=0.9,
                                                        width=1.6)]

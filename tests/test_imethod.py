@@ -822,6 +822,34 @@ class TestSweepThresholds:
                                               + re.escape(f"got {bad!r}")):
             imethod.almost_conservation_experiment([u], [2, 3, 4, bad], cfg, support_K=12)
 
+    @pytest.mark.parametrize("kind", [Fraction, np.float32, int])
+    def test_any_real_threshold_reads_as_its_float(self, kind):
+        # the sweep passes N on as given; np.log of a Fraction N raised a bare
+        # TypeError, and a float32 N took the multiplier's logs in float32
+        g = make_grid(2 * np.pi, 64)
+        rng = np.random.default_rng(5)
+        family = [imethod.rough_localized_datum(g, rng, support=10) for _ in range(2)]
+        cfg = EvolutionConfig(dt=1e-3, t_end=4e-3, scheme="ifrk4", record_stride=2,
+                              require_localized=False, start_tail_tol=1.0,
+                              run_tail_tol=1.0, project_K=10)
+        runs = [imethod.almost_conservation_experiment(family, [t(N) for N in (2, 3, 4, 5)],
+                                                       cfg, support_K=10)
+                for t in (kind, float)]
+        assert runs[0].increments_corrected == runs[1].increments_corrected
+        assert runs[0].fit_corrected == runs[1].fit_corrected
+
+    @pytest.mark.parametrize("project_K", [None, 13])
+    def test_a_flow_past_the_mode_set_is_refused_before_evolving(self, project_K, monkeypatch):
+        # the cubic term spreads a flow's modes up to project_K, or to the grid
+        # without it; the sigma4 walk refused the snapshots only after the run
+        monkeypatch.setattr(imethod, "evolve_many", lambda *a: pytest.fail("evolved"))
+        cfg = EvolutionConfig(dt=1e-3, t_end=2e-3, scheme="ifrk4", require_localized=False,
+                              project_K=project_K)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"in |k| <= support_K=12, got project_K={project_K}")):
+            imethod.almost_conservation_experiment([criterion04_first_state()], [1, 2, 3, 4],
+                                                   cfg, support_K=12)
+
 
 class TestGwpParameters:
     def test_half_regularity(self):

@@ -35,6 +35,26 @@ def test_diff_names_each_differing_key(tmp_path, capsys):
     assert parity.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "a.json")]) == 0
 
 
+def test_diff_matches_criteria_calls_as_sequences(tmp_path, capsys):
+    # one inserted call must not renumber, and so report, every later call
+    parity = _parity()
+    calls = {"A": {"f": ["x", "y", "z", "q"], "g": ["1.0"], "h": ["x", "y"]},
+             "B": {"f": ["new", "x", "y", "q"], "g": ["2.0"], "h": ["new", "x", "y2"]}}
+    for side, funcs in calls.items():
+        doc = {f"criteria/t.py::test/{fn}#{n}": fp
+               for fn, fps in funcs.items() for n, fp in enumerate(fps, 1)}
+        (tmp_path / f"{side}.json").write_text(json.dumps(doc))
+    assert parity.main(["diff", str(tmp_path / "A.json"), str(tmp_path / "B.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "only in B: criteria/t.py::test/f#1",
+        "only in A: criteria/t.py::test/f#3",
+        "differs:   criteria/t.py::test/g#1: 1.0 -> 2.0 (relative 0.5)",
+        "only in B: criteria/t.py::test/h#1",
+        "differs:   criteria/t.py::test/h#2 (#3 in B): y -> y2",
+        "8 keys, 5 differ",
+    ]
+
+
 def test_relative_difference_only_between_two_numbers():
     parity = _parity()
     rel = parity.relative_difference

@@ -28,7 +28,10 @@ bytes.  A result with parts (a dataclass, list, tuple or dict) is the sha256
 of its parts' fingerprints; a generator is left unconsumed.  ``diff`` prints
 each key that differs or is on one side only and exits 1 if there is any;
 where both sides of a differing key are numbers it also prints their
-relative difference |a - b| / max(|a|, |b|).
+relative difference |a - b| / max(|a|, |b|).  It compares the criteria calls
+of each test and function as two call sequences (``difflib``), so a call that
+one side adds or drops shows as that call only ("only in A: …#n"), and a
+changed call that sits at another number in B as "…#n (#m in B)".
 
 ``diff REV`` compares the git revision REV (A) with the working tree (B).  It
 extracts REV with ``git archive`` and copies the working tree's ``src``,
@@ -46,6 +49,7 @@ other thread counts; compare it with both sides at ``OPENBLAS_NUM_THREADS=1``.
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import functools
 import hashlib
 import importlib
@@ -294,24 +298,61 @@ def relative_difference(fp_a: str, fp_b: str):
     return abs(a - b) / scale if scale else 0.0
 
 
-def diff(path_a: str, path_b: str) -> int:
-    """Print every key that differs or is on one side only; the number of such keys."""
-    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    bad = 0
-    for key in sorted(a.keys() | b.keys()):
-        if key not in b:
-            print(f"only in A: {key}")
-        elif key not in a:
-            print(f"only in B: {key}")
-        elif a[key] != b[key]:
-            rel = relative_difference(a[key], b[key])
-            print(f"differs:   {key}: {a[key]} -> {b[key]}"
-                  + ("" if rel is None else f" (relative {rel:.3g})"))
-        else:
+def _differs(key: str, fp_a: str, fp_b: str) -> str:
+    rel = relative_difference(fp_a, fp_b)
+    return f"differs:   {key}: {fp_a} -> {fp_b}" + ("" if rel is None else f" (relative {rel:.3g})")
+
+
+def _call_sequences(doc: dict) -> dict:
+    """"criteria/<test>/<function>" -> the fingerprints of its calls, in call order."""
+    calls = {}
+    for key, fp in doc.items():
+        if key.startswith("criteria/"):
+            head, n = key.rsplit("#", 1)
+            calls.setdefault(head, []).append((int(n), fp))
+    return {head: [fp for _, fp in sorted(seq)] for head, seq in calls.items()}
+
+
+def _call_report(head: str, seq_a: list, seq_b: list) -> list:
+    """(sort key, line) for each call of ``head`` that one side adds, drops or changes."""
+    out = []
+    matcher = difflib.SequenceMatcher(None, seq_a, seq_b, autojunk=False)
+    for op, i1, i2, j1, j2 in matcher.get_opcodes():
+        if op == "equal":
             continue
-        bad += 1
-    print(f"{len(a.keys() | b.keys())} keys, {bad} differ")
-    return bad
+        pairs = min(i2 - i1, j2 - j1)
+        for i, j in zip(range(i1, i1 + pairs), range(j1, j1 + pairs)):
+            key = f"{head}#{i + 1}" + ("" if i == j else f" (#{j + 1} in B)")
+            out.append((key, _differs(key, seq_a[i], seq_b[j])))
+        out += [(f"{head}#{i + 1}", f"only in A: {head}#{i + 1}") for i in range(i1 + pairs, i2)]
+        out += [(f"{head}#{j + 1}", f"only in B: {head}#{j + 1}") for j in range(j1 + pairs, j2)]
+    return out
+
+
+def diff(path_a: str, path_b: str) -> int:
+    """Print every key that differs or is on one side only; the number of such keys.
+
+    The criteria calls of each test and function are compared as sequences, so
+    a call that one side adds or drops is reported as that call alone, not as
+    a renumbering of every later call."""
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    report = []
+    for key in (a.keys() | b.keys()):
+        if key.startswith("criteria/"):
+            continue
+        if key not in b:
+            report.append((key, f"only in A: {key}"))
+        elif key not in a:
+            report.append((key, f"only in B: {key}"))
+        elif a[key] != b[key]:
+            report.append((key, _differs(key, a[key], b[key])))
+    calls_a, calls_b = _call_sequences(a), _call_sequences(b)
+    for head in calls_a.keys() | calls_b.keys():
+        report += _call_report(head, calls_a.get(head, []), calls_b.get(head, []))
+    for _, line in sorted(report):
+        print(line)
+    print(f"{len(a.keys() | b.keys())} keys, {len(report)} differ")
+    return len(report)
 
 
 ROOT = Path(__file__).resolve().parents[1]
