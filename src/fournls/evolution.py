@@ -34,16 +34,16 @@ alone, at any times, has one evaluator of its own, ``free_flow``, with the
 stepper's phase rate; ``linear_propagate_4nls`` and every flow of the
 dispersive estimates call it.
 
-The stepper's spectral states are raw FFT coefficients ``np.fft.fft(u)``,
-not the coefficients ``c_k`` of :mod:`fournls.spectral`: the two differ by
-the centering phase ``(-1)^k`` and the factor ``1/M``, which are diagonal
-and constant, so they commute with every linear substep, with the mode
-projection and with the RK4 combination, and cancel between ``fft`` and
-``ifft``.  A step therefore costs only the transforms its nonlinearity
-needs: 2 for ``"strang"``, 4 for ``"mclachlan2"`` and 8 for ``"ifrk4"``.
-The split schemes merge the trailing linear substep of one step with the
-leading one of the next, so a step is one ``ifft``/``fft`` pair per
-nonlinear substep.
+Every transform is ``spectral._fft`` or ``_ifft``, which skip ``np.fft``'s
+per-call wrapper; ``_stepper`` reads them once per run.  Its spectral states
+are raw FFT coefficients ``_fft(u)``, not the coefficients ``c_k`` of
+:mod:`fournls.spectral`: the two differ by the centering phase ``(-1)^k``
+and the factor ``1/M``, which are diagonal and constant, so they commute
+with every linear substep, the mode projection and the RK4 combination, and
+cancel between the transforms.  A step therefore costs only the transforms
+its nonlinearity needs: 2 for ``"strang"``, 4 for ``"mclachlan2"`` and 8 for
+``"ifrk4"``.  The split schemes merge the trailing linear substep of one step
+with the next one's leading one, so a step is one pair per nonlinear substep.
 
 The core runs on the shape its start receives: one field as an (M,) array,
 or a family of B fields as a (B, M) stack.  Transforms act along the last
@@ -72,6 +72,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import spectral
 from .errors import AbortedRunError, ConfigError, check_integer, check_real, is_real
 from .spectral import (
     Field,
@@ -212,7 +213,7 @@ def _flow(f: Field, times, cfg: EvolutionConfig, weight):
         np.sin(rows.imag, out=rows.imag)
         np.multiply(coef, rows, out=rows)  # the operand order of coef * phases
         rows *= centering
-        np.fft.ifft(rows, out=rows)
+        spectral._ifft(rows, out=rows)
         rows *= grid.M
         for u in rows:
             yield Field(grid, u)
@@ -247,9 +248,9 @@ def _cubic_term(w: np.ndarray, gain, K) -> np.ndarray:
     ``gain = -i kappa``, as a fresh array in that operand order (a complex
     product is not bitwise commutative), zeroed at |k| > K unless K is None:
     the FFT-order run k = K+1 .. M/2-1, -M/2 .. -(K+1), empty for K >= M/2."""
-    u = np.fft.ifft(w)
+    u = spectral._ifft(w)
     np.multiply(u.real**2 + u.imag**2, u, out=u)
-    np.fft.fft(u, out=u)
+    spectral._fft(u, out=u)
     np.multiply(gain, u, out=u)
     if K is not None:
         u[..., K + 1:u.shape[-1] - K] = 0.0
@@ -314,6 +315,7 @@ def _stepper(grid, cfg):
     xi = grids[0].xi if all(g == grids[0] for g in grids) else np.stack([g.xi for g in grids])
     dt = cfg.dt if all(c.dt == cfg.dt for c in cfgs) else np.array([[c.dt] for c in cfgs])
     lam = 1j * cfg.linear_phase_rate(xi)
+    fft, ifft = spectral._fft, spectral._ifft  # looked up per run: a patched pair is seen
 
     if cfg.scheme == "ifrk4":
         half = np.exp(lam * dt / 2)
@@ -323,7 +325,7 @@ def _stepper(grid, cfg):
         def nl(w):
             return _cubic_term(w, gain, cfg.project_K)
 
-        return np.fft.fft, (lambda w: _ifrk4(w, nl, half, full, dt)), np.fft.ifft
+        return fft, (lambda w: _ifrk4(w, nl, half, full, dt)), ifft
 
     # split steps L(a) N(1/stages) [L(1-2a) N(1/stages)] L(a): Strang is
     # the one-stage case a = 1/2, McLachlan the two-stage one.  The state
@@ -343,13 +345,13 @@ def _stepper(grid, cfg):
         nonlocal buf, phase
         buf = np.empty(u.shape, dtype=np.complex128)
         phase = np.empty(u.shape, dtype=np.float64)
-        return np.fft.fft(u), edge
+        return fft(u), edge
 
     def stage(w, linear):
         np.multiply(w, linear, out=w)
-        np.fft.ifft(w, out=w)
+        ifft(w, out=w)
         _rotate(w, theta, buf, phase)
-        np.fft.fft(w, out=w)
+        fft(w, out=w)
 
     def step(state):
         w, lead = state
@@ -358,7 +360,7 @@ def _stepper(grid, cfg):
             stage(w, middle)
         return w, merged
 
-    return start, step, (lambda s: np.fft.ifft(s[0] * edge))
+    return start, step, (lambda s: ifft(s[0] * edge))
 
 
 def ifrk4_step(f: Field, cfg: EvolutionConfig) -> Field:

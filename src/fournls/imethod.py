@@ -72,6 +72,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .errors import (ConfigError, InconclusiveFitError, NumericDomainError, TermBudgetError,
                      check_real, is_real)
 from .evolution import EvolutionConfig, evolve_many, galerkin_evolve
@@ -628,9 +629,9 @@ def rough_localized_datum(
     )
     f = to_physical(Spectrum(grid, coef))
     vals = f.values * np.exp(-((grid.x / (0.18 * grid.L)) ** 2))
-    c2 = np.fft.fft(vals)
+    c2 = spectral._fft(vals)
     c2[~band] = 0
-    vals = np.fft.ifft(c2)
+    vals = spectral._ifft(c2)
     return Field(grid, vals * amplitude / np.max(np.abs(vals)))
 
 

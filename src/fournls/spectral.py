@@ -17,6 +17,11 @@ Conventions, fixed once and inherited by every other module:
 
 All physical-space integrals are the rectangle rule ``dx * sum``, spectrally
 accurate for periodic band-limited data; ``mass`` is the one L^2 quadrature.
+
+``_fft`` and ``_ifft`` are every module's transform pair.  They call
+pocketfft's ufuncs with the factors ``np.fft`` passes, so their bits are
+``np.fft``'s, but skip its per-call wrapper, which costs about as much as a
+transform at the 512 points of the I-method's and band grids' step loops.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import (ConfigError, NumericDomainError, ResolutionError, check_integer, check_real,
                      is_real)
@@ -164,14 +170,24 @@ def mass(f: Field) -> float:
     return float(f.grid.dx * np.sum(np.abs(f.values) ** 2))
 
 
+def _fft(a: np.ndarray, out=None) -> np.ndarray:
+    """``np.fft.fft`` along the last axis, bitwise, into ``out`` or a fresh complex128 array."""
+    return _pfu.fft(a, 1.0, out=np.empty(a.shape, complex) if out is None else out)
+
+
+def _ifft(a: np.ndarray, out=None) -> np.ndarray:
+    """``_fft``'s inverse, bitwise ``np.fft.ifft``: its factor is the float64 1/M."""
+    return _pfu.ifft(a, 1 / a.shape[-1], out=np.empty(a.shape, complex) if out is None else out)
+
+
 def to_spectrum(f: Field) -> Spectrum:
     phase = f.grid._centering_phase
-    return Spectrum(f.grid, np.fft.fft(f.values) * phase / f.grid.M)
+    return Spectrum(f.grid, _fft(f.values) * phase / f.grid.M)
 
 
 def to_physical(s: Spectrum) -> Field:
     phase = s.grid._centering_phase
-    return Field(s.grid, np.fft.ifft(s.coef * phase) * s.grid.M)
+    return Field(s.grid, _ifft(s.coef * phase) * s.grid.M)
 
 
 def apply_symbol(s: Spectrum, values: np.ndarray) -> Spectrum:

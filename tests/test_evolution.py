@@ -26,6 +26,7 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
+from fournls import spectral
 from fournls.evolution import (
     _FLOW_BLOCK_BYTES,
     MCLACHLAN_A,
@@ -155,9 +156,9 @@ class TestLinearPropagators:
         rows = free_flow(u, np.linspace(0.0, 0.01, 11), EvolutionConfig())
         assert iter(rows) is rows
         calls = []
-        real_ifft = np.fft.ifft
+        real_ifft = spectral._ifft
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or real_ifft(*a, **k))
+            mp.setattr(spectral, "_ifft", lambda *a, **k: calls.append(1) or real_ifft(*a, **k))
             next(rows)
             assert len(calls) == 1  # the first of three chunks
             assert sum(1 for _ in rows) == 10 and len(calls) == 3
@@ -337,8 +338,8 @@ class TestEvolve:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        for name in ("_fft", "_ifft"):
+            monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
         u, n, counts = smooth_datum(M=128, L=30.0), 10, []
         for steps in (n, 2 * n):
             calls.clear()
@@ -452,8 +453,8 @@ class TestRecord:
         run = _Trajectory(g, cfg)
         u = smooth_datum(M=128, L=30.0).values
         calls = []
-        fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or fft(*a, **kw))
+        fft = spectral._fft
+        monkeypatch.setattr(spectral, "_fft", lambda *a, **kw: calls.append(1) or fft(*a, **kw))
         run.record(0.0, u)
         assert len(calls) == 1
 

@@ -1,0 +1,106 @@
+"""The exact symmetries and conservation laws of 4NLS, pinned for every scheme
+on k0 = 0 and band grids.
+
+Each map below takes solutions of ``i u_t = orientation P(d_x) u + kappa
+|u|^2 u`` to solutions and is exact on the grid, so a scheme keeps it up to
+the round-off its steps build up:
+
+* multiplication by i, exactly (IEEE ``==``) for IFRK4;
+* a shift by whole cells, ``np.roll``;
+* the reflection x -> -x, which takes a band grid's carrier k0 to -k0;
+* conjugation, which also takes k0 to -k0, with time reversed: the flow of
+  conj(u0) is the conjugate of the flow of u0 at orientation and kappa
+  negated;
+* moving the carrier by m modes: the samples times exp(i xi_m x) on the grid
+  with carrier k0 - m hold the same solution.  This ties a band grid's
+  frequencies to the lattice, so a sign error in them fails here, where the
+  other maps, which only compare band grids with band grids, keep it.  With
+  ``project_K`` it is left out: the projection keeps |k| <= K of the local
+  index, which the move relabels, and the cubic term reaches those modes;
+* mass and momentum ``sum xi_k |c_k|^2``.
+
+Each bound is ``BOUND = 8`` times eps times the step count, on the largest
+difference relative to the largest sample (on momentum, relative to
+``sum |xi_k| |c_k|^2``); 400 draws per scheme read at most 2.1.  IFRK4 steps
+at dt = 1.25e-4: at 1e-3 its RK4 error moves mass and momentum by up to 9e3
+eps per step.  The packets keep the band's edge mode empty (M = 256): the
+maps that change the grid carry the edge mode -M/2 to +M/2, which the grid
+does not hold, and at M = 128 a packet of amplitude 1.3 reads 1e-12 there.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fournls import EvolutionConfig, Field, evolve, make_gaussian, make_grid, to_spectrum
+
+EPS = np.finfo(float).eps
+BOUND = 8
+L, M = 40.0, 256
+DT = {"strang": 1e-3, "mclachlan2": 1e-3, "ifrk4": 1.25e-4}
+SCHEMES = [("strang", None), ("mclachlan2", None), ("ifrk4", None), ("ifrk4", 40)]
+
+
+@st.composite
+def runs(draw, scheme, K):
+    """A packet on a k0 = 0 or a band grid and a config of 10 to 40 steps."""
+    k0 = draw(st.one_of(st.just(0), st.integers(-40, 40)))
+    grid = make_grid(L, M, k0)
+    u = make_gaussian(grid, amplitude=draw(st.floats(0.3, 1.5)), width=draw(st.floats(2.0, 3.0)),
+                      carrier=draw(st.floats(-0.5, 0.5)), center=draw(st.floats(-3.0, 3.0)))
+    n = draw(st.integers(10, 40))
+    cfg = EvolutionConfig(equation=draw(st.sampled_from(["quartic", "cubic"])),
+                          orientation=draw(st.sampled_from([1, -1])),
+                          kappa=draw(st.sampled_from([1, -1])), dt=DT[scheme],
+                          t_end=n * DT[scheme], scheme=scheme, record_stride=n,
+                          require_localized=False, project_K=K)
+    return u, cfg, n
+
+
+def final(grid, v, cfg):
+    return evolve(Field(grid, v), cfg).final_field().values
+
+
+def relative(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def reflect(v):
+    """The samples at -x_j = x_{-j}."""
+    return np.roll(v[::-1], 1)
+
+
+def momentum(f):
+    power = np.abs(to_spectrum(f).coef) ** 2
+    return np.sum(f.grid.xi * power), np.sum(np.abs(f.grid.xi) * power)
+
+
+@pytest.mark.parametrize("scheme, K", SCHEMES, ids=["strang", "mclachlan2", "ifrk4", "ifrk4-K40"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_flow_keeps_the_symmetries_and_conservation_laws(scheme, K, data):
+    u, cfg, n = data.draw(runs(scheme, K))
+    grid, v, tol = u.grid, u.values, BOUND * EPS * n
+    rec = evolve(u, cfg)
+    w = rec.final_field().values
+    mirror = make_grid(L, M, -grid.k0)
+    if scheme == "ifrk4":
+        assert np.array_equal(final(grid, 1j * v, cfg), 1j * w)
+    else:
+        assert relative(final(grid, 1j * v, cfg), 1j * w) <= tol, "i u"
+    s = data.draw(st.integers(1, M - 1))
+    assert relative(final(grid, np.roll(v, s), cfg), np.roll(w, s)) <= tol, "shift"
+    assert relative(final(mirror, reflect(v), cfg), reflect(w)) <= tol, "reflection"
+    back = final(grid, v, replace(cfg, orientation=-cfg.orientation, kappa=-cfg.kappa))
+    assert relative(final(mirror, np.conj(v), cfg), np.conj(back)) <= tol, "conjugation"
+    if K is None:  # project_K keeps local modes, which a carrier move relabels
+        m = data.draw(st.integers(-4, 4))
+        wave = np.exp(1j * (2 * np.pi * m / L) * grid.x)
+        moved = make_grid(L, M, grid.k0 - m)
+        assert relative(final(moved, v * wave, cfg), w * wave) <= tol, "carrier move"
+    assert abs(rec.mass[-1] - rec.mass[0]) <= tol * rec.mass[0], "mass"
+    (p0, scale), (p1, _) = momentum(u), momentum(rec.final_field())
+    assert abs(p1 - p0) <= tol * scale, "momentum"

@@ -55,6 +55,32 @@ def test_diff_matches_criteria_calls_as_sequences(tmp_path, capsys):
     ]
 
 
+def test_diff_reports_the_largest_relative_difference_over_an_arrays_elements(tmp_path, capsys):
+    # a 1-ulp change in one element, on its own and inside a result with parts
+    parity = _parity()
+    x = np.linspace(1.0, 2.0, 9) * (1 + 1j)
+    y = x.copy()
+    y[4] = complex(np.nextafter(x[4].real, 3.0), x[4].imag)
+    paths = {}
+    for side, arr in (("a", x), ("b", y)):
+        kept = parity.Kept()
+        doc = {"array": parity.fingerprint(arr, kept),
+               "result": parity._result_fingerprint((2.0, arr, np.arange(3.0)), kept),
+               "long": parity.fingerprint(np.zeros(parity.ARRAY_CAP + 1) + (side == "b"), kept)}
+        paths[side] = tmp_path / f"{side}.json"
+        paths[side].write_text(json.dumps(doc))
+        kept.save(paths[side])
+    assert parity.main(["diff", str(paths["a"]), str(paths["b"])]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rel = abs(y[4] - x[4]) / abs(y[4])
+    assert 0 < rel < np.finfo(float).eps
+    peak = abs(y[4] - x[4]) / abs(y[-1])
+    tail = f" (largest relative {rel:.3g}, against the peak {peak:.3g})"
+    assert lines[0].startswith("differs:   array: ") and lines[0].endswith(tail)
+    assert lines[1].startswith("differs:   long: ") and "relative" not in lines[1]  # not kept
+    assert lines[2].startswith("differs:   result: ") and lines[2].endswith(tail)
+
+
 def test_relative_difference_only_between_two_numbers():
     parity = _parity()
     rel = parity.relative_difference

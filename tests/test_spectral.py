@@ -16,6 +16,8 @@ from fournls import (
     to_spectrum,
 )
 from fournls.spectral import (
+    _fft,
+    _ifft,
     boundary_tail_fraction,
     check_resolved,
     spectral_tail_fraction,
@@ -100,6 +102,24 @@ class TestTransforms:
         phys = g.dx * np.sum(np.abs(u.values) ** 2)
         spec = g.L * np.sum(np.abs(to_spectrum(u).coef) ** 2)
         assert abs(phys - spec) <= 1e-10 * phys
+
+    @pytest.mark.parametrize("M", [8, 128, 486, 500, 512, 4096, 18432])
+    @pytest.mark.parametrize("rows", [None, 3], ids=["(M,)", "(B,M)"])
+    def test_transform_pair_is_np_fft_bitwise(self, M, rows):
+        # _fft/_ifft call numpy's private pocketfft ufuncs; a numpy that
+        # changes them, or their factors, fails here and not in a criterion
+        rng = np.random.default_rng(M)
+        shape = (M,) if rows is None else (rows, M)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a0 = a.copy()
+        for ours, theirs in ((_fft, np.fft.fft), (_ifft, np.fft.ifft)):
+            want = theirs(a)
+            got = ours(a)
+            assert got.dtype == np.complex128 and got.shape == shape
+            assert got.tobytes() == want.tobytes() and a.tobytes() == a0.tobytes()
+            b = a.copy()
+            assert ours(b, out=b) is b
+            assert b.tobytes() == want.tobytes()
 
 
 class TestSymbols:

@@ -25,10 +25,16 @@ key -> fingerprint, for:
 
 A number's fingerprint is its ``repr``; anything else is the sha256 of its raw
 bytes.  A result with parts (a dataclass, list, tuple or dict) is the sha256
-of its parts' fingerprints; a generator is left unconsumed.  ``diff`` prints
-each key that differs or is on one side only and exits 1 if there is any;
-where both sides of a differing key are numbers it also prints their
-relative difference |a - b| / max(|a|, |b|).  It compares the criteria calls
+of its parts' fingerprints; a generator is left unconsumed.  Next to OUT.json,
+OUT.npz keeps each numeric array of at most ``ARRAY_CAP`` elements and the
+part list of each result with parts, keyed by fingerprint.  ``diff`` prints
+each key that differs or is on one side only and exits 1 if there is any.
+Where both sides of a differing key are numbers it also prints their
+relative difference |a - b| / max(|a|, |b|).  Where they are arrays, or
+results whose differing parts are numbers and arrays of one shape, it
+prints the largest such difference over the elements, and the largest
+|a - b| against the array's peak: round-off in a coefficient near zero reads
+large in the first and at eps in the second.  It compares the criteria calls
 of each test and function as two call sequences (``difflib``), so a call that
 one side adds or drops shows as that call only ("only in A: …#n"), and a
 changed call that sits at another number in B as "…#n (#m in B)".
@@ -68,8 +74,35 @@ from pathlib import Path
 import numpy as np
 
 
-def fingerprint(value) -> str:
-    """repr for a number, sha256 of the raw bytes (with dtype and shape) otherwise."""
+ARRAY_CAP = 2**16  # elements of the largest array a manifest keeps for the diff
+
+
+class Kept:
+    """The arrays, and the part lists of results with parts, by fingerprint:
+    what ``diff`` reads, next to a manifest, to measure a differing key."""
+
+    def __init__(self, arrays=None, parts=None):
+        self.arrays, self.parts = arrays or {}, parts or {}
+
+    def save(self, manifest_path) -> None:
+        arrays = {fp.removeprefix("sha256:"): a for fp, a in self.arrays.items()}
+        np.savez(Path(manifest_path).with_suffix(".npz"), parts=np.array(json.dumps(self.parts)),
+                 **arrays)
+
+    @classmethod
+    def load(cls, manifest_path) -> "Kept":
+        """What ``save`` wrote next to the manifest; empty if it wrote nothing there."""
+        side = Path(manifest_path).with_suffix(".npz")
+        if not side.is_file():
+            return cls()
+        with np.load(side) as z:
+            return cls({"sha256:" + k: z[k] for k in z.files if k != "parts"},
+                       json.loads(str(z["parts"])))
+
+
+def fingerprint(value, kept: Kept | None = None) -> str:
+    """repr for a number, sha256 of the raw bytes (with dtype and shape) otherwise;
+    a numeric array of at most ``ARRAY_CAP`` elements goes into ``kept``."""
     if isinstance(value, np.generic) and value.dtype.kind in "biufc":
         return repr(value.item())
     if isinstance(value, (numbers.Number, str, type(None))):
@@ -80,10 +113,13 @@ def fingerprint(value) -> str:
     if a.dtype.hasobject:  # its raw bytes would be addresses
         return "sha256:" + hashlib.sha256(repr(value).encode()).hexdigest()
     head = f"{a.dtype.str}{a.shape}".encode()
-    return "sha256:" + hashlib.sha256(head + a.tobytes()).hexdigest()
+    fp = "sha256:" + hashlib.sha256(head + a.tobytes()).hexdigest()
+    if kept is not None and a.dtype.kind in "biufc" and a.size <= ARRAY_CAP:
+        kept.arrays.setdefault(fp, a.copy())
+    return fp
 
 
-def _result_fingerprint(value) -> str:
+def _result_fingerprint(value, kept: Kept | None = None) -> str:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
     elif isinstance(value, dict):
@@ -93,12 +129,16 @@ def _result_fingerprint(value) -> str:
     elif inspect.isgenerator(value):
         return "generator"
     else:
-        return fingerprint(value)
-    joined = "\n".join(_result_fingerprint(x) for x in parts).encode()
-    return "sha256:" + hashlib.sha256(type(value).__name__.encode() + joined).hexdigest()
+        return fingerprint(value, kept)
+    fps = [_result_fingerprint(x, kept) for x in parts]
+    fp = "sha256:" + hashlib.sha256(type(value).__name__.encode()
+                                    + "\n".join(fps).encode()).hexdigest()
+    if kept is not None:
+        kept.parts.setdefault(fp, fps)
+    return fp
 
 
-def _criteria_keys(out: dict):
+def _criteria_keys(out: dict, kept: Kept | None = None):
     import fournls
     import pytest
 
@@ -113,7 +153,7 @@ def _criteria_keys(out: dict):
             result = fn(*args, **kwargs)
             key = (calls["test"], name)
             calls["n"][key] = i = calls["n"].get(key, 0) + 1
-            out[f"criteria/{calls['test']}/{name}#{i}"] = _result_fingerprint(result)
+            out[f"criteria/{calls['test']}/{name}#{i}"] = _result_fingerprint(result, kept)
             return result
         return recorded
 
@@ -180,7 +220,7 @@ def _narrow_state(grid, rng, support):
     return to_physical(Spectrum(grid, coef))
 
 
-def _imethod_keys(out: dict):
+def _imethod_keys(out: dict, kept: Kept | None = None):
     from fournls import EvolutionConfig, IMethodParams, ModeSet, imethod, make_grid
 
     cfg = EvolutionConfig(equation="quartic", orientation=1, kappa=1, dt=1e-5, t_end=1e-4)
@@ -193,20 +233,20 @@ def _imethod_keys(out: dict):
             for N in (1.0, 2.0, 4.5):
                 p = IMethodParams(N=N)
                 at = f"L={name_L}/K={K}/N={N}"
-                out[f"energy4/{at}"] = fingerprint(imethod.energy4(f, p, modes))
+                out[f"energy4/{at}"] = fingerprint(imethod.energy4(f, p, modes), kept)
                 m6 = imethod.lambda_n(imethod._m6(p), [f] * 6, modes)
-                out[f"lambda_n/m6/{at}"] = fingerprint(m6.value)
-                out[f"lambda_n/m6/{at}/terms"] = fingerprint(m6.terms)
+                out[f"lambda_n/m6/{at}"] = fingerprint(m6.value, kept)
+                out[f"lambda_n/m6/{at}/terms"] = fingerprint(m6.terms, kept)
             for tag, sym in (("real", lambda a, b, c, d: 1.0 + a * b - c * d),
                              ("complex", lambda a, b, c, d: (1 + 0.5j) * (a - b) ** 2 + c)):
                 res = imethod.lambda_n(sym, [f] * 4, modes)
-                out[f"lambda_n/{tag}/L={name_L}/K={K}"] = fingerprint(res.value)
-                out[f"lambda_n/{tag}/L={name_L}/K={K}/terms"] = fingerprint(res.terms)
+                out[f"lambda_n/{tag}/L={name_L}/K={K}"] = fingerprint(res.value, kept)
+                out[f"lambda_n/{tag}/L={name_L}/K={K}/terms"] = fingerprint(res.terms, kept)
         modes = ModeSet(make_grid(L, 64), 12)
         chk = imethod.derivative_identity_check(_narrow_state(modes.grid, rng, 4),
                                                 IMethodParams(N=2.0), cfg, modes)
         for field, value in vars(chk).items():
-            out[f"derivative_identity_check/L={name_L}/{field}"] = fingerprint(value)
+            out[f"derivative_identity_check/L={name_L}/{field}"] = fingerprint(value, kept)
         # lattice tuples on the hyperplane, |k| <= 12 in the free slots
         k = rng.integers(-12, 13, size=(5, 4096))
         for name in symbols:
@@ -214,10 +254,11 @@ def _imethod_keys(out: dict):
             n_xi = sum(1 for q in inspect.signature(fn).parameters if q.startswith("xi"))
             xi = 2 * np.pi / L * np.vstack([k[:n_xi - 1], -k[:n_xi - 1].sum(axis=0)])
             if "p" not in inspect.signature(fn).parameters:
-                out[f"{name}/L={name_L}"] = fingerprint(fn(*xi))
+                out[f"{name}/L={name_L}"] = fingerprint(fn(*xi), kept)
                 continue
             for N in (1.0, 2.0, 4.5):
-                out[f"{name}/L={name_L}/N={N}"] = fingerprint(fn(*xi, IMethodParams(N=N)))
+                value = fn(*xi, IMethodParams(N=N))
+                out[f"{name}/L={name_L}/N={N}"] = fingerprint(value, kept)
 
 
 def _packet(grid, rng):
@@ -230,7 +271,7 @@ def _packet(grid, rng):
     return to_physical(Spectrum(grid, coef))
 
 
-def _evolve_keys(out: dict):
+def _evolve_keys(out: dict, kept: Kept | None = None):
     from fournls import EvolutionConfig, evolve, evolve_many, make_grid
 
     for tag, grid in (("k0=0", make_grid(40.0, 256)), ("band", make_grid(40.0, 250, 37))):
@@ -246,10 +287,10 @@ def _evolve_keys(out: dict):
                 for name, rec in runs.items():
                     for part in dataclasses.fields(rec):
                         key = f"evolve/{tag}/{scheme}/K={K}/kappa={kappa}/{name}/{part.name}"
-                        out[key] = _result_fingerprint(getattr(rec, part.name))
+                        out[key] = _result_fingerprint(getattr(rec, part.name), kept)
 
 
-def _galerkin_keys(out: dict):
+def _galerkin_keys(out: dict, kept: Kept | None = None):
     from fournls import EvolutionConfig, Spectrum, galerkin_evolve, galerkin_rhs, make_grid
 
     K = 8
@@ -261,10 +302,11 @@ def _galerkin_keys(out: dict):
         s = Spectrum(grid, coef)
         for kappa in (1, -1, 0):
             cfg = EvolutionConfig(kappa=kappa)
-            out[f"galerkin_rhs/{tag}/kappa={kappa}"] = fingerprint(galerkin_rhs(s, cfg, K).coef)
+            rhs = galerkin_rhs(s, cfg, K).coef
+            out[f"galerkin_rhs/{tag}/kappa={kappa}"] = fingerprint(rhs, kept)
             for t in (0.01, -0.01):
                 end = galerkin_evolve(s, cfg, K, t, n_steps=20)
-                out[f"galerkin_evolve/{tag}/kappa={kappa}/t={t}"] = fingerprint(end.coef)
+                out[f"galerkin_evolve/{tag}/kappa={kappa}/t={t}"] = fingerprint(end.coef, kept)
 
 
 def manifest(path: str):
@@ -272,12 +314,14 @@ def manifest(path: str):
 
     print(f"fournls from {Path(fournls.__file__).parent}", file=sys.stderr)
     out = {"env/OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
-    _imethod_keys(out)
-    _evolve_keys(out)
-    _galerkin_keys(out)
-    _harness_keys(out)
-    _criteria_keys(out)
+    kept = Kept()
+    _imethod_keys(out, kept)
+    _evolve_keys(out, kept)
+    _galerkin_keys(out, kept)
+    _harness_keys(out)  # report leaves are numbers and strings, other files raw bytes
+    _criteria_keys(out, kept)
     Path(path).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    kept.save(path)
     print(f"{len(out)} keys written to {path}", file=sys.stderr)
 
 
@@ -298,9 +342,49 @@ def relative_difference(fp_a: str, fp_b: str):
     return abs(a - b) / scale if scale else 0.0
 
 
-def _differs(key: str, fp_a: str, fp_b: str) -> str:
+def _leaves(fp: str, kept: Kept) -> list:
+    """The fingerprints of the numbers, arrays and other leaves under ``fp``."""
+    parts = kept.parts.get(fp)
+    return [fp] if parts is None else [x for p in parts for x in _leaves(p, kept)]
+
+
+def array_difference(fp_a: str, fp_b: str, kept_a: Kept, kept_b: Kept):
+    """``(elementwise, peak)``: the largest |a - b| / max(|a|, |b|) over the
+    elements of two kept arrays, and the largest |a - b| over the larger of
+    the two peaks max |a|, max |b|; over the differing leaves of two results,
+    each a pair of numbers or of kept arrays of one shape, the largest of
+    each.  None where some differing leaf is neither."""
+    leaves_a, leaves_b = _leaves(fp_a, kept_a), _leaves(fp_b, kept_b)
+    if len(leaves_a) != len(leaves_b):
+        return None
+    worst = (0.0, 0.0)
+    for la, lb in zip(leaves_a, leaves_b):
+        if la == lb:
+            continue
+        rel = relative_difference(la, lb)
+        if rel is not None:
+            worst = (max(worst[0], rel), max(worst[1], rel))
+            continue
+        a, b = kept_a.arrays.get(la), kept_b.arrays.get(lb)
+        if a is None or b is None or a.shape != b.shape:
+            return None
+        a, b = a.astype(np.complex128), b.astype(np.complex128)
+        scale, gap = np.maximum(np.abs(a), np.abs(b)), np.abs(a - b)
+        elementwise = np.max(gap / np.where(scale > 0, scale, 1.0), initial=0.0)
+        peak = np.max(scale, initial=0.0)
+        worst = (max(worst[0], float(elementwise)),
+                 max(worst[1], float(np.max(gap, initial=0.0) / peak) if peak else 0.0))
+    return worst
+
+
+def _differs(key: str, fp_a: str, fp_b: str, kept_a: Kept, kept_b: Kept) -> str:
+    line = f"differs:   {key}: {fp_a} -> {fp_b}"
     rel = relative_difference(fp_a, fp_b)
-    return f"differs:   {key}: {fp_a} -> {fp_b}" + ("" if rel is None else f" (relative {rel:.3g})")
+    if rel is not None:
+        return line + f" (relative {rel:.3g})"
+    rel = array_difference(fp_a, fp_b, kept_a, kept_b)
+    return line + ("" if rel is None else
+                   f" (largest relative {rel[0]:.3g}, against the peak {rel[1]:.3g})")
 
 
 def _call_sequences(doc: dict) -> dict:
@@ -313,7 +397,7 @@ def _call_sequences(doc: dict) -> dict:
     return {head: [fp for _, fp in sorted(seq)] for head, seq in calls.items()}
 
 
-def _call_report(head: str, seq_a: list, seq_b: list) -> list:
+def _call_report(head: str, seq_a: list, seq_b: list, kept_a: Kept, kept_b: Kept) -> list:
     """(sort key, line) for each call of ``head`` that one side adds, drops or changes."""
     out = []
     matcher = difflib.SequenceMatcher(None, seq_a, seq_b, autojunk=False)
@@ -323,7 +407,7 @@ def _call_report(head: str, seq_a: list, seq_b: list) -> list:
         pairs = min(i2 - i1, j2 - j1)
         for i, j in zip(range(i1, i1 + pairs), range(j1, j1 + pairs)):
             key = f"{head}#{i + 1}" + ("" if i == j else f" (#{j + 1} in B)")
-            out.append((key, _differs(key, seq_a[i], seq_b[j])))
+            out.append((key, _differs(key, seq_a[i], seq_b[j], kept_a, kept_b)))
         out += [(f"{head}#{i + 1}", f"only in A: {head}#{i + 1}") for i in range(i1 + pairs, i2)]
         out += [(f"{head}#{j + 1}", f"only in B: {head}#{j + 1}") for j in range(j1 + pairs, j2)]
     return out
@@ -336,6 +420,7 @@ def diff(path_a: str, path_b: str) -> int:
     a call that one side adds or drops is reported as that call alone, not as
     a renumbering of every later call."""
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    kept_a, kept_b = Kept.load(path_a), Kept.load(path_b)
     report = []
     for key in (a.keys() | b.keys()):
         if key.startswith("criteria/"):
@@ -345,10 +430,11 @@ def diff(path_a: str, path_b: str) -> int:
         elif key not in a:
             report.append((key, f"only in B: {key}"))
         elif a[key] != b[key]:
-            report.append((key, _differs(key, a[key], b[key])))
+            report.append((key, _differs(key, a[key], b[key], kept_a, kept_b)))
     calls_a, calls_b = _call_sequences(a), _call_sequences(b)
     for head in calls_a.keys() | calls_b.keys():
-        report += _call_report(head, calls_a.get(head, []), calls_b.get(head, []))
+        report += _call_report(head, calls_a.get(head, []), calls_b.get(head, []),
+                               kept_a, kept_b)
     for _, line in sorted(report):
         print(line)
     print(f"{len(a.keys() | b.keys())} keys, {len(report)} differ")
