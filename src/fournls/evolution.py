@@ -47,14 +47,14 @@ with the next one's leading one, so a step is one pair per nonlinear substep.
 
 The core runs on the shape its start receives: one field as an (M,) array,
 or a family of B fields as a (B, M) stack.  Transforms act along the last
-axis.  The rows share M and k0, but each may have its own length L and step
-dt: a multiplier that every row shares is one (M,) table, which broadcasts
-over the rows, and one that differs is a (B, M) table with a row per field;
-a step that differs is a (B, 1) column.  Each row of a stack so does the
-arithmetic of a run on that field alone, bitwise, since a per-row product is
-the same IEEE operation as the shared one (``evolve_many``).  A stack saves
-the per-call overhead of the transforms, which dominates at the band grids'
-few hundred points.
+axis.  The rows share M, but each may have its own length L, carrier index
+k0 and step dt: a multiplier that every row shares is one (M,) table, which
+broadcasts over the rows, and one that differs is a (B, M) table with a row
+per field; a step that differs is a (B, 1) column.  Each row of a stack so
+does the arithmetic of a run on that field alone, bitwise, since a per-row
+product is the same IEEE operation as the shared one; ``evolve_many`` groups
+any family into such stacks.  A stack saves the per-call overhead of the
+transforms, which dominates at the band grids' few hundred points.
 
 A record point takes one forward transform per field: the energy, every
 Sobolev norm and the run's spectral tail guard all read that one spectrum,
@@ -304,8 +304,8 @@ def _stepper(grid, cfg):
     once.  A split step overwrites its state's array in place.
 
     ``grid`` and ``cfg`` are each one object, shared by every row, or a list
-    with one per row of a (B, M) stack.  The rows must share M, k0 and every
-    setting but ``dt`` and ``t_end`` (``evolve_many`` checks that).
+    with one per row of a (B, M) stack.  The rows must share M and every
+    setting but ``dt`` and ``t_end`` (``evolve_many`` groups them so).
     """
     grids = grid if isinstance(grid, list) else [grid]
     cfgs = cfg if isinstance(cfg, list) else [cfg]
@@ -444,18 +444,18 @@ def evolve(f0: Field, cfg: EvolutionConfig) -> TrajectoryRecord:
 
 
 def evolve_many(fields, cfg) -> list[TrajectoryRecord]:
-    """``[evolve(f, c) for f, c in zip(fields, cfgs)]``, stepped together as
-    one (B, M) stack.
+    """``[evolve(f, c) for f, c in zip(fields, cfgs)]``, with the members
+    grouped into stacks, each a (B, M) array stepped together.
 
     ``cfg`` is one :class:`EvolutionConfig` for every field, or a list with
-    one per field.  The members may share a stack when their grids have equal
-    M and carrier index k0, and their configs are equal but for ``dt`` and
-    ``t_end`` and take equal numbers of steps; the grid lengths L may differ.
-    Any other member raises :class:`ConfigError` naming it.  Each member
-    keeps its own start guard, its own record and its own run tail guard; a
-    member that trips the guard raises :class:`AbortedRunError` naming it and
-    carrying its partial record.  Each record is bitwise equal to that of
-    ``evolve`` on the member alone.
+    one per field.  Members share a stack when they have equal M and step
+    counts and configs equal but for ``dt`` and ``t_end``; L and k0 may
+    differ.  The stacks run one after another, and the records come back in
+    input order, each bitwise equal to that of ``evolve`` on the member
+    alone.  Each member keeps its own start guard, all read before the first
+    step, its own record and its own run tail guard; a member that trips it
+    raises :class:`AbortedRunError` naming its index in the family and
+    carrying its partial record.
     """
     fields = list(fields)
     if not fields:
@@ -463,38 +463,35 @@ def evolve_many(fields, cfg) -> list[TrajectoryRecord]:
     cfgs = list(cfg) if isinstance(cfg, (list, tuple)) else [cfg] * len(fields)
     if len(cfgs) != len(fields):
         raise ConfigError(f"{len(cfgs)} configs for {len(fields)} fields")
-    grid, first = fields[0].grid, cfgs[0]
+    keys, stacks = [], []  # the (M, steps, settings) of each stack, and its members
     for i, (f, c) in enumerate(zip(fields, cfgs)):
-        if (f.grid.M, f.grid.k0) != (grid.M, grid.k0):
-            raise ConfigError(f"field {i} lies on {f.grid}, not on a grid of "
-                              f"M={grid.M}, k0={grid.k0} like field 0")
-        if replace(c, dt=first.dt, t_end=first.t_end) != first:
-            raise ConfigError(f"the config of field {i} differs from that of field 0 "
-                              "in more than dt and t_end")
         check_resolved(f, tol=c.start_tail_tol, localized=c.require_localized)
-        if _n_steps(c) != _n_steps(first):
-            raise ConfigError(f"field {i} takes {_n_steps(c)} steps, "
-                              f"not {_n_steps(first)} like field 0")
-    n_steps = _n_steps(first)
+        key = (f.grid.M, _n_steps(c), replace(c, dt=cfgs[0].dt, t_end=cfgs[0].t_end))
+        if key not in keys:
+            keys.append(key)
+            stacks.append([])
+        stacks[keys.index(key)].append(i)
 
     runs = [_Trajectory(f.grid, c) for f, c in zip(fields, cfgs)]
     for run, f in zip(runs, fields):
         run.record(0.0, f.values)
-    start, step, values = _stepper([f.grid for f in fields], cfgs)
-    state = start(np.stack([f.values for f in fields]))
-    for n in range(1, n_steps + 1):
-        state = step(state)
-        if n % first.record_stride == 0 or n == n_steps:
-            rows = values(state).reshape(len(fields), grid.M)
-            for i, (run, u) in enumerate(zip(runs, rows)):
-                tail = run.record(n * run.cfg.dt, u)
-                if tail > first.run_tail_tol:
-                    member = f" in field {i} of {len(fields)}" if len(fields) > 1 else ""
-                    raise AbortedRunError(
-                        f"spectral tail blow-up{member} at t={n * run.cfg.dt:g}: "
-                        f"{tail:.3e} > {first.run_tail_tol:.1e}",
-                        record=run.result(aborted=True),
-                    )
+    for (_, n_steps, shared), members in zip(keys, stacks):
+        start, step, values = _stepper([fields[i].grid for i in members],
+                                       [cfgs[i] for i in members])
+        state = start(np.stack([fields[i].values for i in members]))
+        for n in range(1, n_steps + 1):
+            state = step(state)
+            if n % shared.record_stride == 0 or n == n_steps:
+                for i, u in zip(members, values(state)):
+                    run = runs[i]
+                    tail = run.record(n * run.cfg.dt, u)
+                    if tail > shared.run_tail_tol:
+                        member = f" in field {i} of {len(fields)}" if len(fields) > 1 else ""
+                        raise AbortedRunError(
+                            f"spectral tail blow-up{member} at t={n * run.cfg.dt:g}: "
+                            f"{tail:.3e} > {shared.run_tail_tol:.1e}",
+                            record=run.result(aborted=True),
+                        )
     return [run.result() for run in runs]
 
 

@@ -258,6 +258,7 @@ def modulation_norm_check(
     u of smoothness 5) is checked per point and flagged with a warning, but
     the norm is computed regardless.
     """
+    check_real("s", s)
     if sweep not in ("carrier", "width", "amplitude"):
         raise ConfigError(f"unknown sweep '{sweep}'")
     values = list(values)
@@ -292,18 +293,18 @@ def _solver_config(dt: float, t_end: float, stride: int) -> EvolutionConfig:
                            record_fields=True)
 
 
-def _evolve_uaps(profiles, setup: UapSetup, t_run: float, dt: float, n_records: int) -> list:
-    """The solver's records from U_ap(0) of each profile, stepped on the band as one stack.
+def _evolve_uaps(profiles, setups, t_run: float, dt: float, n_records: int) -> list:
+    """The solver's records from U_ap(0) of each profile on the band of its setup.
 
     The run takes round(t_run / dt) steps and records about ``n_records``
-    times; each record's first field is U_ap(0).
+    times; each record's first field is U_ap(0); bands of one size share a stack.
     """
     check_real("the run length", t_run, positive=True)
     check_real("dt", dt, positive=True)
     check_integer("n_records", n_records, 1)
     steps = int(round(t_run / dt))
     cfg = _solver_config(dt, steps * dt, max(1, steps // n_records))
-    return evolve_many([_uap_on(p, setup, 0.0, setup.band) for p in profiles], cfg)
+    return evolve_many([_uap_on(p, s, 0.0, s.band) for p, s in zip(profiles, setups)], cfg)
 
 
 @dataclass
@@ -315,20 +316,30 @@ class ErrorDecayResult:
 def uap_tracking_error(N: float, window: float = 1.0, amplitude: float = 1.0,
                        dt: float = 5e-4, n_records: int = 20,
                        profile_length: float = 50.0, profile_modes: int = 512) -> float:
-    """sup over the window of ||U - U_ap||_{H^{-1/2}} with U(0) = U_ap(0), on the band grid.
+    """sup over the window of ||U - U_ap||_{H^{-1/2}} with U(0) = U_ap(0), on the band
+    grid: the one-N case of ``error_decay_experiment``.
 
     The window is rounded to a whole number of steps of ``dt``.
     """
-    setup = plan_uap_discretization(
-        float(N), profile_length=profile_length, profile_modes=profile_modes
-    )
-    profile = SolitonProfile(amplitude, setup.grid_v)
-    (rec,) = _evolve_uaps([profile], setup, window, dt, n_records)
-    worst = 0.0
-    for t, f in zip(rec.times[1:], rec.fields[1:]):
-        ref = _uap_on(profile, setup, float(t), setup.band)
-        worst = max(worst, sobolev_norm(Field(setup.band, f.values - ref.values), -0.5))
-    return worst
+    return _tracking_errors([N], window, amplitude, dt, n_records, profile_length,
+                            profile_modes)[N]
+
+
+def _tracking_errors(N_values, window, amplitude, dt, n_records, profile_length,
+                     profile_modes) -> dict:
+    """``uap_tracking_error`` at each N, every N planned before one ``_evolve_uaps`` call."""
+    setups = [plan_uap_discretization(float(N), profile_length=profile_length,
+                                      profile_modes=profile_modes) for N in N_values]
+    profiles = [SolitonProfile(amplitude, setup.grid_v) for setup in setups]
+    records = _evolve_uaps(profiles, setups, window, dt, n_records)
+    sups = {}
+    for N, setup, profile, rec in zip(N_values, setups, profiles, records):
+        worst = 0.0
+        for t, f in zip(rec.times[1:], rec.fields[1:]):
+            ref = _uap_on(profile, setup, float(t), setup.band)
+            worst = max(worst, sobolev_norm(Field(setup.band, f.values - ref.values), -0.5))
+        sups[N] = worst
+    return sups
 
 
 def error_decay_experiment(N_values, window: float = 1.0, amplitude: float = 1.0,
@@ -337,15 +348,12 @@ def error_decay_experiment(N_values, window: float = 1.0, amplitude: float = 1.0
                            profile_modes: int = 512) -> ErrorDecayResult:
     """Evolve U(0) = U_ap(0) exactly and fit sup_t ||U - U_ap||_{H^{-1/2}} vs N.
 
-    The residual of the construction is O(N^-2), so the fitted slope is
-    predicted near -2.
+    Every N is stepped in one ``evolve_many`` call.  The residual of the
+    construction is O(N^-2), so the fitted slope is predicted near -2.
     """
-    sups = {
-        N: uap_tracking_error(N, window, amplitude, dt, n_records, profile_length, profile_modes)
-        for N in N_values
-    }
-    fit = fit_loglog(sorted(sups.items()))
-    return ErrorDecayResult(fit=fit, sup_errors=sups)
+    sups = _tracking_errors(list(N_values), window, amplitude, dt, n_records,
+                            profile_length, profile_modes)
+    return ErrorDecayResult(fit=fit_loglog(sorted(sups.items())), sup_errors=sups)
 
 
 @dataclass
@@ -387,7 +395,9 @@ def separation_experiment(
     norm live on the band grid of the setup, where the two runs are stepped
     together as one stack.
     """
-    check_real("s", s)
+    for name, value in (("s", s), ("amplitude a", a), ("amplitude a2", a2)):
+        check_real(name, value)
+    check_real("carrier frequency N", N, positive=True)
     check_real("T", T, positive=True)
     if not (-15.0 / 14.0 < s < -0.5):
         warnings.warn(
@@ -414,7 +424,7 @@ def separation_experiment(
         float(N), profile_length=profile_length, profile_modes=profile_modes
     )
     profiles = [SolitonProfile(a, setup.grid_v), SolitonProfile(a2, setup.grid_v)]
-    rec1, rec2 = _evolve_uaps(profiles, setup, t_run, dt, n_records)
+    rec1, rec2 = _evolve_uaps(profiles, [setup, setup], t_run, dt, n_records)
 
     def scaled_norm(f: Field) -> float:
         return sobolev_norm(scale_transform(f, lam), s)

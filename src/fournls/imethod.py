@@ -645,18 +645,17 @@ def almost_conservation_experiment(
 ) -> AlmostConservationResult:
     """Sweep the threshold N and fit the modified-mass increment decay.
 
-    ``data`` is one field or a family of fields sharing a grid; the family
-    is evolved once, as one stack, and the sweep reuses each member's
-    snapshots and their Lambda4(sigma4) marginals (one walk of the whole
-    family serves every N), with increments sup_t |E(t) - E(0)| averaged
-    over the family (single random-phase realizations carry an O(0.5) slope
-    scatter).  The multilinear forms run on the mode set |k| <= ``support_K``,
-    so the flow must keep its modes there (``cfg.project_K <= support_K``);
-    that, the thresholds and the family's grid and support are checked before
-    the run.  The corrected slope is predicted near -3; the uncorrected E2
-    series is fitted for comparison.
+    ``data`` is a family, a list of fields sharing a grid; it is evolved once,
+    as one stack, and the sweep reuses each member's snapshots and their
+    Lambda4(sigma4) marginals (one walk of the whole family serves every N),
+    with increments sup_t |E(t) - E(0)| averaged over the family (single
+    random-phase realizations carry an O(0.5) slope scatter).  The multilinear
+    forms run on the mode set |k| <= ``support_K``, so the flow must keep its
+    modes there (``cfg.project_K <= support_K``); that, the thresholds and the
+    family's grid and support are checked before the run.  The corrected slope
+    is predicted near -3; the uncorrected E2 series is fitted for comparison.
     """
-    family = [data] if isinstance(data, Field) else list(data)
+    family = list(data)
     floor = 1e-13  # increments below it are round-off
     if len(N_values) < 4:
         raise ConfigError("need at least 4 threshold values for the sweep")

@@ -26,7 +26,7 @@ from fournls import (
     to_physical,
     to_spectrum,
 )
-from fournls import spectral
+from fournls import evolution, spectral
 from fournls.evolution import (
     _FLOW_BLOCK_BYTES,
     MCLACHLAN_A,
@@ -482,7 +482,7 @@ class TestEvolveMany:
         with pytest.raises(ConfigError):
             evolve_many([], EvolutionConfig())
 
-    @pytest.mark.parametrize("vary", ["L", "dt", "L and dt"])
+    @pytest.mark.parametrize("vary", ["L", "dt", "L and dt", "k0"])
     @pytest.mark.parametrize("M, k0", [(512, 0), (500, 37)], ids=["M512", "band-M500"])
     @pytest.mark.parametrize("scheme", ["strang", "mclachlan2", "ifrk4"])
     def test_members_with_own_length_and_step_match_evolve_alone_bitwise(
@@ -491,7 +491,8 @@ class TestEvolveMany:
         # be those of the member run alone
         lengths = (40.0, 33.0, 52.5) if "L" in vary else (40.0,) * 3
         steps = (1e-3, 6e-4, 1.25e-3) if "dt" in vary else (1e-3,) * 3
-        fields = [_family(M, L, k0)[i] for i, L in enumerate(lengths)]
+        carriers = (k0, k0 + 3, k0 - 5) if vary == "k0" else (k0,) * 3
+        fields = [_family(M, L, c)[i] for i, (L, c) in enumerate(zip(lengths, carriers))]
         for K in _cutoffs(scheme, M // 6):
             cfgs = [EvolutionConfig(dt=dt, t_end=7 * dt, scheme=scheme, record_stride=3,
                                     sobolev_orders=(-0.5, 1.0), project_K=K,
@@ -502,23 +503,50 @@ class TestEvolveMany:
                 assert all(g.grid == f.grid for g in got.fields)
                 _assert_records_equal(got, evolve(f, cfg))
 
-    @pytest.mark.parametrize("other", [dict(M=512), dict(k0=3)], ids=["M", "k0"])
-    def test_fields_on_different_grids_rejected(self, other):
-        base = dict(M=256, L=40.0, k0=0)
-        fields = [_family(**base)[0], _family(**{**base, **other})[1]]
-        with pytest.raises(ConfigError, match="field 1"):
-            evolve_many(fields, EvolutionConfig(dt=1e-3, t_end=2e-3,
-                                                require_localized=False))
+    @pytest.mark.parametrize("grid, settings, stacks", [
+        (dict(M=512), {}, [2, 1]), (dict(k0=3), {}, [3]), ({}, dict(scheme="strang"), [2, 1]),
+        ({}, dict(kappa=-1), [2, 1]), ({}, dict(record_stride=2), [2, 1]),
+        ({}, dict(t_end=3e-3), [2, 1]), ({}, dict(dt=5e-4), [2, 1])],
+        ids=["M", "k0", "scheme", "kappa", "record_stride", "steps", "dt-steps"])
+    def test_members_share_a_stack_only_with_equal_M_steps_and_settings(
+            self, grid, settings, stacks, monkeypatch):
+        # the last member differs from the first two in one thing; only M, the
+        # step count and the settings but dt and t_end split a family
+        fields = _family(256)[:2] + [_family(**{"M": 256, "k0": 0, **grid})[2]]
+        cfg = EvolutionConfig(dt=1e-3, t_end=2e-3, require_localized=False)
+        cfgs = [cfg, cfg, replace(cfg, **settings)]
+        rows = []
+        stepper = evolution._stepper
 
-    @pytest.mark.parametrize("other", [dict(scheme="strang"), dict(kappa=-1),
-                                       dict(record_stride=2), dict(t_end=3e-3),
-                                       dict(dt=5e-4)],
-                             ids=["scheme", "kappa", "record_stride", "steps", "dt-steps"])
-    def test_configs_that_cannot_share_a_stack_rejected(self, other):
-        fields = _family(256)[:2]
-        cfg = EvolutionConfig(dt=1e-3, t_end=2e-3)
-        with pytest.raises(ConfigError, match="field 1"):
-            evolve_many(fields, [cfg, replace(cfg, **other)])
+        def counted(grids, configs):
+            rows.append(len(grids))
+            return stepper(grids, configs)
+
+        monkeypatch.setattr(evolution, "_stepper", counted)
+        records = evolve_many(fields, cfgs)
+        assert rows == stacks
+        for got, f, c in zip(records, fields, cfgs, strict=True):
+            _assert_records_equal(got, evolve(f, c))
+
+    def test_shuffled_family_returns_records_in_input_order(self):
+        # grids of two sizes and four carriers, three schemes and two step
+        # counts, shuffled: 24 members in 12 stacks of two carriers each
+        rng = np.random.default_rng(5)
+        members = []
+        for M, k0 in ((256, 0), (250, 37), (256, -5), (250, 3)):
+            for scheme in ("strang", "mclachlan2", "ifrk4"):
+                for n in (7, 9):
+                    members.append((_family(M, 40.0, k0)[len(members) % 3], scheme, n))
+        members = [members[i] for i in rng.permutation(len(members))]
+        fields = [f for f, _, _ in members]
+        cfgs = [EvolutionConfig(dt=1e-3, t_end=n * 1e-3, scheme=scheme, record_stride=3,
+                                sobolev_orders=(-0.5,), require_localized=False)
+                for _, scheme, n in members]
+        records = evolve_many(fields, cfgs)
+        for got, f, cfg in zip(records, fields, cfgs, strict=True):
+            assert got.config is cfg
+            assert all(g.grid == f.grid for g in got.fields)
+            _assert_records_equal(got, evolve(f, cfg))
 
     def test_one_config_per_field(self):
         cfg = EvolutionConfig(dt=1e-3, t_end=2e-3)
@@ -538,6 +566,21 @@ class TestEvolveMany:
             evolve(wild, cfg)
         assert "field" not in str(alone.value)
         assert exc.value.record.aborted
+        _assert_records_equal(exc.value.record, alone.value.record)
+
+    def test_a_member_of_a_later_stack_is_named_by_its_index_in_the_family(self):
+        # the first member steps alone on a grid of its own size, all the way;
+        # the blow-up comes in the second stack and names the family's index
+        calm_wide = make_gaussian(make_grid(30.0, 256), amplitude=0.3, width=2.0)
+        g = make_grid(30.0, 128)
+        calm = make_gaussian(g, amplitude=0.3, width=2.0)
+        wild = make_gaussian(g, amplitude=6.0, width=1.2)
+        cfg = EvolutionConfig(kappa=-1, dt=2e-3, t_end=4.0, record_stride=10,
+                              start_tail_tol=1e-6)
+        with pytest.raises(AbortedRunError, match="field 2 of 3") as exc:
+            evolve_many([calm_wide, calm, wild], cfg)
+        with pytest.raises(AbortedRunError) as alone:
+            evolve(wild, cfg)
         _assert_records_equal(exc.value.record, alone.value.record)
 
 

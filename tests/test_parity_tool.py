@@ -55,6 +55,24 @@ def test_diff_matches_criteria_calls_as_sequences(tmp_path, capsys):
     ]
 
 
+def test_diff_prints_calls_that_differ_only_in_order_as_one_line(tmp_path, capsys):
+    # the same fingerprints in another order are one key; a changed multiset is not
+    parity = _parity()
+    calls = {"A": {"f": ["x", "y", "z", "x"], "g": ["1.0", "2.0"], "h": ["x", "y"]},
+             "B": {"f": ["z", "x", "x", "y"], "g": ["1.0", "2.0"], "h": ["y", "x2"]}}
+    for side, funcs in calls.items():
+        doc = {f"criteria/t.py::test/{fn}#{n}": fp
+               for fn, fps in funcs.items() for n, fp in enumerate(fps, 1)}
+        (tmp_path / f"{side}.json").write_text(json.dumps(doc))
+    assert parity.main(["diff", str(tmp_path / "A.json"), str(tmp_path / "B.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "reordered: criteria/t.py::test/f (4 calls, same fingerprints)",
+        "only in A: criteria/t.py::test/h#1",
+        "only in B: criteria/t.py::test/h#2",
+        "8 keys, 3 differ",
+    ]
+
+
 def test_diff_reports_the_largest_relative_difference_over_an_arrays_elements(tmp_path, capsys):
     # a 1-ulp change in one element, on its own and inside a result with parts
     parity = _parity()

@@ -27,7 +27,7 @@ from fournls import (
 from fournls.cli import main as cli_main
 from fournls.dispersive import decay_fit, kernel_K, strichartz_admissible
 from fournls.harness import SpecValidationError, validate_spec
-from fournls.illposedness import modulation_norm_check
+from fournls.illposedness import modulation_norm_check, separation_experiment
 from fournls.imethod import almost_conservation_experiment
 from fournls.spectral import Spectrum, check_resolved
 
@@ -98,6 +98,25 @@ CASES = {
                           "wrap-around"),
     "strichartz-exponent-below-one": (lambda: strichartz_admissible(0.5, 2, 0), ConfigError,
                                       ">= 1"),
+    # illposedness.py: each argument is checked before any arithmetic; a zero
+    # carrier divided by zero, a negative one raised to a complex power and an
+    # amplitude or order that is no number failed in a comparison
+    "separation-zero-carrier": (lambda: separation_experiment(1.0, 1.05, -0.75, 0.0, 10.0),
+                                ConfigError, "carrier frequency N must be a positive"),
+    "separation-negative-carrier": (lambda: separation_experiment(1.0, 1.05, -0.75, -16.0, 10.0),
+                                    ConfigError, "carrier frequency N must be a positive"),
+    "separation-amplitude-not-a-number": (
+        lambda: separation_experiment("x", 1.05, -0.75, 16.0, 10.0),
+        ConfigError, "amplitude a must be a finite number"),
+    "separation-second-amplitude-nan": (
+        lambda: separation_experiment(1.0, float("nan"), -0.75, 16.0, 10.0),
+        ConfigError, "amplitude a2 must be a finite number"),
+    "modulation-order-not-a-number": (
+        lambda: modulation_norm_check(packet(), "x", packet().grid, "carrier", [16.0]),
+        ConfigError, "s must be a finite number"),
+    "modulation-order-nan": (
+        lambda: modulation_norm_check(packet(), float("nan"), packet().grid, "carrier", [16.0]),
+        ConfigError, "s must be a finite number"),
     # elsewhere
     "unknown-modulation-sweep": (
         lambda: modulation_norm_check(packet(), -0.5, packet().grid, "phase", [1.0]),

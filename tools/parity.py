@@ -37,7 +37,10 @@ prints the largest such difference over the elements, and the largest
 large in the first and at eps in the second.  It compares the criteria calls
 of each test and function as two call sequences (``difflib``), so a call that
 one side adds or drops shows as that call only ("only in A: …#n"), and a
-changed call that sits at another number in B as "…#n (#m in B)".
+changed call that sits at another number in B as "…#n (#m in B)".  Calls
+that differ only in order, the same fingerprints as multisets, show as one
+line and count as one key ("reordered: …/<function> (n calls, same
+fingerprints)").
 
 ``diff REV`` compares the git revision REV (A) with the working tree (B).  It
 extracts REV with ``git archive`` and copies the working tree's ``src``,
@@ -398,7 +401,10 @@ def _call_sequences(doc: dict) -> dict:
 
 
 def _call_report(head: str, seq_a: list, seq_b: list, kept_a: Kept, kept_b: Kept) -> list:
-    """(sort key, line) for each call of ``head`` that one side adds, drops or changes."""
+    """(sort key, line) for each call of ``head`` that one side adds, drops or changes;
+    one line for the whole sequence when the two sides only order the calls apart."""
+    if seq_a != seq_b and sorted(seq_a) == sorted(seq_b):
+        return [(head, f"reordered: {head} ({len(seq_a)} calls, same fingerprints)")]
     out = []
     matcher = difflib.SequenceMatcher(None, seq_a, seq_b, autojunk=False)
     for op, i1, i2, j1, j2 in matcher.get_opcodes():
