@@ -45,16 +45,14 @@ its nonlinearity needs: 2 for ``"strang"``, 4 for ``"mclachlan2"`` and 8 for
 ``"ifrk4"``.  The split schemes merge the trailing linear substep of one step
 with the next one's leading one, so a step is one pair per nonlinear substep.
 
-The core runs on the shape its start receives: one field as an (M,) array,
-or a family of B fields as a (B, M) stack.  Transforms act along the last
-axis.  The rows share M, but each may have its own length L, carrier index
-k0 and step dt: a multiplier that every row shares is one (M,) table, which
-broadcasts over the rows, and one that differs is a (B, M) table with a row
-per field; a step that differs is a (B, 1) column.  Each row of a stack so
-does the arithmetic of a run on that field alone, bitwise, since a per-row
-product is the same IEEE operation as the shared one; ``evolve_many`` groups
-any family into such stacks.  A stack saves the per-call overhead of the
-transforms, which dominates at the band grids' few hundred points.
+The core runs on one shape: a family of B fields as a (B, M) stack, one
+field as a stack of one.  Transforms act along the last axis.  The rows
+share M, but each may have its own length L, carrier index k0 and step dt:
+every multiplier is a (B, M) table with a row per field, and the step a
+(B, 1) column.  Each row of a stack so does the arithmetic of a run on that
+field alone, bitwise; ``evolve_many`` groups any family into such stacks.
+A stack saves the per-call overhead of the transforms, which dominates at
+the band grids' few hundred points.
 
 A record point takes one forward transform per field: the energy, every
 Sobolev norm and the run's spectral tail guard all read that one spectrum,
@@ -73,7 +71,8 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from .errors import AbortedRunError, ConfigError, check_integer, check_real, is_real
+from .errors import (AbortedRunError, ConfigError, NumericDomainError, check_integer, check_real,
+                     is_real)
 from .spectral import (
     Field,
     Spectrum,
@@ -180,17 +179,13 @@ class TrajectoryRecord:
         return self.fields[-1]
 
 
-_FLOW_BLOCK_BYTES = 2**18  # times formed at once: a complex (chunk, M) array, a row at M = 16384
-
-
 def free_flow(f: Field, times, cfg: EvolutionConfig, weight=1.0):
     """An iterator over the fields of coefficients ``weight * exp(i *
     cfg.linear_phase_rate(xi) * t) * c_k``, one per t in ``times``; the
     times are checked at the call, and the work starts at the first field.
 
-    The times run in chunks, each one (chunk, M) array of its own: cos/sin
-    phases, the centering phase and one batched inverse transform in place,
-    whose rows become the fields.
+    Each field is formed in an array of its own: cos/sin phases, the
+    centering phase and one inverse transform in place.
     """
     if not all(is_real(t) for t in np.ravel(times)):
         raise ConfigError(f"flow times must be finite numbers, got {times!r}")
@@ -203,20 +198,16 @@ def _flow(f: Field, times, cfg: EvolutionConfig, weight):
     coef = to_spectrum(f).coef * weight
     rate = cfg.linear_phase_rate(grid.xi)
     centering = grid._centering_phase
-    times = np.asarray(times, dtype=np.float64)
-    chunk = max(1, _FLOW_BLOCK_BYTES // (16 * grid.M))
-    for lo in range(0, len(times), chunk):
-        t = times[lo:lo + chunk]
-        rows = np.empty((len(t), grid.M), dtype=np.complex128)
-        np.multiply.outer(t, rate, out=rows.imag)  # the phases, then cos/sin of them
-        np.cos(rows.imag, out=rows.real)
-        np.sin(rows.imag, out=rows.imag)
-        np.multiply(coef, rows, out=rows)  # the operand order of coef * phases
-        rows *= centering
-        spectral._ifft(rows, out=rows)
-        rows *= grid.M
-        for u in rows:
-            yield Field(grid, u)
+    for t in np.asarray(times, dtype=np.float64):
+        u = np.empty(grid.M, dtype=np.complex128)
+        np.multiply(t, rate, out=u.imag)  # the phases, then cos/sin of them
+        np.cos(u.imag, out=u.real)
+        np.sin(u.imag, out=u.imag)
+        np.multiply(coef, u, out=u)  # the operand order of coef * phases
+        u *= centering
+        spectral._ifft(u, out=u)
+        u *= grid.M
+        yield Field(grid, u)
 
 
 def linear_propagate_4nls(f: Field, t: float, orientation: int = 1) -> Field:
@@ -231,8 +222,8 @@ def linear_propagate_4nls(f: Field, t: float, orientation: int = 1) -> Field:
 
 def _rotate(u: np.ndarray, theta, buf: np.ndarray, phase: np.ndarray) -> np.ndarray:
     # u <- u e^{i theta |u|^2} in place via the complex scratch ``buf`` and the
-    # float64 scratch ``phase``; exact flow at theta = -kappa t, a scalar or a
-    # (B, 1) column of per-row values
+    # float64 scratch ``phase``; exact flow at theta = -kappa t, a (B, 1)
+    # column of per-row values
     np.square(u.real, out=phase)
     np.square(u.imag, out=buf.imag)
     np.add(phase, buf.imag, out=phase)
@@ -264,10 +255,10 @@ def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt) -> np.
         k4 = nl(e_full c + dt e_half k3),
         c <- e_full c + dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4).
 
-    ``dt`` is a scalar or a (B, 1) column of per-row steps.  The stage sums
-    are formed in place, in two scratch arrays and in the ``k`` arrays, which
-    ``nl`` returns fresh; each product keeps the operand order written above
-    (a complex product is not bitwise commutative).  ``c`` is left as it is.
+    ``dt`` is a (B, 1) column of per-row steps.  The stage sums are formed
+    in place, in two scratch arrays and in the ``k`` arrays, which ``nl``
+    returns fresh; each product keeps the operand order written above (a
+    complex product is not bitwise commutative).  ``c`` is left as it is.
     The plain formula gives the same bits but took gwp-imethod's median round
     0.269 -> 0.276 s, slower in 37 of 60 alternating rounds (one process).
     """
@@ -293,28 +284,22 @@ def _ifrk4(c: np.ndarray, nl, e_half: np.ndarray, e_full: np.ndarray, dt) -> np.
     return np.add(y, k1, out=k1)
 
 
-def _stepper(grid, cfg):
-    """``(start, step, values)`` of ``cfg.scheme`` on ``grid``, on plain arrays.
+def _stepper(grids: list, cfgs: list):
+    """``(start, step, values)`` of a scheme on (B, M) stacks, on plain arrays.
 
-    ``start`` maps samples, an (M,) array or a (B, M) stack, to the scheme's
-    state, ``step`` advances a state by ``cfg.dt`` and ``values`` returns the
-    samples of a state that has taken at least one step, in the shape
-    ``start`` received, as a fresh array.  Spectral states hold raw FFT
+    ``grids`` and ``cfgs`` hold one grid and one config per row; the rows
+    must share M and every setting but ``dt`` and ``t_end`` (``evolve_many``
+    groups them so).  ``start`` maps a (B, M) stack of samples to the
+    scheme's state, ``step`` advances a state by each row's ``dt`` and
+    ``values`` returns the samples of a state that has taken at least one
+    step, as a fresh (B, M) array.  Spectral states hold raw FFT
     coefficients (module docstring); every multiplier is tabulated here,
-    once.  A split step overwrites its state's array in place.
-
-    ``grid`` and ``cfg`` are each one object, shared by every row, or a list
-    with one per row of a (B, M) stack.  The rows must share M and every
-    setting but ``dt`` and ``t_end`` (``evolve_many`` groups them so).
+    once, as a (B, M) table, and the step as a (B, 1) column.  A split step
+    overwrites its state's array in place.
     """
-    grids = grid if isinstance(grid, list) else [grid]
-    cfgs = cfg if isinstance(cfg, list) else [cfg]
     cfg = cfgs[0]
-    # a value every row shares is an (M,) table or a scalar, which broadcasts
-    # over the rows; one that differs is a (B, M) table or a (B, 1) column
-    xi = grids[0].xi if all(g == grids[0] for g in grids) else np.stack([g.xi for g in grids])
-    dt = cfg.dt if all(c.dt == cfg.dt for c in cfgs) else np.array([[c.dt] for c in cfgs])
-    lam = 1j * cfg.linear_phase_rate(xi)
+    dt = np.array([[c.dt] for c in cfgs])
+    lam = 1j * cfg.linear_phase_rate(np.stack([g.xi for g in grids]))
     fft, ifft = spectral._fft, spectral._ifft  # looked up per run: a patched pair is seen
 
     if cfg.scheme == "ifrk4":
@@ -365,8 +350,8 @@ def _stepper(grid, cfg):
 
 def ifrk4_step(f: Field, cfg: EvolutionConfig) -> Field:
     """Classical RK4 in the rotating Fourier frame (integrating factor)."""
-    start, step, values = _stepper(f.grid, replace(cfg, scheme="ifrk4"))
-    return Field(f.grid, values(step(start(f.values))))
+    start, step, values = _stepper([f.grid], [replace(cfg, scheme="ifrk4")])
+    return Field(f.grid, values(step(start(f.values[None])))[0])
 
 
 def conserved_energy(f: Field, cfg: EvolutionConfig) -> float:
@@ -408,8 +393,12 @@ class _Trajectory:
 
     def record(self, t: float, u_phys: np.ndarray) -> float:
         """Append the diagnostics of the samples ``u_phys`` at time ``t``;
-        return their spectral tail fraction."""
-        f = Field(self.grid, u_phys)
+        return their spectral tail fraction, inf for non-finite samples,
+        which are not recorded."""
+        try:
+            f = Field(self.grid, u_phys)
+        except NumericDomainError:
+            return np.inf
         power = np.abs(to_spectrum(f).coef) ** 2
         self.times.append(t)
         self.masses.append(mass(f))
@@ -479,19 +468,20 @@ def evolve_many(fields, cfg) -> list[TrajectoryRecord]:
         start, step, values = _stepper([fields[i].grid for i in members],
                                        [cfgs[i] for i in members])
         state = start(np.stack([fields[i].values for i in members]))
-        for n in range(1, n_steps + 1):
-            state = step(state)
-            if n % shared.record_stride == 0 or n == n_steps:
-                for i, u in zip(members, values(state)):
-                    run = runs[i]
-                    tail = run.record(n * run.cfg.dt, u)
-                    if tail > shared.run_tail_tol:
-                        member = f" in field {i} of {len(fields)}" if len(fields) > 1 else ""
-                        raise AbortedRunError(
-                            f"spectral tail blow-up{member} at t={n * run.cfg.dt:g}: "
-                            f"{tail:.3e} > {shared.run_tail_tol:.1e}",
-                            record=run.result(aborted=True),
-                        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up trips the tail guard
+            for n in range(1, n_steps + 1):
+                state = step(state)
+                if n % shared.record_stride == 0 or n == n_steps:
+                    for i, u in zip(members, values(state)):
+                        run = runs[i]
+                        tail = run.record(n * run.cfg.dt, u)
+                        if tail > shared.run_tail_tol:
+                            member = f" in field {i} of {len(fields)}" if len(fields) > 1 else ""
+                            raise AbortedRunError(
+                                f"spectral tail blow-up{member} at t={n * run.cfg.dt:g}: "
+                                f"{tail:.3e} > {shared.run_tail_tol:.1e}",
+                                record=run.result(aborted=True),
+                            )
     return [run.result() for run in runs]
 
 
@@ -564,12 +554,13 @@ def galerkin_evolve(s0: Spectrum, cfg: EvolutionConfig, K: int, t: float,
     grid, w, finish = _galerkin_run(s0, K)
     sign = 1 if t > 0 else -1
     dt = abs(t) / n_steps
-    _, step, _ = _stepper(grid, replace(cfg, orientation=sign * cfg.orientation,
-                                        kappa=sign * cfg.kappa, scheme="ifrk4", dt=dt,
-                                        t_end=dt, project_K=K))
+    _, step, _ = _stepper([grid], [replace(cfg, orientation=sign * cfg.orientation,
+                                           kappa=sign * cfg.kappa, scheme="ifrk4", dt=dt,
+                                           t_end=dt, project_K=K)])
+    w = w[None]
     for _ in range(n_steps):
         w = step(w)
-    return finish(w)
+    return finish(w[0])
 
 
 # ---------------------------------------------------------------------------

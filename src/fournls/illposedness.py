@@ -351,7 +351,10 @@ def error_decay_experiment(N_values, window: float = 1.0, amplitude: float = 1.0
     Every N is stepped in one ``evolve_many`` call.  The residual of the
     construction is O(N^-2), so the fitted slope is predicted near -2.
     """
-    sups = _tracking_errors(list(N_values), window, amplitude, dt, n_records,
+    N_values = list(N_values)
+    if len(N_values) < 4:  # fit_loglog's floor, checked before any N is planned or stepped
+        raise ConfigError(f"need at least 4 carriers N for the fit, got {len(N_values)}")
+    sups = _tracking_errors(N_values, window, amplitude, dt, n_records,
                             profile_length, profile_modes)
     return ErrorDecayResult(fit=fit_loglog(sorted(sups.items())), sup_errors=sups)
 

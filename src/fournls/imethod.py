@@ -655,7 +655,9 @@ def almost_conservation_experiment(
     family's grid and support are checked before the run.  The corrected slope
     is predicted near -3; the uncorrected E2 series is fitted for comparison.
     """
-    family = list(data)
+    family = [] if isinstance(data, Field) else list(data)
+    if not family:
+        raise ConfigError("data must be a non-empty list of fields")
     floor = 1e-13  # increments below it are round-off
     if len(N_values) < 4:
         raise ConfigError("need at least 4 threshold values for the sweep")

@@ -177,8 +177,8 @@ class TestDecay:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_fit_streams_its_flow_a_field_at_a_time(self, datum, alpha):
-        # the sorted times run through one free_flow in blocks of one 16384-point
-        # row: a traced peak of 1.0 and 1.5 MB, against 1.0 and 1.1 MB for one
+        # the sorted times run through one free_flow, a 16384-point row per
+        # time: a traced peak of 1.0 and 1.5 MB, against 1.0 and 1.1 MB for one
         # flow per time and 3.8 and 4.3 MB for all 12 times as one block
         times = np.geomspace(4.0, 40.0, 12)
         decay_fit(alpha, datum, times)
@@ -301,8 +301,8 @@ def _local_smoothing_one_time_at_a_time(datum, window, order, n_times):
 
 
 class TestLocalSmoothing:
-    # M = 16384 runs the 100 times in chunks of 32, so both the chunk
-    # boundaries and a short last chunk are crossed
+    # the 100 times stream through one free_flow at M = 16384; each row must
+    # be the bits of a flow to that time alone
     @pytest.mark.parametrize("order", [1.5, 2.0])
     def test_chunks_match_one_time_at_a_time_bitwise(self, order):
         f = make_gaussian(make_grid(80.0, 16384), width=1.0, carrier=4.0)

@@ -10,7 +10,6 @@ from fournls import (
     ConfigError,
     EvolutionConfig,
     Field,
-    NumericDomainError,
     )
 from fournls import (
     evolve,
@@ -28,7 +27,6 @@ from fournls import (
 )
 from fournls import evolution, spectral
 from fournls.evolution import (
-    _FLOW_BLOCK_BYTES,
     MCLACHLAN_A,
     _rotate,
     _stepper,
@@ -130,8 +128,7 @@ class TestLinearPropagators:
             assert np.array_equal(prop.values, got.values)
 
     def test_free_flow_rows_are_fresh_fields(self):
-        # 11 times at M = 2^16 span two chunks; rows read after the whole
-        # flow must still equal the single-time flow
+        # rows read after the whole flow must still equal the single-time flow
         u = smooth_datum(M=2**16)
         ts = np.linspace(0.0, 0.01, 11)
         rows = list(free_flow(u, ts, EvolutionConfig(), weight=np.abs(u.grid.xi)))
@@ -148,11 +145,10 @@ class TestLinearPropagators:
 
     def test_free_flow_checks_its_times_at_the_call_and_streams_the_rows(self):
         # the times were checked only at the first next(); the rows still
-        # come one at a time, a chunk transformed only when it is reached
+        # come one at a time, each transformed only when it is reached
         with pytest.raises(ConfigError, match="flow times"):
             free_flow(smooth_datum(), ["x"], EvolutionConfig())
         u = smooth_datum(M=2**12)
-        assert _FLOW_BLOCK_BYTES // (16 * 2**12) == 4  # rows per chunk
         rows = free_flow(u, np.linspace(0.0, 0.01, 11), EvolutionConfig())
         assert iter(rows) is rows
         calls = []
@@ -160,8 +156,8 @@ class TestLinearPropagators:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_ifft", lambda *a, **k: calls.append(1) or real_ifft(*a, **k))
             next(rows)
-            assert len(calls) == 1  # the first of three chunks
-            assert sum(1 for _ in rows) == 10 and len(calls) == 3
+            assert len(calls) == 1
+            assert sum(1 for _ in rows) == 10 and len(calls) == 11
 
 
 class TestNonlinearSubstep:
@@ -349,12 +345,20 @@ class TestEvolve:
         assert counts[1] - counts[0] == per_step * n
 
     def test_ifrk4_overflow_raises(self):
-        # |u|^2 u overflows on the first step; the run must stop with the
-        # package's error, not hand back non-finite fields
-        u = smooth_datum(amplitude=1e120)
-        cfg = EvolutionConfig(dt=1e-3, t_end=1e-2, scheme="ifrk4", record_stride=5)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericDomainError):
-            evolve(u, cfg)
+        # |u|^2 u overflows within the first record stride; non-finite samples
+        # read as an infinite tail, at any tolerance, with no RuntimeWarning,
+        # and the error carries the record up to the blow-up
+        u = smooth_datum(L=40.0, M=256, amplitude=30.0)
+        for stride, tol, message, times in ((50, 1e-6, "at t=25: inf > 1.0e-06", [0.0]),
+                                            (50, 1.0, "at t=25: inf > 1.0e+00", [0.0]),
+                                            (1, 1e-6, "at t=0.5: ", [0.0, 0.5])):
+            cfg = EvolutionConfig(dt=0.5, t_end=100.0, scheme="ifrk4", record_stride=stride,
+                                  run_tail_tol=tol)
+            with pytest.raises(AbortedRunError) as exc:
+                evolve(u, cfg)
+            assert f"spectral tail blow-up {message}" in str(exc.value)
+            assert exc.value.record.aborted
+            assert exc.value.record.times.tolist() == times
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -619,14 +623,14 @@ class TestInPlaceStepping:
         for i, (a, b) in enumerate(zip(arrays, kept)):
             assert i == 5 or a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("shape", [(), (3,)], ids=["one", "stack"])
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one", "stack"])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_samples_read_from_a_state_are_not_the_state(self, scheme, shape):
+    def test_samples_read_from_a_state_are_not_the_state(self, scheme, rows):
         grid = make_grid(30.0, 128)
         rng = np.random.default_rng(3)
-        u = 0.5 * (rng.normal(size=shape + (128,)) + 1j * rng.normal(size=shape + (128,)))
+        u = 0.5 * (rng.normal(size=(rows, 128)) + 1j * rng.normal(size=(rows, 128)))
         cfg = EvolutionConfig(dt=1e-3, scheme=scheme, project_K=30 if scheme == "ifrk4" else None)
-        start, step, values = _stepper(grid, cfg)
+        start, step, values = _stepper([grid] * rows, [cfg] * rows)
         state = step(start(u))
         read = values(state)
         kept = read.copy()
@@ -643,13 +647,13 @@ class TestInPlaceStepping:
         u = 0.3 * (rng.normal(size=(2, grid.M)) + 1j * rng.normal(size=(2, grid.M)))
         for K in (0, 1, 5, grid.M // 6, grid.M // 2 - 1, grid.M // 2, grid.M):
             above = np.abs(grid.k) > K
-            for w in (u[0], u):
+            for w in (u[:1], u):
                 cfg = EvolutionConfig(dt=1e-3, scheme="ifrk4", project_K=K)
-                start, step, _ = _stepper(grid, cfg)
+                start, step, _ = _stepper([grid] * len(w), [cfg] * len(w))
                 got = step(start(w))
                 # the nonlinear stages vanish above K, so those modes only
                 # rotate, exactly as in a kappa = 0 step; the rest move
-                start0, step0, _ = _stepper(grid, replace(cfg, kappa=0))
+                start0, step0, _ = _stepper([grid] * len(w), [replace(cfg, kappa=0)] * len(w))
                 free = step0(start0(w))
                 assert np.array_equal(got[..., above], free[..., above]), K
                 assert np.all(got[..., ~above] != free[..., ~above]), K

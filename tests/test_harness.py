@@ -83,6 +83,16 @@ class TestSpecValidation:
             validate_spec({"kind": "bogus"})
         assert "evolve" in str(exc.value)
 
+    def test_unknown_kind_checks_only_the_domain_entries_of_its_keys(self):
+        # with no kind's tables to read, a key without a _DOMAINS entry is
+        # passed over and one with an entry is still checked
+        for params, n_errors in (({"foo": 1}, 1), ({"foo": 1, "M": 7}, 2)):
+            with pytest.raises(SpecValidationError) as exc:
+                validate_spec({"kind": "nope", "params": params})
+            assert len(exc.value.errors) == n_errors
+            assert "unknown experiment kind 'nope'" in exc.value.errors[0]
+        assert "params.M must be an even integer >= 8, got 7" in exc.value.errors
+
     def test_unknown_top_level_key_rejected(self):
         doc = {"kind": "evolve", "tolerance": {"mass_drift": 1e-30}}
         with pytest.raises(SpecValidationError) as exc:

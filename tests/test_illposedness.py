@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fournls import ConfigError, evolve, make_grid, mass, sobolev_norm
+from fournls import ConfigError, evolve, illposedness, make_grid, mass, sobolev_norm
 from fournls.illposedness import (
     SolitonProfile,
     _solver_config,
@@ -196,6 +196,20 @@ class TestModulationNorms:
         fit = modulation_norm_check(u, -0.5, grid, "amplitude", [0.5, 1, 2, 4], M=96.0)
         assert abs(fit.slope - 1.0) < 1e-9
 
+    def test_nonnegative_order_checks_carrier_times_width(self, grid):
+        # for s >= 0 the hypothesis is M tau >= 1: the carrier sweep fits
+        # slope s and the width sweep 1/2 with no warning, and a carrier
+        # below 1 at tau = 1 is flagged
+        u = lambda y: np.exp(-(y**2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            carrier = modulation_norm_check(u, 0.5, grid, "carrier", [16, 32, 64, 128])
+            width = modulation_norm_check(u, 0.5, grid, "width", [0.5, 1, 2, 4], M=96.0)
+        assert abs(carrier.slope - 0.5) < 0.05
+        assert abs(width.slope - 0.5) < 0.05
+        with pytest.warns(UserWarning, match="modulation hypothesis violated at carrier=0.5"):
+            modulation_norm_check(u, 0.5, grid, "carrier", [0.5, 16, 32, 64])
+
     def test_hypothesis_violation_warns(self, grid):
         u = lambda y: np.exp(-(y**2))
         with pytest.warns(UserWarning):
@@ -224,7 +238,8 @@ class TestModulationNorms:
 
 _RUNS = {
     "tracking": lambda **kw: uap_tracking_error(8.0, **{"window": 0.1, **kw}),
-    "decay": lambda **kw: error_decay_experiment([8.0, 16.0], **{"window": 0.1, **kw}),
+    "decay": lambda **kw: error_decay_experiment([8.0, 16.0, 32.0, 64.0],
+                                                 **{"window": 0.1, **kw}),
     "separation": lambda **kw: separation_experiment(1.0, 1.05, -0.75, 16.0, T=10.0, **kw),
 }
 _BAD_STEP = {"dt0": dict(dt=0.0), "dt_nan": dict(dt=float("nan")), "dt_negative": dict(dt=-1e-3),
@@ -261,6 +276,16 @@ class TestExperiments:
         assert plan_uap_discretization(128.0, profile_length=40.0,
                                        profile_modes=256).grid4.M == 2097152
         assert abs(res.fit.slope + 2.0) < 0.05
+
+    def test_error_decay_refuses_fewer_than_four_carriers_before_stepping(self, monkeypatch):
+        # the fit's floor of 4 points used to be read only after every N was
+        # planned and stepped
+        calls = []
+        monkeypatch.setattr(illposedness, "evolve_many", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="at least 4 carriers N"):
+            error_decay_experiment([8.0, 16.0], window=0.5, dt=2e-3, profile_modes=256,
+                                   profile_length=40.0)
+        assert calls == []
 
     def test_band_run_matches_full_grid_run(self):
         # the band evolution is the full-grid evolution with the modes
